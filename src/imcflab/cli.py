@@ -20,7 +20,6 @@ import math
 import sys
 
 import numpy as np
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -38,6 +37,16 @@ EXIT_SOLVER = 3
 EXIT_MONOTONICITY = 4
 EXIT_DEFICIT = 5
 EXIT_STRICT = 6
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a directory of scenarios")
     p_sweep.add_argument("--config", type=Path, required=True,
                          help="directory containing *.cfg scenario files")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
+                         help="worker processes, at most one per config")
     common(p_sweep)
 
     p_static = sub.add_parser("static-check",
@@ -116,8 +126,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"no *.cfg files in {cfg_dir}")
     jobs = [(str(p), None if args.out is None else str(args.out), args.strict)
             for p in paths]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
         results = [_run_one(j) for j in jobs]

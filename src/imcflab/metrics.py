@@ -27,8 +27,8 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import bisect
+# scipy is imported inside the functions that need it (tabulated data and
+# horizon search): loading scipy.interpolate dominates a cold start.
 
 from .errors import DomainError, FitQualityError
 
@@ -137,6 +137,7 @@ class RadialProfile:
             raise ValueError("need matching 1-d arrays with at least 4 samples")
         if np.any(np.diff(r) <= 0):
             raise ValueError("sample radii must be strictly increasing")
+        from scipy.interpolate import CubicSpline
         spl = CubicSpline(r, v)
         return cls(spl, spl.derivative(1), spl.derivative(2), kind="sampled",
                    support=(float(r[0]), float(r[-1])))
@@ -268,6 +269,7 @@ def sampled_potential(r: np.ndarray, f: np.ndarray,
         raise ValueError("need matching 1-d arrays with at least 4 samples")
     if np.any(np.diff(r) <= 0):
         raise ValueError("sample radii must be strictly increasing")
+    from scipy.interpolate import CubicSpline
     spl = CubicSpline(r, f)
     return StaticPotential(kind="sampled", value=spl, deriv=spl.derivative(1),
                            deriv2=spl.derivative(2),
@@ -424,4 +426,5 @@ def horizon_radius(spec: ManifoldSpec, xtol: float = 1e-12) -> float | None:
     i = int(sign_change[0])
     if vals[i] == 0.0:
         return float(grid[i])
+    from scipy.optimize import bisect
     return float(bisect(spec.profile.value, grid[i], grid[i + 1], xtol=xtol))

@@ -1,10 +1,24 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import imcflab as L
 
+# the source tree the tests import imcflab from
+SRC_DIR = str(Path(L.__file__).resolve().parent.parent)
+
 # the (n, m) family exercised across the metric-side tests
 SUITE_NM = [(n, m) for n in range(3, 8) for m in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the same imcflab."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def suite_grid(spec, num=40, r_hi=None):

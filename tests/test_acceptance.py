@@ -25,7 +25,7 @@ import pytest
 
 import imcflab as L
 
-from conftest import p2_graph
+from conftest import child_env, p2_graph
 from oracles import (spheroid_deficit_closed, spheroid_integrals,
                      spheroid_polar_radius)
 
@@ -278,7 +278,7 @@ NEGCTL_CFG = SPHERE_CFG.replace("[surface]",
 
 def _cli(*argv):
     return subprocess.run([sys.executable, "-m", "imcflab", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
 
 
 def test_criterion_10_determinism_and_interface(tmp_path):

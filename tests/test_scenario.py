@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import imcflab as L
+from imcflab.cli import main
 from imcflab.errors import ConfigError
 from imcflab.scenario import (CSV_HEADER, exit_code_for, parse_config,
                               render_csv, run_scenario, summary_dict)
+
+from conftest import child_env
 
 MINIMAL = """
 [manifold]
@@ -57,9 +60,20 @@ id = negctl
 """
 
 
+def custom_profile_config(tmp_path) -> str:
+    """Write a tabulated m=1 Schwarzschild profile to tmp_path/prof.txt and
+    return a sphere config on it (``family = custom``)."""
+    r = np.linspace(2.5, 900.0, 5000)
+    np.savetxt(tmp_path / "prof.txt", np.column_stack([r, 1 - 2 / r]))
+    return ("[manifold]\nfamily = custom\nn = 3\nprofile_file = prof.txt\n"
+            "r_min = 2.6\nr_max = 800\n"
+            "[surface]\nkind = sphere\nr0 = 4.0\n[solver]\nt_end = 1.0\n"
+            "[analysis]\ntail_lo = 100\ntail_hi = 800\n")
+
+
 def run_cli(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "imcflab", *argv],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 class TestParseConfig:
@@ -132,13 +146,7 @@ class TestParseConfig:
         assert cfg.surface.n_intervals == 100
 
     def test_custom_profile_file(self, tmp_path):
-        r = np.linspace(2.5, 900.0, 5000)
-        np.savetxt(tmp_path / "prof.txt", np.column_stack([r, 1 - 2 / r]))
-        text = ("[manifold]\nfamily = custom\nn = 3\nprofile_file = prof.txt\n"
-                "r_min = 2.6\nr_max = 800\n"
-                "[surface]\nkind = sphere\nr0 = 4.0\n[solver]\nt_end = 1.0\n"
-                "[analysis]\ntail_lo = 100\ntail_hi = 800\n")
-        cfg = parse_config(text, base_dir=tmp_path)
+        cfg = parse_config(custom_profile_config(tmp_path), base_dir=tmp_path)
         assert cfg.manifold.mass_param is None
         report = run_scenario(cfg)
         assert report.verdicts["mass_flux"] == pytest.approx(1.0, abs=1e-3)
@@ -271,11 +279,7 @@ class TestCli:
         assert payload["hawking_mass"] == 1.0
 
     def test_sweep_aggregates_multiset_of_summaries(self, tmp_path):
-        cfgs = tmp_path / "cfgs"
-        cfgs.mkdir()
-        (cfgs / "a.cfg").write_text(MINIMAL + "\n[outputs]\nid = a\n")
-        (cfgs / "b.cfg").write_text(
-            MINIMAL.replace("r0 = 4.0", "r0 = 6.0") + "\n[outputs]\nid = b\n")
+        cfgs = self._two_configs(tmp_path)
         out = tmp_path / "out"
         res = run_cli("sweep", "--config", str(cfgs), "--out", str(out),
                       "--jobs", "2")
@@ -294,3 +298,94 @@ class TestCli:
         res = run_cli("flow", "--config", str(tmp_path / "s.cfg"),
                       "--out", str(tmp_path), "--seed", "7")
         assert res.returncode == 0
+
+    @staticmethod
+    def _recording_pool(monkeypatch):
+        """Replace the process pool by one that records its worker count
+        and maps in-process, so no worker process is started."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        return started
+
+    @staticmethod
+    def _two_configs(tmp_path):
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        (cfgs / "a.cfg").write_text(MINIMAL + "\n[outputs]\nid = a\n")
+        (cfgs / "b.cfg").write_text(
+            MINIMAL.replace("r0 = 4.0", "r0 = 6.0") + "\n[outputs]\nid = b\n")
+        return cfgs
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_sweep_jobs_below_one_is_parse_error(self, tmp_path, monkeypatch,
+                                                 capsys, jobs):
+        started = self._recording_pool(monkeypatch)
+        cfgs = self._two_configs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfgs), "--out", str(tmp_path / "out"),
+                  "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert started == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs, workers", [("64", [2]), ("2", [2]), ("1", [])])
+    def test_sweep_starts_at_most_one_worker_per_config(self, tmp_path, monkeypatch,
+                                                        jobs, workers):
+        started = self._recording_pool(monkeypatch)
+        cfgs = self._two_configs(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfgs), "--out", str(out),
+                     "--jobs", jobs]) == 0
+        assert started == workers
+        agg = json.loads((out / "sweep_summary.json").read_text())
+        assert [s["id"] for s in agg["scenarios"]] == ["a", "b"]
+
+
+# Modules that only some runs need; a cold start must not load them.
+LAZY_MODULES = ("scipy", "concurrent.futures.process")
+
+
+def cold_start(argv=None) -> dict:
+    """In a fresh interpreter, import imcflab and, given ``argv``, run the
+    CLI on it; report which LAZY_MODULES got loaded and the exit code."""
+    run = "" if argv is None else f"import imcflab.cli\ncode = imcflab.cli.main({argv!r})\n"
+    probe = (f"import json, sys\nimport imcflab\ncode = None\n{run}"
+             f"print(json.dumps({{'loaded': [m for m in {LAZY_MODULES!r} "
+             f"if m in sys.modules], 'code': code}}))")
+    res = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy_and_no_process_pool(self):
+        assert cold_start() == {"loaded": [], "code": None}
+
+    def test_schwarzschild_sphere_flow_loads_no_scipy(self, tmp_path):
+        (tmp_path / "s.cfg").write_text(MINIMAL)
+        assert cold_start(["flow", "--config", str(tmp_path / "s.cfg"),
+                           "--out", str(tmp_path / "out")]) == {"loaded": [], "code": 0}
+        assert (tmp_path / "out" / "s.csv").exists()
+
+    def test_custom_tabulated_profile_loads_scipy(self, tmp_path):
+        (tmp_path / "c.cfg").write_text(custom_profile_config(tmp_path))
+        assert cold_start(["flow", "--config", str(tmp_path / "c.cfg"),
+                           "--out", str(tmp_path / "out")]) == {"loaded": ["scipy"],
+                                                                "code": 0}
+        assert (tmp_path / "out" / "c.csv").exists()
