@@ -4,8 +4,9 @@ Along the totally umbilic foliation by coordinate spheres, the
 scale-normalized functional Q sits exactly at its flow limit
 (n-1) omega^(1/(n-1)) for every radius, every mass (sign included) and
 every dimension, and the Minkowski-type deficit vanishes identically.
-Sphere slices are evaluated through closed forms in extended precision,
-so the cancellations survive radii where float64 would lose them.
+Sphere slices are evaluated through closed forms written so that the
+r^(n-2) terms never cancel, so the identities survive radii where the
+naive float64 formulas would lose them.
 """
 
 import numpy as np

@@ -18,17 +18,16 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, LabError, SolverFailureError
-from .metrics import (adm_mass_flux, harmonicity_residual, horizon_radius,
-                      static_residual, unit_sphere_area)
-from .quantities import limit_target
+from .metrics import (ManifoldSpec, adm_mass_flux, horizon_radius,
+                      sqrt_potential, unit_sphere_area)
+from .quantities import limit_target, slice_quantities
 from .scenario import (emit_outputs, exit_code_for, load_config, run_scenario,
-                       summary_dict)
+                       static_diagnostics, summary_dict)
+from .surfaces import CoordinateSphere, sphere_geometry
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -157,19 +156,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_static_check(args) -> int:
     cfg = load_config(args.config, out_dir=args.out)
     spec = cfg.manifold
-    lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
-    grid = np.geomspace(max(lo, 1e-6), spec.r_max, 200)
-    s_rr, s_tt = static_residual(spec, cfg.weight, grid)
-    harm = harmonicity_residual(spec, cfg.weight, grid)
-    rh = horizon_radius(spec)
     out = {
         "id": cfg.scenario_id,
-        "static_residual_max": float(np.max(np.abs(np.stack([s_rr, s_tt])))),
-        "harmonic_residual_max": float(np.max(np.abs(harm))),
+        **static_diagnostics(cfg),
         "static_tol": cfg.static_tol,
         "mass_flux_at_r_max": float(adm_mass_flux(spec, cfg.reference_potential,
                                                   spec.r_max)),
-        "horizon_radius": rh,
+        "horizon_radius": horizon_radius(spec),
         "potential_kind": cfg.potential_kind,
     }
     out["is_static"] = bool(out["static_residual_max"] < cfg.static_tol
@@ -184,25 +177,33 @@ def _cmd_oracle(args) -> int:
     n, m, r = args.n, args.m, args.r
     if not (3 <= n <= 7):
         raise ConfigError(f"oracle needs 3 <= n <= 7, got {n}")
+    if not (math.isfinite(m) and 0.0 < r < math.inf):
+        raise ConfigError(f"oracle needs a finite m and a positive finite r, "
+                          f"got m = {m:g}, r = {r:g}")
     rh = (2.0 * m) ** (1.0 / (n - 2)) if m > 0 else None
     if rh is not None and r <= rh:
         raise ConfigError(f"oracle radius {r:g} is inside the horizon r_h = {rh:g}")
-    om = unit_sphere_area(n - 1)
-    v = 1.0 - 2.0 * m * r ** (2 - n)
+    # the working domain only has to contain r; the horizon (or 0.5 r when
+    # there is none) bounds it from below
+    spec = ManifoldSpec.schwarzschild(n, m, r_max=max(r, 1000.0),
+                                      r_min_floor=0.5 * r)
+    geom = sphere_geometry(CoordinateSphere(r, spec))
+    f = sqrt_potential(spec)
+    sq = slice_quantities(geom, f, m)
     out = {
         "n": n, "m": m, "r": r,
         "horizon_radius": rh,
-        "V": v,
-        "f": math.sqrt(v),
-        "H": (n - 1) * math.sqrt(v) / r,
-        "area": om * r ** (n - 1),
-        "int_fH": (n - 1) * om * (r ** (n - 2) - 2.0 * m),
-        "Q": limit_target(n),         # constant on Schwarzschild spheres
+        "V": float(spec.profile.value(r)),
+        "f": float(f.value(r)),
+        "H": float(geom.mean_curvature[0]),
+        "area": sq.area,
+        "int_fH": sq.weighted_total_h,
+        "Q": sq.q,                    # constant on Schwarzschild spheres
         "limit_target": limit_target(n),
-        "minkowski_deficit": 0.0,     # equality case, exact
-        "hawking_mass": m if n == 3 else None,
+        "minkowski_deficit": sq.minkowski_deficit,  # equality case
+        "hawking_mass": sq.hawking_mass,
         "flow_radius_factor": math.exp(1.0 / (n - 1)),  # growth per unit flow time
-        "unit_sphere_area": om,
+        "unit_sphere_area": unit_sphere_area(n - 1),
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK

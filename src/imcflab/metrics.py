@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import mpmath
 import numpy as np
 # scipy is imported inside the functions that need it (tabulated data and
 # horizon search): loading scipy.interpolate dominates a cold start.
@@ -51,11 +50,11 @@ __all__ = [
 ]
 
 
-def _sqrt(x):
-    """Square root that also accepts mpmath scalars (numpy chokes on them)."""
-    if isinstance(x, (mpmath.mpf, mpmath.mpc)):
-        return mpmath.sqrt(x)
-    return np.sqrt(x)
+def _derive(record, name: str, piece: Callable):
+    """Attach an exact derived piece (an ``init=False`` field) to a frozen
+    profile or weight; only the constructors of this module call it."""
+    object.__setattr__(record, name, piece)
+    return record
 
 
 def _maybe_item(x):
@@ -75,9 +74,9 @@ def unit_sphere_area(k: int) -> float:
 class RadialProfile:
     """A metric profile V(r) with first and second derivatives.
 
-    ``mp_safe`` marks closed forms built from plain arithmetic that also
-    evaluate correctly on mpmath scalars; the extended-precision sphere
-    diagnostics in :mod:`imcflab.quantities` require it.
+    The closed-form constructors also carry the mass aspect u = 1 - V
+    exactly (see :meth:`mass_aspect`), so sphere functionals never form
+    1 - V by cancellation.
     """
 
     value: Callable
@@ -85,16 +84,23 @@ class RadialProfile:
     deriv2: Callable
     kind: str = "callable"
     params: dict = field(default_factory=dict)
-    mp_safe: bool = False
     support: tuple[float, float] | None = None  # sampled profiles only
+    _aspect: Callable | None = field(default=None, init=False, repr=False)
+
+    def mass_aspect(self, r):
+        """u = 1 - V(r): exact for the closed forms, 1 - V(r) otherwise."""
+        return 1.0 - self.value(r) if self._aspect is None else self._aspect(r)
 
     @classmethod
     def schwarzschild(cls, n: int, m: float) -> "RadialProfile":
         """V = 1 - 2m r^(2-n), exact for every real m."""
         a, b = 2.0 - n, 1.0 - n
 
+        def u(r):
+            return 2.0 * m * r**a
+
         def v(r):
-            return 1.0 - 2.0 * m * r**a
+            return 1.0 - u(r)
 
         def dv(r):
             return 2.0 * m * (n - 2.0) * r**b
@@ -102,31 +108,29 @@ class RadialProfile:
         def d2v(r):
             return -2.0 * m * (n - 2.0) * (n - 1.0) * r ** (-float(n))
 
-        return cls(v, dv, d2v, kind="schwarzschild", params={"n": n, "m": m},
-                   mp_safe=True)
+        return _derive(cls(v, dv, d2v, kind="schwarzschild",
+                           params={"n": n, "m": m}), "_aspect", u)
 
     @classmethod
     def flat(cls) -> "RadialProfile":
-        return cls(lambda r: r * 0.0 + 1.0, lambda r: r * 0.0,
-                   lambda r: r * 0.0, kind="flat", params={"m": 0.0},
-                   mp_safe=True)
+        return _derive(cls(lambda r: r * 0.0 + 1.0, lambda r: r * 0.0,
+                           lambda r: r * 0.0, kind="flat", params={"m": 0.0}),
+                       "_aspect", lambda r: r * 0.0)
 
     @classmethod
     def from_callable(cls, v: Callable, dv: Callable | None = None,
-                      d2v: Callable | None = None, mp_safe: bool = False) -> "RadialProfile":
+                      d2v: Callable | None = None) -> "RadialProfile":
         """Wrap a plain V(r); missing derivatives fall back to central
         finite differences (steps balanced for O(h^2) truncation)."""
         if dv is None:
             def dv(r, _v=v):
                 h = 6.0e-6 * (1.0 + np.abs(r))
                 return (_v(r + h) - _v(r - h)) / (2.0 * h)
-            mp_safe = False
         if d2v is None:
             def d2v(r, _v=v):
                 h = 1.2e-4 * (1.0 + np.abs(r))
                 return (_v(r + h) - 2.0 * _v(r) + _v(r - h)) / h**2
-            mp_safe = False
-        return cls(v, dv, d2v, kind="callable", mp_safe=mp_safe)
+        return cls(v, dv, d2v, kind="callable")
 
     @classmethod
     def from_samples(cls, r: np.ndarray, v: np.ndarray) -> "RadialProfile":
@@ -205,6 +209,11 @@ class StaticPotential:
     Only the square root of a Schwarzschild profile actually solves the
     static equation; other weights are carried with the same interface so
     the diagnostics and negative controls run through identical code.
+
+    The closed-form constructors below write the weight in terms of the
+    profile V of the manifold the slice lives in (sqrt(V), V or a
+    constant), which lets :meth:`excess` form f sqrt(V) - 1 from the mass
+    aspect without cancellation.
     """
 
     kind: str  # "closed-form" or "sampled"
@@ -212,7 +221,15 @@ class StaticPotential:
     deriv: Callable
     deriv2: Callable
     asymptotic_to_one: bool = True
-    mp_safe: bool = False
+    _excess: Callable | None = field(default=None, init=False, repr=False)
+
+    def excess(self, r: float, profile: RadialProfile) -> float:
+        """The weight excess f sqrt(V) - 1 at radius r of ``profile``:
+        a function of the mass aspect for the closed forms, plain
+        f(r) sqrt(V(r)) - 1 for sampled, rescaled or hand-built weights."""
+        if self._excess is None:
+            return self.value(r) * np.sqrt(profile.value(r)) - 1.0
+        return self._excess(profile.mass_aspect(r))
 
 
 def sqrt_potential(spec: ManifoldSpec) -> StaticPotential:
@@ -224,27 +241,30 @@ def sqrt_potential(spec: ManifoldSpec) -> StaticPotential:
     p = spec.profile
 
     def f(r):
-        return _sqrt(p.value(r))
+        return np.sqrt(p.value(r))
 
     def df(r):
-        return p.deriv(r) / (2.0 * _sqrt(p.value(r)))
+        return p.deriv(r) / (2.0 * np.sqrt(p.value(r)))
 
     def d2f(r):
         v = p.value(r)
-        s = _sqrt(v)
+        s = np.sqrt(v)
         return p.deriv2(r) / (2.0 * s) - p.deriv(r) ** 2 / (4.0 * v * s)
 
-    return StaticPotential(kind="closed-form", value=f, deriv=df, deriv2=d2f,
-                           asymptotic_to_one=True, mp_safe=p.mp_safe)
+    pot = StaticPotential(kind="closed-form", value=f, deriv=df, deriv2=d2f,
+                          asymptotic_to_one=True)
+    return _derive(pot, "_excess", lambda u: -u)
 
 
 def constant_potential(c: float = 1.0) -> StaticPotential:
     """f identically c; the flat-space potential when c = 1."""
-    return StaticPotential(kind="closed-form",
-                           value=lambda r: r * 0.0 + c,
-                           deriv=lambda r: r * 0.0,
-                           deriv2=lambda r: r * 0.0,
-                           asymptotic_to_one=(c == 1.0), mp_safe=True)
+    pot = StaticPotential(kind="closed-form",
+                          value=lambda r: r * 0.0 + c,
+                          deriv=lambda r: r * 0.0,
+                          deriv2=lambda r: r * 0.0,
+                          asymptotic_to_one=(c == 1.0))
+    return _derive(pot, "_excess",
+                   lambda u: c * math.expm1(0.5 * math.log1p(-u)) + (c - 1.0))
 
 
 def profile_weight(spec: ManifoldSpec) -> StaticPotential:
@@ -255,9 +275,9 @@ def profile_weight(spec: ManifoldSpec) -> StaticPotential:
     monotonicity negative controls need.
     """
     p = spec.profile
-    return StaticPotential(kind="closed-form", value=p.value, deriv=p.deriv,
-                           deriv2=p.deriv2, asymptotic_to_one=True,
-                           mp_safe=p.mp_safe)
+    pot = StaticPotential(kind="closed-form", value=p.value, deriv=p.deriv,
+                          deriv2=p.deriv2, asymptotic_to_one=True)
+    return _derive(pot, "_excess", lambda u: math.expm1(1.5 * math.log1p(-u)))
 
 
 def sampled_potential(r: np.ndarray, f: np.ndarray,
@@ -341,7 +361,7 @@ def adm_mass_flux(spec: ManifoldSpec, f: StaticPotential, r):
     n = spec.n
     r = np.asarray(r, dtype=float)
     v = spec.profile.value(r)
-    return _maybe_item(_sqrt(v) * f.deriv(r) * r ** (n - 1) / (n - 2))
+    return _maybe_item(np.sqrt(v) * f.deriv(r) * r ** (n - 1) / (n - 2))
 
 
 def adm_mass_fit(spec: ManifoldSpec, f: StaticPotential,
@@ -403,7 +423,7 @@ def rescale_to_unit(spec: ManifoldSpec, f: StaticPotential,
                            value=lambda r: f.value(r) / c,
                            deriv=lambda r: f.deriv(r) / c,
                            deriv2=lambda r: f.deriv2(r) / c,
-                           asymptotic_to_one=True, mp_safe=f.mp_safe)
+                           asymptotic_to_one=True)
 
 
 def horizon_radius(spec: ManifoldSpec, xtol: float = 1e-12) -> float | None:

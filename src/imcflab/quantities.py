@@ -13,12 +13,20 @@ integral, and the Hawking mass is reported for n = 3 slices.
 
 Numerical note: on coordinate spheres every one of these functionals is a
 closed form in the slice radius, and the equality cases are exact
-cancellations between terms that grow like r^{n-2}.  Evaluating them in
-float64 caps the achievable deficit accuracy near r^{n-2} * 1e-16 (about
-1e-7 at n = 7, r = 50), which would swamp the identities the package
-exists to verify.  Sphere slices therefore re-evaluate the closed forms
-in mpmath extended precision (40 significant digits) whenever the profile
-and weight support it; graph slices use ordinary float64 vector math.
+cancellations between terms that grow like r^{n-2}.  Evaluated as written
+above they lose about r^{n-2} * 1e-16 (about 1e-7 at n = 7, r = 50),
+which would swamp the identities the package exists to verify.  Sphere
+slices therefore use the equivalent cancellation-free float64 forms
+
+    deficit = r^{n-2} (f sqrt(V) - 1) + 2m
+    int f H = (n-1) omega_{n-1} r^{n-2} (1 + (f sqrt(V) - 1))
+    Q       = limit_target(n) (1 + deficit / r^{n-2})
+    Hawking = sqrt(area / 16 pi) (1 - V)                      (n = 3)
+
+where 1 - V is the profile's exact mass aspect and the weight excess
+f sqrt(V) - 1 is formed from it without cancellation
+(:meth:`RadialProfile.mass_aspect`, :meth:`StaticPotential.excess`).
+Graph slices use ordinary float64 vector math.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
@@ -48,76 +55,46 @@ __all__ = [
     "monotonicity_verdict",
 ]
 
-_MP_DPS = 40
-_omega_mp_cache: dict = {}
-
 
 def limit_target(n: int) -> float:
     """The flow limit (n-1) * omega_{n-1}^(1/(n-1)) of the Q functional."""
     return (n - 1) * unit_sphere_area(n - 1) ** (1.0 / (n - 1))
 
 
-def _omega_mp(n: int):
-    """Unit (n-1)-sphere area at working precision (cached)."""
-    key = (n, mpmath.mp.dps)
-    if key not in _omega_mp_cache:
-        half = mpmath.mpf(n) / 2
-        _omega_mp_cache[key] = 2 * mpmath.pi**half / mpmath.gamma(half)
-    return _omega_mp_cache[key]
-
-
-def _mp_eligible(geom: SurfaceGeometry, f: StaticPotential) -> bool:
-    return (geom.kind == "sphere" and geom.sphere_radius is not None
-            and geom.ambient.profile.mp_safe and f.mp_safe)
-
-
-def _mp_sphere_values(geom: SurfaceGeometry, f: StaticPotential, m: float):
-    """Closed-form slice functionals of a coordinate sphere, evaluated in
-    extended precision so exact identities survive large radii."""
+def _curvature_terms(geom: SurfaceGeometry, f: StaticPotential,
+                     m: float) -> tuple[float, float, float]:
+    """(integral of f H, Q, Minkowski deficit) of one slice, with the
+    integral evaluated once."""
     n = geom.dim
-    with mpmath.workdps(_MP_DPS):
-        r = mpmath.mpf(geom.sphere_radius)
-        mm = mpmath.mpf(m)
-        om = _omega_mp(n)
-        v = geom.ambient.profile.value(r)
-        h = (n - 1) * mpmath.sqrt(v) / r
-        area = om * r ** (n - 1)
-        fv = f.value(r)
-        if isinstance(fv, mpmath.mpc):
-            raise DomainError("weight undefined (negative argument) on the slice")
-        wth = fv * h * area
-        p = mpmath.mpf(n - 2) / (n - 1)
-        q = area ** (-p) * (2 * (n - 1) * om * mm + wth)
-        deficit = wth / ((n - 1) * om) - (area / om) ** p + 2 * mm
-        hawking = None
-        if n == 3:
-            hawking = mpmath.sqrt(area / (16 * mpmath.pi)) \
-                * (1 - h * h * area / (16 * mpmath.pi))
-        return {"area": float(area), "wth": float(wth), "q": float(q),
-                "deficit": float(deficit),
-                "hawking": None if hawking is None else float(hawking)}
-
-
-def weighted_total_mean_curvature(geom: SurfaceGeometry,
-                                  f: StaticPotential, m: float = 0.0) -> float:
-    """The surface integral of f H over the slice."""
-    if _mp_eligible(geom, f):
-        return _mp_sphere_values(geom, f, m)["wth"]
+    om = unit_sphere_area(n - 1)
+    if geom.kind == "sphere":
+        r = geom.sphere_radius
+        excess = float(f.excess(r, geom.ambient.profile))
+        if not math.isfinite(excess):
+            raise DomainError("weight not finite on the slice")
+        rk = r ** (n - 2)
+        deficit = rk * excess + 2.0 * m
+        return ((n - 1) * om * rk * (1.0 + excess),
+                limit_target(n) * (1.0 + deficit / rk), deficit)
     fv = np.asarray(f.value(geom.radii), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise DomainError("weight not finite at some node of the slice")
-    return surface_integral(geom, fv * geom.mean_curvature)
+    wth = surface_integral(geom, fv * geom.mean_curvature)
+    q = geom.area ** (-(n - 2) / (n - 1)) * (2 * (n - 1) * om * m + wth)
+    deficit = wth / ((n - 1) * om) - (geom.area / om) ** ((n - 2) / (n - 1)) + 2 * m
+    return wth, q, deficit
+
+
+def weighted_total_mean_curvature(geom: SurfaceGeometry,
+                                  f: StaticPotential) -> float:
+    """The surface integral of f H over the slice."""
+    return _curvature_terms(geom, f, 0.0)[0]
 
 
 def monotone_quantity(geom: SurfaceGeometry, f: StaticPotential,
                       m: float) -> float:
     """Evaluate Q on one slice; depends on the slice only, never on flow time."""
-    n = geom.dim
-    if _mp_eligible(geom, f):
-        return _mp_sphere_values(geom, f, m)["q"]
-    wth = weighted_total_mean_curvature(geom, f)
-    om = unit_sphere_area(n - 1)
-    return geom.area ** (-(n - 2) / (n - 1)) * (2 * (n - 1) * om * m + wth)
+    return _curvature_terms(geom, f, m)[1]
 
 
 def minkowski_deficit(geom: SurfaceGeometry, f: StaticPotential,
@@ -129,12 +106,7 @@ def minkowski_deficit(geom: SurfaceGeometry, f: StaticPotential,
     predicted nonnegative for outer-minimizing slices when f is static,
     zero exactly on the umbilic (coordinate-sphere) equality case.
     """
-    n = geom.dim
-    if _mp_eligible(geom, f):
-        return _mp_sphere_values(geom, f, m)["deficit"]
-    wth = weighted_total_mean_curvature(geom, f)
-    om = unit_sphere_area(n - 1)
-    return wth / ((n - 1) * om) - (geom.area / om) ** ((n - 2) / (n - 1)) + 2 * m
+    return _curvature_terms(geom, f, m)[2]
 
 
 def hawking_mass(geom: SurfaceGeometry) -> float:
@@ -143,15 +115,9 @@ def hawking_mass(geom: SurfaceGeometry) -> float:
         raise UnsupportedDimensionError(
             f"Hawking mass is defined for n = 3, got n = {geom.dim}")
     if geom.kind == "sphere":
-        r = geom.sphere_radius
-        if geom.ambient.profile.mp_safe:
-            with mpmath.workdps(_MP_DPS):
-                rr = mpmath.mpf(r)
-                v = geom.ambient.profile.value(rr)
-                area = _omega_mp(3) * rr**2
-                h = 2 * mpmath.sqrt(v) / rr
-                return float(mpmath.sqrt(area / (16 * mpmath.pi))
-                             * (1 - h * h * area / (16 * mpmath.pi)))
+        # integral(H^2)/16 pi is V on a coordinate sphere
+        u = geom.ambient.profile.mass_aspect(geom.sphere_radius)
+        return math.sqrt(geom.area / (16 * math.pi)) * float(u)
     wth2 = surface_integral(geom, geom.mean_curvature**2)
     return math.sqrt(geom.area / (16 * math.pi)) * (1.0 - wth2 / (16 * math.pi))
 
@@ -171,19 +137,13 @@ class SliceQuantities:
 def slice_quantities(geom: SurfaceGeometry, f: StaticPotential,
                      m: float) -> SliceQuantities:
     """Evaluate every slice functional once."""
-    if _mp_eligible(geom, f):
-        vals = _mp_sphere_values(geom, f, m)
-        return SliceQuantities(
-            area=vals["area"], weighted_total_h=vals["wth"], q=vals["q"],
-            minkowski_deficit=vals["deficit"], hawking_mass=vals["hawking"],
-            umbilicity_deficit=0.0)
-    hk = hawking_mass(geom) if geom.dim == 3 else None
+    wth, q, deficit = _curvature_terms(geom, f, m)
     return SliceQuantities(
         area=geom.area,
-        weighted_total_h=weighted_total_mean_curvature(geom, f),
-        q=monotone_quantity(geom, f, m),
-        minkowski_deficit=minkowski_deficit(geom, f, m),
-        hawking_mass=hk,
+        weighted_total_h=wth,
+        q=q,
+        minkowski_deficit=deficit,
+        hawking_mass=hawking_mass(geom) if geom.dim == 3 else None,
         umbilicity_deficit=umbilicity_deficit(geom))
 
 

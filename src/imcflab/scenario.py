@@ -58,6 +58,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "run_scenario",
+    "static_diagnostics",
     "emit_outputs",
     "exit_code_for",
     "summary_dict",
@@ -306,7 +307,9 @@ class RunReport:
     version: str = __version__
 
 
-def _static_diagnostics(cfg: ScenarioConfig) -> dict:
+def static_diagnostics(cfg: ScenarioConfig) -> dict:
+    """Largest static-equation and harmonicity residuals of the weight on a
+    200-point log grid spanning the working domain."""
     spec = cfg.manifold
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
     grid = np.geomspace(max(lo, 1e-6), spec.r_max, 200)
@@ -324,7 +327,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     spec = cfg.manifold
     warnings: list[str] = []
 
-    diag = _static_diagnostics(cfg)
+    diag = static_diagnostics(cfg)
     weight_is_static = (diag["static_residual_max"] < cfg.static_tol
                         and diag["harmonic_residual_max"] < cfg.static_tol)
     if cfg.potential_kind != "profile-weight" and not weight_is_static:

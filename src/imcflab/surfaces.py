@@ -324,8 +324,10 @@ def umbilicity_deficit(geom: SurfaceGeometry) -> float:
     """Max over nodes of (n-1)|A|^2 - H^2, the pointwise umbilicity gap.
 
     Nonnegative up to discretization noise by Cauchy-Schwarz; identically
-    zero exactly on coordinate spheres.
+    zero exactly on coordinate spheres, which it returns without rounding.
     """
+    if geom.kind == "sphere":
+        return 0.0
     n = geom.dim
     return float(np.max((n - 1) * geom.second_form_norm_sq
                         - geom.mean_curvature**2))

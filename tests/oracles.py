@@ -2,13 +2,15 @@
 
 Nothing here imports the package's formula implementations; curvature
 comes from raw finite differences of the metric through Christoffel
-symbols, and the spheroid values come from classical surface-of-
+symbols, the spheroid values come from classical surface-of-
 revolution formulas in the ellipse parameter, both by quadrature and in
-elementary closed form.  These routes deliberately
-duplicate work so the package code has something genuinely independent
-to be checked against.
+elementary closed form, and the Schwarzschild sphere functionals come
+from their textbook definitions in 40-digit arithmetic.  These routes
+deliberately duplicate work so the package code has something genuinely
+independent to be checked against.
 """
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -168,3 +170,35 @@ def spheroid_h_at_theta(theta, a=1.0, c=2.0):
     u = np.arctan2(rho * np.sin(theta) / a, rho * np.cos(theta) / c)
     k1, k2 = spheroid_curvatures(u, a, c)
     return k1 + k2
+
+
+# ---------------------------------------------------------------------------
+# coordinate spheres of n-dimensional Schwarzschild, 40 significant digits
+# ---------------------------------------------------------------------------
+
+def schwarzschild_sphere_mp(n, m, r, weight="static", dps=40):
+    """area, int f H, Q, Minkowski deficit and (n = 3) Hawking mass of the
+    sphere of radius r in Schwarzschild V = 1 - 2m r^(2-n), straight from
+    their definitions in ``dps``-digit arithmetic, rounded to float.
+
+    ``weight`` is "static" (f = sqrt(V)) or "profile-weight" (f = V).  The
+    digits carried absorb the r^(n-2) cancellations of the equality case.
+    """
+    with mpmath.workdps(dps):
+        r, m = mpmath.mpf(r), mpmath.mpf(m)
+        half = mpmath.mpf(n) / 2
+        omega = 2 * mpmath.pi**half / mpmath.gamma(half)
+        v = 1 - 2 * m * r ** (2 - n)
+        f = mpmath.sqrt(v) if weight == "static" else v
+        h = (n - 1) * mpmath.sqrt(v) / r
+        area = omega * r ** (n - 1)
+        int_fh = f * h * area
+        p = mpmath.mpf(n - 2) / (n - 1)
+        q = area ** (-p) * (2 * (n - 1) * omega * m + int_fh)
+        deficit = int_fh / ((n - 1) * omega) - (area / omega) ** p + 2 * m
+        hawking = None
+        if n == 3:
+            hawking = float(mpmath.sqrt(area / (16 * mpmath.pi))
+                            * (1 - h * h * area / (16 * mpmath.pi)))
+        return {"area": float(area), "int_fH": float(int_fh), "Q": float(q),
+                "deficit": float(deficit), "hawking": hawking}

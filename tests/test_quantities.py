@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import imcflab as L
 from imcflab.errors import DomainError, UnsupportedDimensionError
 
-from conftest import p2_graph
-from oracles import (spheroid_area_closed, spheroid_deficit_closed,
-                     spheroid_int_h_closed, spheroid_integrals,
-                     spheroid_polar_radius)
+from conftest import p2_graph, suite_grid
+from oracles import (schwarzschild_sphere_mp, spheroid_area_closed,
+                     spheroid_deficit_closed, spheroid_int_h_closed,
+                     spheroid_integrals, spheroid_polar_radius)
 
 FOUR_SQRT_PI = 4 * math.sqrt(math.pi)  # flow limit of Q in three dimensions
 
@@ -63,10 +63,14 @@ class TestWeightedTotalMeanCurvature:
         val = L.weighted_total_mean_curvature(s, L.sqrt_potential(spec))
         assert val == pytest.approx(736.9304619480054, rel=1e-12)
 
-    def test_undefined_weight_raises(self, flat3):
-        theta = np.linspace(0.0, np.pi, 201)
-        g = L.graph_geometry(L.AxisymmetricGraph(
-            theta, 1.5 + 0.3 * np.cos(2 * theta), flat3))
+    @pytest.mark.parametrize("kind", ["graph", "sphere"])
+    def test_undefined_weight_raises(self, flat3, kind):
+        if kind == "graph":
+            theta = np.linspace(0.0, np.pi, 201)
+            g = L.graph_geometry(L.AxisymmetricGraph(
+                theta, 1.5 + 0.3 * np.cos(2 * theta), flat3))
+        else:
+            g = L.sphere_geometry(L.CoordinateSphere(1.5, flat3))
         bad = L.StaticPotential(kind="closed-form",
                                 value=lambda r: np.sqrt(r - 2.0),
                                 deriv=lambda r: 0.5 / np.sqrt(r - 2.0),
@@ -74,6 +78,35 @@ class TestWeightedTotalMeanCurvature:
         with pytest.raises(DomainError):
             with np.errstate(invalid="ignore"):
                 L.weighted_total_mean_curvature(g, bad)
+
+
+class TestSphereChainOracle:
+    """The float64 sphere chain against the 40-digit definitions."""
+
+    @pytest.mark.parametrize("weight", ["static", "profile-weight"])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_matches_extended_precision(self, n, weight):
+        for m in (-1.0, -0.5, 0.5, 1.0, 2.0):
+            spec = L.ManifoldSpec.schwarzschild(n, m)
+            f = (L.sqrt_potential(spec) if weight == "static"
+                 else L.profile_weight(spec))
+            for r in suite_grid(spec):
+                r = float(r)
+                sq = L.slice_quantities(
+                    L.sphere_geometry(L.CoordinateSphere(r, spec)), f, m)
+                ref = schwarzschild_sphere_mp(n, m, r, weight)
+                where = f"n={n} m={m} r={r!r} {weight}"
+                assert sq.area == pytest.approx(ref["area"], rel=1e-13), where
+                assert sq.weighted_total_h == pytest.approx(
+                    ref["int_fH"], rel=1e-13), where
+                assert sq.q == pytest.approx(ref["Q"], rel=1e-13), where
+                assert abs(sq.minkowski_deficit - ref["deficit"]) \
+                    <= 1e-13 * max(1.0, abs(ref["deficit"])), where
+                if n == 3:
+                    assert sq.hawking_mass == pytest.approx(
+                        ref["hawking"], rel=1e-13), where
+                else:
+                    assert sq.hawking_mass is None
 
 
 class TestMonotoneQuantity:

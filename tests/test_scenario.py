@@ -278,6 +278,38 @@ class TestCli:
         assert payload["Q"] == pytest.approx(4 * math.sqrt(math.pi), rel=1e-14)
         assert payload["hawking_mass"] == 1.0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "2"], "3 <= n <= 7"),
+        (["--n", "8"], "3 <= n <= 7"),
+        (["--n", "3", "--m", "1.0", "--r", "2.0"], "inside the horizon"),
+        (["--n", "5", "--m", "2.0", "--r", "1.5"], "inside the horizon"),
+        (["--n", "4", "--m", "-1.0", "--r", "-1.0"], "positive finite r"),
+        (["--n", "3", "--m", "nan"], "finite m"),
+    ])
+    def test_oracle_rejections_exit_two(self, argv, message):
+        res = run_cli("oracle", *argv)
+        assert res.returncode == 2
+        assert message in res.stderr
+        assert res.stdout == ""
+
+    def test_oracle_reads_the_sphere_chain(self):
+        # beyond the default r_max, and a negative mass with no horizon
+        for n, m, r in ((7, 2.0, 1500.0), (4, -1.0, 0.3)):
+            res = run_cli("oracle", "--n", str(n), "--m", str(m), "--r", str(r))
+            assert res.returncode == 0, res.stderr
+            payload = json.loads(res.stdout)
+            spec = L.ManifoldSpec.schwarzschild(n, m, r_max=r + 1.0,
+                                                r_min_floor=0.1 * r)
+            sq = L.slice_quantities(
+                L.sphere_geometry(L.CoordinateSphere(r, spec)),
+                L.sqrt_potential(spec), m)
+            assert payload["area"] == sq.area
+            assert payload["int_fH"] == sq.weighted_total_h
+            assert payload["Q"] == sq.q
+            assert payload["minkowski_deficit"] == sq.minkowski_deficit
+            assert payload["hawking_mass"] is None
+            assert payload["Q"] == pytest.approx(L.limit_target(n), rel=1e-14)
+
     def test_sweep_aggregates_multiset_of_summaries(self, tmp_path):
         cfgs = self._two_configs(tmp_path)
         out = tmp_path / "out"
@@ -357,7 +389,7 @@ class TestCli:
 
 
 # Modules that only some runs need; a cold start must not load them.
-LAZY_MODULES = ("scipy", "concurrent.futures.process")
+LAZY_MODULES = ("scipy", "concurrent.futures.process", "mpmath")
 
 
 def cold_start(argv=None) -> dict:
