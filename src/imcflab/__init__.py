@@ -23,7 +23,7 @@ from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid,
                        save_graph, sphere_geometry, surface_integral,
                        umbilicity_deficit)
 from .flow import (FlowTrace, SolverParams, area_law_residual, flow_graph,
-                   flow_sphere)
+                   flow_sphere, require_reach)
 from .quantities import (MonotonicityVerdict, SliceQuantities,
                          attach_quantities, hawking_mass, limit_target,
                          minkowski_deficit, monotone_quantity,
@@ -50,7 +50,7 @@ __all__ = [
     "umbilicity_deficit", "save_graph", "load_graph",
     # flow
     "SolverParams", "FlowTrace", "flow_sphere", "flow_graph",
-    "area_law_residual",
+    "require_reach", "area_law_residual",
     # quantities
     "SliceQuantities", "MonotonicityVerdict", "limit_target",
     "weighted_total_mean_curvature", "monotone_quantity", "minkowski_deficit",

@@ -21,9 +21,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, LabError, SolverFailureError
-from .metrics import (ManifoldSpec, adm_mass_flux, horizon_radius,
-                      sqrt_potential, unit_sphere_area)
+from .errors import ConfigError, InsideHorizonError, LabError, SolverFailureError
+from .metrics import ManifoldSpec, horizon_radius, sqrt_potential, unit_sphere_area
 from .quantities import limit_target, slice_quantities
 from .scenario import (emit_outputs, exit_code_for, load_config, run_scenario,
                        static_diagnostics, summary_dict)
@@ -33,8 +32,6 @@ EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
-EXIT_MONOTONICITY = 4
-EXIT_DEFICIT = 5
 EXIT_STRICT = 6
 
 
@@ -155,44 +152,43 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_static_check(args) -> int:
     cfg = load_config(args.config, out_dir=args.out)
-    spec = cfg.manifold
+    diag, warning = static_diagnostics(cfg)
     out = {
         "id": cfg.scenario_id,
-        **static_diagnostics(cfg),
+        "static_residual_max": diag["static_residual_max"],
+        "harmonic_residual_max": diag["harmonic_residual_max"],
         "static_tol": cfg.static_tol,
-        "mass_flux_at_r_max": float(adm_mass_flux(spec, cfg.reference_potential,
-                                                  spec.r_max)),
-        "horizon_radius": horizon_radius(spec),
+        "mass_flux_at_r_max": diag["mass_flux"],
+        "horizon_radius": horizon_radius(cfg.manifold),
         "potential_kind": cfg.potential_kind,
+        "is_static": diag["weight_is_static"],
     }
-    out["is_static"] = bool(out["static_residual_max"] < cfg.static_tol
-                            and out["harmonic_residual_max"] < cfg.static_tol)
     print(json.dumps(out, indent=2, sort_keys=True))
-    if args.strict and cfg.potential_kind != "profile-weight" and not out["is_static"]:
-        return EXIT_STRICT
-    return EXIT_OK
+    return EXIT_STRICT if args.strict and warning else EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     n, m, r = args.n, args.m, args.r
-    if not (3 <= n <= 7):
-        raise ConfigError(f"oracle needs 3 <= n <= 7, got {n}")
     if not (math.isfinite(m) and 0.0 < r < math.inf):
         raise ConfigError(f"oracle needs a finite m and a positive finite r, "
                           f"got m = {m:g}, r = {r:g}")
-    rh = (2.0 * m) ** (1.0 / (n - 2)) if m > 0 else None
-    if rh is not None and r <= rh:
-        raise ConfigError(f"oracle radius {r:g} is inside the horizon r_h = {rh:g}")
     # the working domain only has to contain r; the horizon (or 0.5 r when
     # there is none) bounds it from below
-    spec = ManifoldSpec.schwarzschild(n, m, r_max=max(r, 1000.0),
-                                      r_min_floor=0.5 * r)
-    geom = sphere_geometry(CoordinateSphere(r, spec))
+    try:
+        spec = ManifoldSpec.schwarzschild(n, m, r_max=max(r, 1000.0),
+                                          r_min_floor=0.5 * r)
+        geom = sphere_geometry(CoordinateSphere(r, spec))
+    except InsideHorizonError as exc:
+        raise ConfigError(f"oracle radius {r:g} is inside the horizon "
+                          f"r_h = {spec.r_min:g}") from exc
+    except ValueError as exc:
+        # the spec rejects n outside 3..7, and a horizon beyond max(r, 1000)
+        raise ConfigError(f"oracle: {exc}") from exc
     f = sqrt_potential(spec)
     sq = slice_quantities(geom, f, m)
     out = {
         "n": n, "m": m, "r": r,
-        "horizon_radius": rh,
+        "horizon_radius": spec.r_min if m > 0 else None,
         "V": float(spec.profile.value(r)),
         "f": float(f.value(r)),
         "H": float(geom.mean_curvature[0]),
@@ -211,16 +207,10 @@ def _cmd_oracle(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"flow": _cmd_flow, "sweep": _cmd_sweep,
+                "static-check": _cmd_static_check, "oracle": _cmd_oracle}
     try:
-        if args.command == "flow":
-            return _cmd_flow(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "static-check":
-            return _cmd_static_check(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE

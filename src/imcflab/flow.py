@@ -42,6 +42,7 @@ __all__ = [
     "FlowTrace",
     "flow_sphere",
     "flow_graph",
+    "require_reach",
     "area_law_residual",
 ]
 
@@ -50,13 +51,23 @@ _MIN_INITIAL_H = 1e-6
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Tuning knobs of the graph time stepper."""
+    """Tuning knobs of the graph time stepper; each must be positive and
+    finite, else ``ValueError`` names it."""
 
     rel_tol: float = 1e-7
     abs_tol: float = 1e-12
     dt_out: float = 0.1
     cfl_safety: float = 0.5
     max_steps: int = 5_000_000
+
+    def __post_init__(self):
+        for key in ("rel_tol", "abs_tol", "dt_out", "cfl_safety", "max_steps"):
+            _require_positive(key, getattr(self, key))
+
+
+def _require_positive(key: str, value) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{key} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -84,17 +95,28 @@ class FlowTrace:
         return self.geometries[0].area
 
 
-def _output_times(t_end: float, dt_out: float) -> np.ndarray:
-    if t_end <= 0.0:
+def require_reach(spec: ManifoldSpec, r_outer: float, t_end: float) -> None:
+    """Require t_end > 0 (else ValueError) and, for a slice reaching out to
+    ``r_outer``, r_outer e^(t_end/(n-1)) <= r_max (else DomainError): the
+    strict rule that the slices built at each output obey."""
+    if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if dt_out <= 0.0:
-        raise ValueError(f"dt_out must be positive, got {dt_out}")
+    reach = r_outer * math.exp(t_end / (spec.n - 1))
+    if not reach <= spec.r_max:
+        raise DomainError(
+            f"t_end = {t_end:g} flows the slice to r = {reach:g}, beyond "
+            f"r_max = {spec.r_max:g}; enlarge r_max or shorten the flow")
+
+
+def _output_times(t_end: float, dt_out: float) -> np.ndarray:
+    """0, dt_out, 2 dt_out, ..., t_end; a last multiple within rounding of
+    t_end (never t = 0) is snapped onto it."""
     k_max = int(math.floor(t_end / dt_out + 1e-9))
     ts = dt_out * np.arange(0, k_max + 1)
-    if t_end - ts[-1] > 1e-9 * max(1.0, t_end):
-        ts = np.append(ts, t_end)
-    else:
+    if k_max > 0 and t_end - ts[-1] <= 1e-9 * max(1.0, t_end):
         ts[-1] = t_end
+    else:
+        ts = np.append(ts, t_end)
     return ts
 
 
@@ -107,12 +129,9 @@ def flow_sphere(sphere: CoordinateSphere, t_end: float,
     """
     spec = sphere.ambient
     n = spec.n
+    require_reach(spec, sphere.radius, t_end)
+    _require_positive("dt_out", dt_out)
     times = _output_times(t_end, dt_out)
-    r_final = sphere.radius * math.exp(t_end / (n - 1))
-    if r_final > spec.r_max:
-        raise DomainError(
-            f"flow reaches r = {r_final:g} at t_end = {t_end:g}, beyond "
-            f"r_max = {spec.r_max:g}; enlarge r_max or shorten the flow")
     surfaces = []
     geometries = []
     for t in times:
@@ -132,17 +151,13 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
     is lost mid-flow; both are reported, not raised.
     """
     spec = graph.ambient
+    require_reach(spec, float(np.max(graph.rho)), t_end)
     grid = GraphGrid.make(graph.n_intervals)
     geom0 = graph_geometry(graph, grid)
     min_h0 = float(np.min(geom0.mean_curvature))
     if min_h0 <= _MIN_INITIAL_H:
         raise MeanConvexityError(
             f"initial slice is not strictly mean convex (min H = {min_h0:.3e})")
-    r_reach = float(np.max(graph.rho)) * math.exp(t_end / (spec.n - 1))
-    if r_reach > spec.r_max * (1.0 + 1e-9):
-        raise DomainError(
-            f"flow would reach rho = {r_reach:g} at t_end = {t_end:g}, beyond "
-            f"r_max = {spec.r_max:g}; enlarge r_max or shorten the flow")
 
     times = _output_times(t_end, params.dt_out)
     dth2 = grid.dtheta**2

@@ -29,7 +29,7 @@ import numpy as np
 # scipy is imported inside the functions that need it (tabulated data and
 # horizon search): loading scipy.interpolate dominates a cold start.
 
-from .errors import DomainError, FitQualityError
+from .errors import DomainError, FitQualityError, InsideHorizonError
 
 __all__ = [
     "RadialProfile",
@@ -47,6 +47,7 @@ __all__ = [
     "profile_weight",
     "sampled_potential",
     "rescale_to_unit",
+    "tail_in_domain",
 ]
 
 
@@ -61,6 +62,19 @@ def _maybe_item(x):
     """Collapse 0-d numpy results back to python floats."""
     arr = np.asarray(x)
     return arr.item() if arr.ndim == 0 else arr
+
+
+def _spline(r, y):
+    """Cubic spline through tabulated (r, y): matching 1-d arrays of at
+    least 4 samples with strictly increasing radii."""
+    r = np.asarray(r, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if r.ndim != 1 or r.shape != y.shape or r.size < 4:
+        raise ValueError("need matching 1-d arrays with at least 4 samples")
+    if np.any(np.diff(r) <= 0):
+        raise ValueError("sample radii must be strictly increasing")
+    from scipy.interpolate import CubicSpline
+    return CubicSpline(r, y)
 
 
 def unit_sphere_area(k: int) -> float:
@@ -135,16 +149,9 @@ class RadialProfile:
     @classmethod
     def from_samples(cls, r: np.ndarray, v: np.ndarray) -> "RadialProfile":
         """Cubic-spline interpolant of tabulated (r, V) pairs."""
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or r.size < 4:
-            raise ValueError("need matching 1-d arrays with at least 4 samples")
-        if np.any(np.diff(r) <= 0):
-            raise ValueError("sample radii must be strictly increasing")
-        from scipy.interpolate import CubicSpline
-        spl = CubicSpline(r, v)
+        spl = _spline(r, v)
         return cls(spl, spl.derivative(1), spl.derivative(2), kind="sampled",
-                   support=(float(r[0]), float(r[-1])))
+                   support=(float(spl.x[0]), float(spl.x[-1])))
 
 
 @dataclass(frozen=True)
@@ -169,14 +176,15 @@ class ManifoldSpec:
         probes = np.geomspace(self.r_min * 1.0001 + 1e-12, self.r_max, 8)
         vals = np.asarray(self.profile.value(probes), dtype=float)
         if not np.all(vals > 0.0):
-            bad = probes[vals <= 0.0][0]
+            bad = probes[~(vals > 0.0)][0]
             raise ValueError(f"profile not positive on domain (V({bad:g}) <= 0)")
 
     @classmethod
     def schwarzschild(cls, n: int, m: float, r_max: float = 1000.0,
                       r_min_floor: float = 0.1) -> "ManifoldSpec":
         profile = RadialProfile.schwarzschild(n, m)
-        r_min = (2.0 * m) ** (1.0 / (n - 2)) if m > 0 else r_min_floor
+        # n <= 2 has no horizon; __post_init__ rejects it by name
+        r_min = (2.0 * m) ** (1.0 / (n - 2)) if m > 0 and n > 2 else r_min_floor
         return cls(n=n, profile=profile, mass_param=float(m),
                    r_min=r_min, r_max=float(r_max))
 
@@ -194,12 +202,16 @@ class ManifoldSpec:
         return cls(n=n, profile=profile, mass_param=None,
                    r_min=float(r_min), r_max=float(r_max))
 
-    def require_in_domain(self, r) -> None:
-        r = np.asarray(r)
-        if np.any(r <= self.r_min) or np.any(r > self.r_max):
-            raise DomainError(
-                f"radius {np.min(r):g}..{np.max(r):g} outside domain "
-                f"({self.r_min:g}, {self.r_max:g}]")
+    def require_in_domain(self, r, what: str = "radius") -> None:
+        """The domain rule r_min < r <= r_max for every radius in r: raises
+        InsideHorizonError at or inside r_min, DomainError beyond r_max or NaN."""
+        lo, hi = (r, r) if isinstance(r, float) else (np.min(r), np.max(r))
+        if lo <= self.r_min:
+            raise InsideHorizonError(
+                f"{what} {lo:g} is at or inside the inner boundary "
+                f"r_min = {self.r_min:g}")
+        if not hi <= self.r_max:
+            raise DomainError(f"{what} {hi:g} beyond r_max = {self.r_max:g}")
 
 
 @dataclass(frozen=True)
@@ -283,17 +295,17 @@ def profile_weight(spec: ManifoldSpec) -> StaticPotential:
 def sampled_potential(r: np.ndarray, f: np.ndarray,
                       asymptotic_to_one: bool = True) -> StaticPotential:
     """Cubic-spline potential from tabulated (r, f) pairs."""
-    r = np.asarray(r, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if r.ndim != 1 or r.shape != f.shape or r.size < 4:
-        raise ValueError("need matching 1-d arrays with at least 4 samples")
-    if np.any(np.diff(r) <= 0):
-        raise ValueError("sample radii must be strictly increasing")
-    from scipy.interpolate import CubicSpline
-    spl = CubicSpline(r, f)
+    spl = _spline(r, f)
     return StaticPotential(kind="sampled", value=spl, deriv=spl.derivative(1),
                            deriv2=spl.derivative(2),
                            asymptotic_to_one=asymptotic_to_one)
+
+
+def _radial(spec: ManifoldSpec, r):
+    """r as a float array inside the working domain, with V(r) and V'(r)."""
+    spec.require_in_domain(r)
+    r = np.asarray(r, dtype=float)
+    return r, spec.profile.value(r), spec.profile.deriv(r)
 
 
 def scalar_curvature(spec: ManifoldSpec, r):
@@ -302,11 +314,8 @@ def scalar_curvature(spec: ManifoldSpec, r):
     Vanishes identically for the Schwarzschild family, which is the
     scalar-flatness every static asymptotically flat metric must satisfy.
     """
-    spec.require_in_domain(r)
+    r, v, dv = _radial(spec, r)
     n = spec.n
-    r = np.asarray(r, dtype=float)
-    v = spec.profile.value(r)
-    dv = spec.profile.deriv(r)
     return _maybe_item((n - 1) * ((n - 2) * (1.0 - v) / r**2 - dv / r))
 
 
@@ -321,11 +330,8 @@ def static_residual(spec: ManifoldSpec, f: StaticPotential, r):
         S_rr = (n-1)/r * ( V f' - f V'/2 )
         S_tt = V f'' + V'f'/2 + (n-2) V f'/r - f V'/(2r) + (n-2) f (1-V)/r^2
     """
-    spec.require_in_domain(r)
+    r, v, dv = _radial(spec, r)
     n = spec.n
-    r = np.asarray(r, dtype=float)
-    v = spec.profile.value(r)
-    dv = spec.profile.deriv(r)
     fv = f.value(r)
     dfv = f.deriv(r)
     d2fv = f.deriv2(r)
@@ -341,11 +347,8 @@ def harmonicity_residual(spec: ManifoldSpec, f: StaticPotential, r):
     A static potential on a scalar-flat manifold is harmonic, so this is
     the cheapest single-number staticity diagnostic.
     """
-    spec.require_in_domain(r)
+    r, v, dv = _radial(spec, r)
     n = spec.n
-    r = np.asarray(r, dtype=float)
-    v = spec.profile.value(r)
-    dv = spec.profile.deriv(r)
     return _maybe_item(v * f.deriv2(r) + (dv / 2.0 + (n - 1) * v / r) * f.deriv(r))
 
 
@@ -357,11 +360,18 @@ def adm_mass_flux(spec: ManifoldSpec, f: StaticPotential, r):
     makes the result equal the ADM mass, independent of r, whenever f is
     static.
     """
-    spec.require_in_domain(r)
+    r, v, _dv = _radial(spec, r)
     n = spec.n
-    r = np.asarray(r, dtype=float)
-    v = spec.profile.value(r)
     return _maybe_item(np.sqrt(v) * f.deriv(r) * r ** (n - 1) / (n - 2))
+
+
+def tail_in_domain(spec: ManifoldSpec, tail) -> tuple[float, float]:
+    """The tail (lo, hi) as floats; FitQualityError unless it lies in the domain."""
+    lo, hi = float(tail[0]), float(tail[1])
+    if not (spec.r_min < lo < hi <= spec.r_max):
+        raise FitQualityError(
+            f"tail [{lo:g}, {hi:g}] not inside domain ({spec.r_min:g}, {spec.r_max:g}]")
+    return lo, hi
 
 
 def adm_mass_fit(spec: ManifoldSpec, f: StaticPotential,
@@ -373,10 +383,7 @@ def adm_mass_fit(spec: ManifoldSpec, f: StaticPotential,
     already be close to 1 there (rescale first if it is not); otherwise a
     :class:`FitQualityError` with a residual report is raised.
     """
-    lo, hi = float(tail[0]), float(tail[1])
-    if not (spec.r_min < lo < hi <= spec.r_max):
-        raise FitQualityError(
-            f"tail [{lo:g}, {hi:g}] not inside domain ({spec.r_min:g}, {spec.r_max:g}]")
+    lo, hi = tail_in_domain(spec, tail)
     if num < 10:
         raise FitQualityError(f"tail needs at least 10 sample radii, got {num}")
     rs = np.geomspace(lo, hi, num)
@@ -407,10 +414,7 @@ def rescale_to_unit(spec: ManifoldSpec, f: StaticPotential,
     Fits f ~ c - b r^(2-n) on the tail and returns f/c.  Mass extraction
     assumes this normalization, so custom weights go through here first.
     """
-    lo, hi = float(tail[0]), float(tail[1])
-    if not (spec.r_min < lo < hi <= spec.r_max):
-        raise FitQualityError(
-            f"tail [{lo:g}, {hi:g}] not inside domain ({spec.r_min:g}, {spec.r_max:g}]")
+    lo, hi = tail_in_domain(spec, tail)
     rs = np.geomspace(lo, hi, max(num, 10))
     fv = np.asarray(f.value(rs), dtype=float)
     A = np.column_stack([np.ones_like(rs), rs ** (2.0 - spec.n)])

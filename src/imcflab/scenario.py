@@ -3,9 +3,17 @@
 A scenario is a sectioned key=value text document (INI syntax) with
 sections [manifold], [potential], [surface], [solver], [analysis] and
 [outputs].  Parsing is strict: unknown sections or keys are rejected by
-name, required keys must be present, and semantic constraints (surface
-outside the horizon, flow staying inside the working domain, tails inside
-the domain) are validated up front so runs fail before any stepping.
+name, required keys must be present, and every float key must be finite.
+Semantic rules are checked by their owners while the parser builds the
+model objects; it re-raises their errors as a :class:`ConfigError` that
+names the key, so a config that parses never fails later on one of them:
+
+* ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, radii in (r_min, r_max]
+* ``AxisymmetricGraph``: graphs need n = 3 and pole regularity
+* ``GraphGrid.make``: ``[solver] N`` even and at least 8 (every surface kind)
+* ``SolverParams``: rel_tol, dt_out and cfl_safety positive
+* ``flow.require_reach``: t_end > 0 and the flow inside the domain
+* ``metrics.tail_in_domain``: the mass-fit tail inside the domain
 
 Example
 -------
@@ -33,7 +41,9 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,16 +51,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, DomainError, FitQualityError,
-                     InsideHorizonError, LabError)
+from .errors import ConfigError, FitQualityError, InsideHorizonError, LabError
 from .expressions import evaluate_radius_expression
-from .flow import FlowTrace, SolverParams, area_law_residual, flow_graph, flow_sphere
+from .flow import (FlowTrace, SolverParams, area_law_residual, flow_graph,
+                   flow_sphere, require_reach)
 from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       adm_mass_flux, adm_mass_fit, harmonicity_residual,
                       horizon_radius, profile_weight, rescale_to_unit,
-                      sampled_potential, sqrt_potential, static_residual)
+                      sampled_potential, sqrt_potential, static_residual,
+                      tail_in_domain)
 from .quantities import attach_quantities, limit_target, monotonicity_verdict
-from .surfaces import AxisymmetricGraph, CoordinateSphere, load_graph
+from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid, load_graph,
+                       read_columns)
 
 __all__ = [
     "ScenarioConfig",
@@ -102,17 +114,42 @@ class ScenarioConfig:
     echo: dict = field(default_factory=dict)
 
 
-def _get(section, sec_name, key, conv, default=None, required=False):
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _get(parser, sec, key, conv=str, default=None, required=False):
+    section = parser[sec] if parser.has_section(sec) else {}
     if key not in section:
         if required:
-            raise ConfigError(f"missing required key [{sec_name}] {key}")
+            raise ConfigError(f"missing required key [{sec}] {key}")
         return default
     raw = section[key]
     try:
         return conv(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"bad value for [{sec_name}] {key}: {raw!r} ({exc})") from exc
+        raise ConfigError(f"bad value for [{sec}] {key}: {raw!r} ({exc})") from exc
+
+
+def _existing(base_dir: Path, sec: str, key: str, name: str) -> Path:
+    path = base_dir / name
+    if not path.exists():
+        raise ConfigError(f"[{sec}] {key} does not exist: {path}")
+    return path
+
+
+@contextmanager
+def _invalid(prefix: str):
+    """Re-raise a model's ValueError or LabError as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, LabError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def parse_config(text: str, *, base_dir: Path | None = None,
@@ -142,39 +179,27 @@ def parse_config(text: str, *, base_dir: Path | None = None,
                 raise ConfigError(f"unknown key [{sec}] {key}")
         echo[sec] = dict(parser[sec])
 
-    man = parser["manifold"] if parser.has_section("manifold") else {}
-    family = _get(man, "manifold", "family", str, required=True).lower()
-    n = _get(man, "manifold", "n", int, default=3)
-    r_max = _get(man, "manifold", "r_max", float, default=1000.0)
-    r_min = _get(man, "manifold", "r_min", float, default=0.1)
-    try:
+    family = _get(parser, "manifold", "family", required=True).lower()
+    n = _get(parser, "manifold", "n", int, default=3)
+    r_max = _get(parser, "manifold", "r_max", _finite, default=1000.0)
+    r_min = _get(parser, "manifold", "r_min", _finite, default=0.1)
+    with _invalid("[manifold] invalid: "):
         if family == "schwarzschild":
-            m_param = _get(man, "manifold", "m", float, required=True)
+            m_param = _get(parser, "manifold", "m", _finite, required=True)
             spec = ManifoldSpec.schwarzschild(n, m_param, r_max=r_max,
                                               r_min_floor=r_min)
         elif family == "flat":
             spec = ManifoldSpec.flat(n, r_max=r_max, r_min=r_min)
         elif family == "custom":
-            pf = _get(man, "manifold", "profile_file", str, required=True)
-            path = base_dir / pf
-            if not path.exists():
-                raise ConfigError(f"[manifold] profile_file does not exist: {path}")
-            data = np.loadtxt(path)
-            if data.ndim != 2 or data.shape[1] != 2:
-                raise ConfigError(
-                    f"[manifold] profile_file must be two numeric columns (r, V): {path}")
-            profile = RadialProfile.from_samples(data[:, 0], data[:, 1])
+            pf = _get(parser, "manifold", "profile_file", required=True)
+            profile = RadialProfile.from_samples(*read_columns(
+                _existing(base_dir, "manifold", "profile_file", pf), "r, V"))
             spec = ManifoldSpec.custom(profile, n, r_min=r_min, r_max=r_max)
         else:
             raise ConfigError(
                 f"[manifold] family must be schwarzschild, flat or custom, got {family!r}")
-    except (ValueError, LabError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"[manifold] invalid: {exc}") from exc
 
-    pot_sec = parser["potential"] if parser.has_section("potential") else {}
-    pot_kind = _get(pot_sec, "potential", "kind", str, default="static").lower()
+    pot_kind = _get(parser, "potential", "kind", default="static").lower()
     reference = sqrt_potential(spec)
     if pot_kind == "static":
         weight = reference
@@ -182,99 +207,75 @@ def parse_config(text: str, *, base_dir: Path | None = None,
         weight = profile_weight(spec)
         pot_kind = "profile-weight"
     elif pot_kind == "file":
-        pf = _get(pot_sec, "potential", "file", str, required=True)
-        path = base_dir / pf
-        if not path.exists():
-            raise ConfigError(f"[potential] file does not exist: {path}")
-        data = np.loadtxt(path)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigError(
-                f"[potential] file must be two numeric columns (r, f): {path}")
-        weight = sampled_potential(data[:, 0], data[:, 1])
+        pf = _get(parser, "potential", "file", required=True)
+        with _invalid("[potential] invalid: "):
+            weight = sampled_potential(*read_columns(
+                _existing(base_dir, "potential", "file", pf), "r, f"))
         reference = weight
     else:
         raise ConfigError(
             f"[potential] kind must be static, profile-weight or file, got {pot_kind!r}")
 
-    sol = parser["solver"] if parser.has_section("solver") else {}
-    n_grid = _get(sol, "solver", "N", int, default=200)
-    if n_grid < 8 or n_grid % 2:
-        raise ConfigError(f"[solver] N must be even and at least 8, got {n_grid}")
-    t_end = _get(sol, "solver", "t_end", float, default=3.0)
-    if t_end <= 0:
-        raise ConfigError(f"[solver] t_end must be positive, got {t_end}")
-    solver = SolverParams(
-        rel_tol=_get(sol, "solver", "rel_tol", float, default=1e-7),
-        dt_out=_get(sol, "solver", "dt_out", float, default=0.1),
-        cfl_safety=_get(sol, "solver", "cfl_safety", float, default=0.5))
+    n_grid = _get(parser, "solver", "N", int, default=200)
+    t_end = _get(parser, "solver", "t_end", _finite, default=3.0)
+    with _invalid("[solver] N: "):
+        grid = GraphGrid.make(n_grid)
+    with _invalid("[solver] "):
+        solver = SolverParams(
+            rel_tol=_get(parser, "solver", "rel_tol", _finite, default=1e-7),
+            dt_out=_get(parser, "solver", "dt_out", _finite, default=0.1),
+            cfl_safety=_get(parser, "solver", "cfl_safety", _finite, default=0.5))
 
-    surf_sec = parser["surface"] if parser.has_section("surface") else {}
-    surf_kind = _get(surf_sec, "surface", "kind", str, required=True).lower()
-    try:
-        if surf_kind == "sphere":
-            r0 = _get(surf_sec, "surface", "r0", float, required=True)
-            surface = CoordinateSphere(r0, spec)
-            reach = r0 * np.exp(t_end / (spec.n - 1))
-        elif surf_kind == "graph":
-            if spec.n != 3:
-                raise ConfigError(
-                    f"[surface] graphs require n = 3, got n = {spec.n}")
-            expr = _get(surf_sec, "surface", "rho0", str)
-            fpath = _get(surf_sec, "surface", "file", str)
-            if (expr is None) == (fpath is None):
-                raise ConfigError(
-                    "[surface] graph needs exactly one of rho0 (expression) or file")
-            if expr is not None:
-                theta = np.linspace(0.0, np.pi, n_grid + 1)
-                rho0 = evaluate_radius_expression(expr, theta)
-                surface = AxisymmetricGraph(theta, rho0, spec)
+    surf_kind = _get(parser, "surface", "kind", required=True).lower()
+    with _invalid("[surface] invalid: "):
+        try:
+            if surf_kind == "sphere":
+                r0 = _get(parser, "surface", "r0", _finite, required=True)
+                surface = CoordinateSphere(r0, spec)
+                r_outer = r0
+            elif surf_kind == "graph":
+                expr = _get(parser, "surface", "rho0")
+                fpath = _get(parser, "surface", "file")
+                if (expr is None) == (fpath is None):
+                    raise ConfigError(
+                        "[surface] graph needs exactly one of rho0 (expression) or file")
+                if expr is not None:
+                    rho0 = evaluate_radius_expression(expr, grid.theta)
+                    surface = AxisymmetricGraph(grid.theta, rho0, spec)
+                else:
+                    surface = load_graph(_existing(base_dir, "surface", "file", fpath), spec)
+                r_outer = float(np.max(surface.rho))
             else:
-                path = base_dir / fpath
-                if not path.exists():
-                    raise ConfigError(f"[surface] file does not exist: {path}")
-                surface = load_graph(path, spec)
-            reach = float(np.max(surface.rho)) * np.exp(t_end / (spec.n - 1))
-        else:
-            raise ConfigError(
-                f"[surface] kind must be sphere or graph, got {surf_kind!r}")
-    except InsideHorizonError as exc:
-        rh = horizon_radius(spec)
-        where = f" (r_h={rh:g})" if rh is not None else ""
-        raise ConfigError(f"[surface] surface inside horizon{where}: {exc}") from exc
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(f"[surface] invalid: {exc}") from exc
-    if reach > spec.r_max * (1.0 + 1e-9):
-        raise ConfigError(
-            f"[solver] t_end = {t_end:g} flows the surface to r = {reach:g}, "
-            f"beyond r_max = {spec.r_max:g}; enlarge [manifold] r_max")
+                raise ConfigError(
+                    f"[surface] kind must be sphere or graph, got {surf_kind!r}")
+        except InsideHorizonError as exc:
+            rh = horizon_radius(spec)
+            where = f" (r_h={rh:g})" if rh is not None else ""
+            raise ConfigError(f"[surface] surface inside horizon{where}: {exc}") from exc
+    with _invalid("[solver] "):
+        require_reach(spec, r_outer, t_end)
 
-    ana = parser["analysis"] if parser.has_section("analysis") else {}
     eps_default = 1e-6 * (200.0 / n_grid) ** 2  # matches the O(dtheta^2) scheme
-    eps_mono = _get(ana, "analysis", "eps_mono", float, default=eps_default)
-    tail_lo = _get(ana, "analysis", "tail_lo", float,
+    eps_mono = _get(parser, "analysis", "eps_mono", _finite, default=eps_default)
+    tail_lo = _get(parser, "analysis", "tail_lo", _finite,
                    default=max(100.0, 1.1 * spec.r_min))
-    tail_hi = _get(ana, "analysis", "tail_hi", float, default=spec.r_max)
-    if not (spec.r_min < tail_lo < tail_hi <= spec.r_max):
-        raise ConfigError(
-            f"[analysis] tail [{tail_lo:g}, {tail_hi:g}] not inside domain "
-            f"({spec.r_min:g}, {spec.r_max:g}]")
-    deficit_tol = _get(ana, "analysis", "deficit_tol", float, default=1e-8)
-    static_tol = _get(ana, "analysis", "static_tol", float, default=1e-8)
-    area_tol = _get(ana, "analysis", "area_tol", float, default=1e-4)
+    tail_hi = _get(parser, "analysis", "tail_hi", _finite, default=spec.r_max)
+    with _invalid("[analysis] "):
+        tail = tail_in_domain(spec, (tail_lo, tail_hi))
+    deficit_tol = _get(parser, "analysis", "deficit_tol", _finite, default=1e-8)
+    static_tol = _get(parser, "analysis", "static_tol", _finite, default=1e-8)
+    area_tol = _get(parser, "analysis", "area_tol", _finite, default=1e-4)
 
-    out_sec = parser["outputs"] if parser.has_section("outputs") else {}
-    scenario_id = _get(out_sec, "outputs", "id", str, default=default_id)
+    scenario_id = _get(parser, "outputs", "id", default=default_id)
     out_base = Path(out_dir) if out_dir is not None else base_dir
-    csv_path = out_base / _get(out_sec, "outputs", "csv", str,
-                               default=f"{scenario_id}.csv")
-    json_path = out_base / _get(out_sec, "outputs", "json", str,
-                                default=f"{scenario_id}.json")
+    csv_path = out_base / _get(parser, "outputs", "csv", default=f"{scenario_id}.csv")
+    json_path = out_base / _get(parser, "outputs", "json", default=f"{scenario_id}.json")
 
     return ScenarioConfig(
         scenario_id=scenario_id, manifold=spec, weight=weight,
         reference_potential=reference, potential_kind=pot_kind,
         surface=surface, surface_kind=surf_kind, solver=solver, t_end=t_end,
-        eps_mono=eps_mono, tail=(tail_lo, tail_hi), deficit_tol=deficit_tol,
+        eps_mono=eps_mono, tail=tail, deficit_tol=deficit_tol,
         static_tol=static_tol, area_tol=area_tol,
         csv_path=csv_path, json_path=json_path, echo=echo)
 
@@ -307,35 +308,36 @@ class RunReport:
     version: str = __version__
 
 
-def static_diagnostics(cfg: ScenarioConfig) -> dict:
-    """Largest static-equation and harmonicity residuals of the weight on a
-    200-point log grid spanning the working domain."""
+def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
+    """Staticity verdicts shared by ``run_scenario`` and ``static-check``: the
+    weight's largest static-equation and harmonicity residuals on a 200-point
+    log grid, ``weight_is_static`` (both below static_tol), the mass flux at
+    r_max, and the non-static warning (None if static or profile-weight)."""
     spec = cfg.manifold
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
     grid = np.geomspace(max(lo, 1e-6), spec.r_max, 200)
     s_rr, s_tt = static_residual(spec, cfg.weight, grid)
     harm = harmonicity_residual(spec, cfg.weight, grid)
-    return {
-        "static_residual_max": float(np.max(np.abs(np.stack([s_rr, s_tt])))),
-        "harmonic_residual_max": float(np.max(np.abs(harm))),
-    }
+    static_max = float(np.max(np.abs(np.stack([s_rr, s_tt]))))
+    harmonic_max = float(np.max(np.abs(harm)))
+    is_static = static_max < cfg.static_tol and harmonic_max < cfg.static_tol
+    warning = None
+    if cfg.potential_kind != "profile-weight" and not is_static:
+        warning = (f"declared potential fails the static equation "
+                   f"(max residual {static_max:.3e})")
+    mass = float(adm_mass_flux(spec, cfg.reference_potential, spec.r_max))
+    return {"static_residual_max": static_max, "harmonic_residual_max": harmonic_max,
+            "weight_is_static": is_static, "mass_flux": mass}, warning
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute one scenario: diagnostics, mass, flow, quantities, verdicts."""
     t_start = time.perf_counter()
     spec = cfg.manifold
-    warnings: list[str] = []
+    diag, warning = static_diagnostics(cfg)
+    warnings = [warning] if warning else []
 
-    diag = static_diagnostics(cfg)
-    weight_is_static = (diag["static_residual_max"] < cfg.static_tol
-                        and diag["harmonic_residual_max"] < cfg.static_tol)
-    if cfg.potential_kind != "profile-weight" and not weight_is_static:
-        warnings.append(
-            f"declared potential fails the static equation "
-            f"(max residual {diag['static_residual_max']:.3e})")
-
-    mass = float(adm_mass_flux(spec, cfg.reference_potential, spec.r_max))
+    mass = diag["mass_flux"]
     try:
         ref = cfg.reference_potential
         if ref.kind == "sampled":
@@ -379,8 +381,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         "deficit_ok": bool(deficit0 >= -cfg.deficit_tol),
         "area_law_residual": area_res,
         "area_law_ok": bool(area_res <= cfg.area_tol),
-        "weight_is_static": bool(weight_is_static),
-        "mass_flux": mass,
         "mass_fit": mass_fit,
         **diag,
     }

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InsideHorizonError, UnsupportedDimensionError
+from .errors import InsideHorizonError, UnsupportedDimensionError
 from .metrics import ManifoldSpec, unit_sphere_area
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "umbilicity_deficit",
     "save_graph",
     "load_graph",
+    "read_columns",
 ]
 
 
@@ -60,18 +61,13 @@ class CoordinateSphere:
     ambient: ManifoldSpec
 
     def __post_init__(self):
-        if self.radius <= self.ambient.r_min:
-            raise InsideHorizonError(
-                f"sphere radius {self.radius:g} is at or inside the inner "
-                f"boundary r_min = {self.ambient.r_min:g}")
-        if self.radius > self.ambient.r_max:
-            raise DomainError(
-                f"sphere radius {self.radius:g} beyond r_max = {self.ambient.r_max:g}")
+        self.ambient.require_in_domain(self.radius, "sphere radius")
 
 
 @dataclass(frozen=True)
 class GraphGrid:
-    """Precomputed uniform theta grid machinery shared by geometry and flow."""
+    """Precomputed uniform theta grid machinery shared by geometry and flow;
+    :meth:`make` owns the grid rules (uniform over [0, pi], even N >= 8)."""
 
     n_intervals: int
     theta: np.ndarray
@@ -83,7 +79,8 @@ class GraphGrid:
     @classmethod
     def make(cls, n_intervals: int) -> "GraphGrid":
         if n_intervals < 8 or n_intervals % 2:
-            raise ValueError("grid needs an even number of intervals, at least 8")
+            raise ValueError(
+                f"grid needs an even number of intervals, at least 8, got {n_intervals}")
         theta = np.linspace(0.0, np.pi, n_intervals + 1)
         dtheta = np.pi / n_intervals
         sin_t = np.sin(theta)
@@ -167,28 +164,18 @@ class AxisymmetricGraph:
     def __post_init__(self):
         if self.ambient.n != 3:
             raise UnsupportedDimensionError(
-                f"axisymmetric graphs need ambient dimension 3, got n = {self.ambient.n}")
+                f"axisymmetric graphs need n = 3, got n = {self.ambient.n}")
         theta = np.asarray(self.theta, dtype=float)
         rho = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "rho", rho)
-        n_int = theta.size - 1
         if rho.shape != theta.shape:
             raise ValueError("theta and rho must have matching shapes")
-        if n_int < 8 or n_int % 2:
-            raise ValueError("grid needs an even number of intervals, at least 8")
-        ref = np.linspace(0.0, np.pi, n_int + 1)
-        if not np.allclose(theta, ref, atol=1e-12, rtol=0.0):
+        grid = GraphGrid.make(theta.size - 1)
+        if not np.allclose(theta, grid.theta, atol=1e-12, rtol=0.0):
             raise ValueError("theta must be the uniform grid over [0, pi]")
-        if np.min(rho) <= self.ambient.r_min:
-            raise InsideHorizonError(
-                f"graph dips to rho = {np.min(rho):g}, inside r_min = "
-                f"{self.ambient.r_min:g}")
-        if np.max(rho) > self.ambient.r_max:
-            raise DomainError(
-                f"graph reaches rho = {np.max(rho):g} beyond r_max = "
-                f"{self.ambient.r_max:g}")
-        dth = np.pi / n_int
+        self.ambient.require_in_domain(rho, "graph radius")
+        dth = grid.dtheta
         tol = 5.0 * dth**2 * max(1.0, float(np.max(np.abs(rho))))
         d0 = (-3.0 * rho[0] + 4.0 * rho[1] - rho[2]) / (2.0 * dth)
         d1 = (3.0 * rho[-1] - 4.0 * rho[-2] + rho[-3]) / (2.0 * dth)
@@ -204,15 +191,14 @@ class AxisymmetricGraph:
     @classmethod
     def from_function(cls, fn, ambient: ManifoldSpec,
                       n_intervals: int = 200) -> "AxisymmetricGraph":
-        theta = np.linspace(0.0, np.pi, n_intervals + 1)
+        theta = GraphGrid.make(n_intervals).theta
         return cls(theta, np.asarray(fn(theta), dtype=float) + np.zeros_like(theta),
                    ambient)
 
     @classmethod
     def constant(cls, radius: float, ambient: ManifoldSpec,
                  n_intervals: int = 200) -> "AxisymmetricGraph":
-        theta = np.linspace(0.0, np.pi, n_intervals + 1)
-        return cls(theta, np.full(n_intervals + 1, float(radius)), ambient)
+        return cls.from_function(lambda theta: float(radius), ambient, n_intervals)
 
 
 @dataclass(frozen=True)
@@ -274,16 +260,14 @@ def graph_geometry(graph: AxisymmetricGraph,
     """Discrete geometry of an axisymmetric radial graph.
 
     Mean-convexity loss (H <= 0 somewhere) is reported through the
-    ``mean_convex`` flag rather than raised; crossing the inner boundary
-    raises :class:`InsideHorizonError`.
+    ``mean_convex`` flag rather than raised; a profile that is not
+    positive at some node raises :class:`InsideHorizonError` (the graph's
+    radii were checked against the domain when it was built).
     """
     spec = graph.ambient
     if grid is None or grid.n_intervals != graph.n_intervals:
         grid = GraphGrid.make(graph.n_intervals)
     rho = graph.rho
-    if np.min(rho) <= spec.r_min:
-        raise InsideHorizonError(
-            f"graph dips to rho = {np.min(rho):g}, inside r_min = {spec.r_min:g}")
     frame = graph_frame(rho, spec, grid)
     if np.min(frame.v) <= 0.0:
         raise InsideHorizonError("profile nonpositive somewhere on the graph")
@@ -338,9 +322,14 @@ def save_graph(path, graph: AxisymmetricGraph) -> None:
     np.savetxt(path, np.column_stack([graph.theta, graph.rho]), fmt="%.17g")
 
 
-def load_graph(path, ambient: ManifoldSpec) -> AxisymmetricGraph:
-    """Read a graph from two-column (theta, rho) text."""
+def read_columns(path, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a numeric text table (``names`` labels them)."""
     data = np.loadtxt(path)
     if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two numeric columns (theta, rho)")
-    return AxisymmetricGraph(data[:, 0], data[:, 1], ambient)
+        raise ValueError(f"{path}: expected two numeric columns ({names})")
+    return data[:, 0], data[:, 1]
+
+
+def load_graph(path, ambient: ManifoldSpec) -> AxisymmetricGraph:
+    """Read a graph from two-column (theta, rho) text."""
+    return AxisymmetricGraph(*read_columns(path, "theta, rho"), ambient)

@@ -105,9 +105,37 @@ class TestOutputTimes:
         assert len(tr.times) == 4
         assert tr.times[-1] == 0.3
 
+    def test_t_end_below_snap_tolerance_keeps_t_zero(self, schw3m1):
+        tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1e-12)
+        assert tr.times.tolist() == [0.0, 1e-12]
+        assert tr.surfaces[0].radius == 4.0
+
     def test_graph_trace_metadata(self, schw3m1):
         tr = L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 0.2)
         assert tr.status == "completed"
         assert tr.halt_reason is None
         assert tr.stats["steps"] > 0
         assert len(tr.surfaces) == len(tr.geometries) == len(tr.times)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("rel_tol", 0.0), ("rel_tol", -1.0), ("abs_tol", math.nan),
+        ("dt_out", 0.0), ("dt_out", math.inf), ("cfl_safety", -1.0),
+        ("max_steps", 0)])
+    def test_solver_params_reject_non_positive(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            L.SolverParams(**{key: value})
+
+    def test_reach_is_the_strict_domain_rule(self, schw3m1):
+        # the flow reaches 4 e^1.5 = 17.92675628..., 2.4e-10 relative
+        # beyond r_max: every flow rejects it up front, not mid-run
+        spec = L.ManifoldSpec.schwarzschild(3, 1.0, r_max=17.92675628)
+        with pytest.raises(DomainError, match="r_max"):
+            L.require_reach(spec, 4.0, 3.0)
+        with pytest.raises(DomainError, match="r_max"):
+            L.flow_sphere(L.CoordinateSphere(4.0, spec), 3.0)
+        with pytest.raises(DomainError, match="r_max"):
+            L.flow_graph(L.AxisymmetricGraph.constant(4.0, spec, 100), 3.0)
+        with pytest.raises(ValueError, match="t_end"):
+            L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 0.0)

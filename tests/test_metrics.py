@@ -81,6 +81,17 @@ class TestScalarCurvature:
             L.scalar_curvature(schw3m1, 2000.0)
 
 
+class TestManifoldSpec:
+    def test_nan_mass_is_not_positive_on_domain(self):
+        with pytest.raises(ValueError, match="profile not positive on domain"):
+            L.ManifoldSpec.schwarzschild(3, float("nan"))
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_dimension_outside_three_to_seven(self, n):
+        with pytest.raises(ValueError, match="3 <= n <= 7"):
+            L.ManifoldSpec.schwarzschild(n, 1.0)
+
+
 class TestStaticResidual:
     def test_flat_constant_potential(self, flat3):
         rr, tt = L.static_residual(flat3, L.constant_potential(1.0), 1.0)

@@ -71,6 +71,26 @@ def custom_profile_config(tmp_path) -> str:
             "[analysis]\ntail_lo = 100\ntail_hi = 800\n")
 
 
+# (section, key, value) edits of a valid n=3, m=1, r0=4, t_end=3 sphere
+# config, and what the exit-2 message must name
+BAD_VALUES = [
+    ([("solver", "dt_out", "0")], "[solver] dt_out"),
+    ([("solver", "dt_out", "-0.1")], "[solver] dt_out"),
+    ([("solver", "dt_out", "nan")], "[solver] dt_out"),
+    ([("solver", "rel_tol", "0")], "[solver] rel_tol"),
+    ([("solver", "rel_tol", "-1")], "[solver] rel_tol"),
+    ([("solver", "cfl_safety", "0")], "[solver] cfl_safety"),
+    ([("solver", "cfl_safety", "-1")], "[solver] cfl_safety"),
+    ([("solver", "t_end", "nan")], "[solver] t_end"),
+    ([("surface", "r0", "nan")], "[surface] r0"),
+    ([("manifold", "m", "nan")], "[manifold] m"),
+    # the flow reaches 4 e^1.5 = 17.92675628..., just beyond r_max
+    ([("manifold", "r_max", "17.92675628"), ("analysis", "tail_lo", "10")],
+     "[solver] t_end"),
+    ([("manifold", "n", "2")], "3 <= n <= 7"),
+]
+
+
 def run_cli(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "imcflab", *argv],
                           capture_output=True, text=True, cwd=cwd, env=child_env())
@@ -135,6 +155,15 @@ class TestParseConfig:
                                "__import__('os').system('true')")
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    @pytest.mark.parametrize("table, match", [
+        ("1 1\n2 1\n3 1\n", r"\[potential\] invalid: .*4 samples"),
+        ("abc\n", r"\[potential\] invalid: could not convert")])
+    def test_bad_potential_table_names_the_section(self, tmp_path, table, match):
+        (tmp_path / "f.txt").write_text(table)
+        text = MINIMAL.replace("[surface]", "[potential]\nkind = file\nfile = f.txt\n\n[surface]")
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text, base_dir=tmp_path)
 
     def test_graph_from_file(self, tmp_path, schw3m1):
         g = L.AxisymmetricGraph.constant(4.0, schw3m1, 100)
@@ -253,6 +282,24 @@ class TestCli:
         res = run_cli("flow", "--config", str(tmp_path / "h.cfg"))
         assert res.returncode == 2
         assert "inside horizon" in res.stderr
+
+    @pytest.mark.parametrize("edits, named", BAD_VALUES,
+                             ids=["+".join(f"{k}={v}" for _s, k, v in e)
+                                  for e, _n in BAD_VALUES])
+    def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, edits, named):
+        sections = {"manifold": {"family": "schwarzschild", "n": "3", "m": "1.0"},
+                    "surface": {"kind": "sphere", "r0": "4.0"},
+                    "solver": {"t_end": "3.0"}, "analysis": {}}
+        for sec, key, value in edits:
+            sections[sec][key] = value
+        (tmp_path / "bad.cfg").write_text("".join(
+            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for sec, items in sections.items()))
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(tmp_path / "bad.cfg"),
+                     "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_monotonicity_violation_exit_four(self, tmp_path):
         (tmp_path / "n.cfg").write_text(NEGCTL)

@@ -83,6 +83,12 @@ class TestGraphGeometry:
         with pytest.raises(InsideHorizonError):
             L.AxisymmetricGraph(theta, 2.5 + 0.6 * np.cos(2 * theta), schw3m1)
 
+    def test_nan_graph_rejected(self, flat3):
+        # a NaN radius passes neither side of the domain rule
+        theta = np.linspace(0.0, np.pi, 21)
+        with pytest.raises(DomainError, match="r_max"):
+            L.AxisymmetricGraph(theta, np.full(21, np.nan), flat3)
+
     def test_mean_convexity_loss_is_flagged_not_fatal(self, flat3):
         theta = np.linspace(0.0, np.pi, 201)
         rho = 1.0 + 0.7 * (1.5 * np.cos(theta) ** 2 - 0.5)
