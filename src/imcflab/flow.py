@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, MeanConvexityError, SolverFailureError
 from .metrics import ManifoldSpec
-from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid,
+from .surfaces import (AxisymmetricGraph, CoordinateSphere, SurfaceGeometry,
                        graph_frame, graph_geometry, sphere_geometry)
 
 __all__ = [
@@ -43,10 +43,13 @@ __all__ = [
     "flow_sphere",
     "flow_graph",
     "require_reach",
+    "require_mean_convex",
+    "output_times",
+    "area_residual",
     "area_law_residual",
 ]
 
-_MIN_INITIAL_H = 1e-6
+MAX_SLICES = 10_000  # cap on t_end / dt_out; every slice stays in memory
 
 
 @dataclass(frozen=True)
@@ -98,19 +101,24 @@ class FlowTrace:
 def require_reach(spec: ManifoldSpec, r_outer: float, t_end: float) -> None:
     """Require t_end > 0 (else ValueError) and, for a slice reaching out to
     ``r_outer``, r_outer e^(t_end/(n-1)) <= r_max (else DomainError): the
-    strict rule that the slices built at each output obey."""
+    strict rule that the slices built at each output obey.  A growth
+    t_end/(n-1) beyond 709 is rejected before math.exp can overflow."""
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    reach = r_outer * math.exp(t_end / (spec.n - 1))
-    if not reach <= spec.r_max:
+    growth = t_end / (spec.n - 1)
+    if not (growth <= 709.0 and r_outer * math.exp(growth) <= spec.r_max):
         raise DomainError(
-            f"t_end = {t_end:g} flows the slice to r = {reach:g}, beyond "
+            f"t_end = {t_end:g} flows the slice from r = {r_outer:g} beyond "
             f"r_max = {spec.r_max:g}; enlarge r_max or shorten the flow")
 
 
-def _output_times(t_end: float, dt_out: float) -> np.ndarray:
+def output_times(t_end: float, dt_out: float) -> np.ndarray:
     """0, dt_out, 2 dt_out, ..., t_end; a last multiple within rounding of
-    t_end (never t = 0) is snapped onto it."""
+    t_end (never t = 0) is snapped onto it.  ValueError unless dt_out is
+    positive and finite and t_end / dt_out is at most ``MAX_SLICES``."""
+    _require_positive("dt_out", dt_out)
+    if not t_end / dt_out <= MAX_SLICES:
+        raise ValueError(f"dt_out = {dt_out:g} asks for more than {MAX_SLICES} slices")
     k_max = int(math.floor(t_end / dt_out + 1e-9))
     ts = dt_out * np.arange(0, k_max + 1)
     if k_max > 0 and t_end - ts[-1] <= 1e-9 * max(1.0, t_end):
@@ -130,8 +138,7 @@ def flow_sphere(sphere: CoordinateSphere, t_end: float,
     spec = sphere.ambient
     n = spec.n
     require_reach(spec, sphere.radius, t_end)
-    _require_positive("dt_out", dt_out)
-    times = _output_times(t_end, dt_out)
+    times = output_times(t_end, dt_out)
     surfaces = []
     geometries = []
     for t in times:
@@ -142,24 +149,31 @@ def flow_sphere(sphere: CoordinateSphere, t_end: float,
                      status="completed", stats={"steps": 0, "rejected": 0})
 
 
+def require_mean_convex(graph: AxisymmetricGraph) -> SurfaceGeometry:
+    """The geometry of a graph that may start a flow: MeanConvexityError
+    unless it is strictly mean convex (min H > 1e-6)."""
+    geom = graph_geometry(graph)
+    min_h = float(np.min(geom.mean_curvature))
+    if min_h <= 1e-6:
+        raise MeanConvexityError(
+            f"initial slice is not strictly mean convex (min H = {min_h:.3e})")
+    return geom
+
+
 def flow_graph(graph: AxisymmetricGraph, t_end: float,
                params: SolverParams = SolverParams()) -> FlowTrace:
     """Method-of-lines IMCF for an axisymmetric radial graph.
 
-    The initial slice must be strictly mean convex (min H > 1e-6).  The
-    trace halts with reason "H<=0" or "horizon" if smoothness or the domain
+    The initial slice must pass :func:`require_mean_convex`.  The trace
+    halts with reason "H<=0" or "horizon" if smoothness or the domain
     is lost mid-flow; both are reported, not raised.
     """
     spec = graph.ambient
     require_reach(spec, float(np.max(graph.rho)), t_end)
-    grid = GraphGrid.make(graph.n_intervals)
-    geom0 = graph_geometry(graph, grid)
-    min_h0 = float(np.min(geom0.mean_curvature))
-    if min_h0 <= _MIN_INITIAL_H:
-        raise MeanConvexityError(
-            f"initial slice is not strictly mean convex (min H = {min_h0:.3e})")
+    grid = graph.grid
+    geom0 = require_mean_convex(graph)
 
-    times = _output_times(t_end, params.dt_out)
+    times = output_times(t_end, params.dt_out)
     dth2 = grid.dtheta**2
     cfl = 0.9 * params.cfl_safety * dth2
     horizon_guard = spec.r_min * (1.0 + 1e-9)
@@ -230,7 +244,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
             frame = frame_new
             if at_output:
                 surf = AxisymmetricGraph(grid.theta, y.copy(), spec)
-                geom = graph_geometry(surf, grid)
+                geom = graph_geometry(surf)
                 if not geom.mean_convex:
                     status, reason = "halted", "H<=0"
                     break
@@ -244,20 +258,18 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
 
     return FlowTrace(times=times[:emitted].copy(), surfaces=out_surfaces,
                      geometries=out_geoms, status=status, halt_reason=reason,
-                     stats={"steps": nsteps, "rejected": nrej,
-                            "halt_time": t if status == "halted" else None})
+                     stats={"steps": nsteps, "rejected": nrej})
+
+
+def area_residual(t: float, area: float, area0: float) -> float:
+    """| area e^{-t} / area0 - 1 | at flow time t: smooth IMCF grows area
+    exactly exponentially whatever the shape, so this gauges accuracy."""
+    return abs(area * float(np.exp(-t)) / area0 - 1.0)
 
 
 def area_law_residual(trace: FlowTrace) -> float:
-    """Max over emitted slices of | area(t) e^{-t} / area(0) - 1 |.
-
-    Smooth IMCF grows area exactly exponentially regardless of shape, so
-    this is a shape-independent accuracy gauge for whole traces.
-    """
+    """Max of :func:`area_residual` over the emitted slices of a trace."""
     if len(trace.geometries) == 0:
         raise ValueError("empty trace")
-    a0 = trace.initial_area
-    worst = 0.0
-    for t, geom in zip(trace.times, trace.geometries):
-        worst = max(worst, abs(geom.area * math.exp(-t) / a0 - 1.0))
-    return worst
+    return max(area_residual(t, g.area, trace.initial_area)
+               for t, g in zip(trace.times, trace.geometries))

@@ -96,8 +96,6 @@ class RadialProfile:
     value: Callable
     deriv: Callable
     deriv2: Callable
-    kind: str = "callable"
-    params: dict = field(default_factory=dict)
     support: tuple[float, float] | None = None  # sampled profiles only
     _aspect: Callable | None = field(default=None, init=False, repr=False)
 
@@ -122,14 +120,12 @@ class RadialProfile:
         def d2v(r):
             return -2.0 * m * (n - 2.0) * (n - 1.0) * r ** (-float(n))
 
-        return _derive(cls(v, dv, d2v, kind="schwarzschild",
-                           params={"n": n, "m": m}), "_aspect", u)
+        return _derive(cls(v, dv, d2v), "_aspect", u)
 
     @classmethod
     def flat(cls) -> "RadialProfile":
         return _derive(cls(lambda r: r * 0.0 + 1.0, lambda r: r * 0.0,
-                           lambda r: r * 0.0, kind="flat", params={"m": 0.0}),
-                       "_aspect", lambda r: r * 0.0)
+                           lambda r: r * 0.0), "_aspect", lambda r: r * 0.0)
 
     @classmethod
     def from_callable(cls, v: Callable, dv: Callable | None = None,
@@ -144,13 +140,13 @@ class RadialProfile:
             def d2v(r, _v=v):
                 h = 1.2e-4 * (1.0 + np.abs(r))
                 return (_v(r + h) - 2.0 * _v(r) + _v(r - h)) / h**2
-        return cls(v, dv, d2v, kind="callable")
+        return cls(v, dv, d2v)
 
     @classmethod
     def from_samples(cls, r: np.ndarray, v: np.ndarray) -> "RadialProfile":
         """Cubic-spline interpolant of tabulated (r, V) pairs."""
         spl = _spline(r, v)
-        return cls(spl, spl.derivative(1), spl.derivative(2), kind="sampled",
+        return cls(spl, spl.derivative(1), spl.derivative(2),
                    support=(float(spl.x[0]), float(spl.x[-1])))
 
 
@@ -228,11 +224,9 @@ class StaticPotential:
     aspect without cancellation.
     """
 
-    kind: str  # "closed-form" or "sampled"
     value: Callable
     deriv: Callable
     deriv2: Callable
-    asymptotic_to_one: bool = True
     _excess: Callable | None = field(default=None, init=False, repr=False)
 
     def excess(self, r: float, profile: RadialProfile) -> float:
@@ -263,18 +257,15 @@ def sqrt_potential(spec: ManifoldSpec) -> StaticPotential:
         s = np.sqrt(v)
         return p.deriv2(r) / (2.0 * s) - p.deriv(r) ** 2 / (4.0 * v * s)
 
-    pot = StaticPotential(kind="closed-form", value=f, deriv=df, deriv2=d2f,
-                          asymptotic_to_one=True)
+    pot = StaticPotential(value=f, deriv=df, deriv2=d2f)
     return _derive(pot, "_excess", lambda u: -u)
 
 
 def constant_potential(c: float = 1.0) -> StaticPotential:
     """f identically c; the flat-space potential when c = 1."""
-    pot = StaticPotential(kind="closed-form",
-                          value=lambda r: r * 0.0 + c,
+    pot = StaticPotential(value=lambda r: r * 0.0 + c,
                           deriv=lambda r: r * 0.0,
-                          deriv2=lambda r: r * 0.0,
-                          asymptotic_to_one=(c == 1.0))
+                          deriv2=lambda r: r * 0.0)
     return _derive(pot, "_excess",
                    lambda u: c * math.expm1(0.5 * math.log1p(-u)) + (c - 1.0))
 
@@ -287,18 +278,15 @@ def profile_weight(spec: ManifoldSpec) -> StaticPotential:
     monotonicity negative controls need.
     """
     p = spec.profile
-    pot = StaticPotential(kind="closed-form", value=p.value, deriv=p.deriv,
-                          deriv2=p.deriv2, asymptotic_to_one=True)
+    pot = StaticPotential(value=p.value, deriv=p.deriv, deriv2=p.deriv2)
     return _derive(pot, "_excess", lambda u: math.expm1(1.5 * math.log1p(-u)))
 
 
-def sampled_potential(r: np.ndarray, f: np.ndarray,
-                      asymptotic_to_one: bool = True) -> StaticPotential:
+def sampled_potential(r: np.ndarray, f: np.ndarray) -> StaticPotential:
     """Cubic-spline potential from tabulated (r, f) pairs."""
     spl = _spline(r, f)
-    return StaticPotential(kind="sampled", value=spl, deriv=spl.derivative(1),
-                           deriv2=spl.derivative(2),
-                           asymptotic_to_one=asymptotic_to_one)
+    return StaticPotential(value=spl, deriv=spl.derivative(1),
+                           deriv2=spl.derivative(2))
 
 
 def _radial(spec: ManifoldSpec, r):
@@ -423,11 +411,9 @@ def rescale_to_unit(spec: ManifoldSpec, f: StaticPotential,
         raise FitQualityError("cannot rescale: fitted asymptotic constant is ~0",
                               report={"constant": float(c)})
     c = float(c)
-    return StaticPotential(kind=f.kind,
-                           value=lambda r: f.value(r) / c,
+    return StaticPotential(value=lambda r: f.value(r) / c,
                            deriv=lambda r: f.deriv(r) / c,
-                           deriv2=lambda r: f.deriv2(r) / c,
-                           asymptotic_to_one=True)
+                           deriv2=lambda r: f.deriv2(r) / c)
 
 
 def horizon_radius(spec: ManifoldSpec, xtol: float = 1e-12) -> float | None:

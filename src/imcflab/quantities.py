@@ -65,7 +65,7 @@ def _curvature_terms(geom: SurfaceGeometry, f: StaticPotential,
                      m: float) -> tuple[float, float, float]:
     """(integral of f H, Q, Minkowski deficit) of one slice, with the
     integral evaluated once."""
-    n = geom.dim
+    n = geom.ambient.n
     om = unit_sphere_area(n - 1)
     if geom.kind == "sphere":
         r = geom.sphere_radius
@@ -111,9 +111,9 @@ def minkowski_deficit(geom: SurfaceGeometry, f: StaticPotential,
 
 def hawking_mass(geom: SurfaceGeometry) -> float:
     """sqrt(area/16 pi) (1 - integral(H^2)/16 pi); three dimensions only."""
-    if geom.dim != 3:
+    if geom.ambient.n != 3:
         raise UnsupportedDimensionError(
-            f"Hawking mass is defined for n = 3, got n = {geom.dim}")
+            f"Hawking mass is defined for n = 3, got n = {geom.ambient.n}")
     if geom.kind == "sphere":
         # integral(H^2)/16 pi is V on a coordinate sphere
         u = geom.ambient.profile.mass_aspect(geom.sphere_radius)
@@ -143,7 +143,7 @@ def slice_quantities(geom: SurfaceGeometry, f: StaticPotential,
         weighted_total_h=wth,
         q=q,
         minkowski_deficit=deficit,
-        hawking_mass=hawking_mass(geom) if geom.dim == 3 else None,
+        hawking_mass=hawking_mass(geom) if geom.ambient.n == 3 else None,
         umbilicity_deficit=umbilicity_deficit(geom))
 
 
@@ -184,10 +184,14 @@ def monotonicity_verdict(trace: FlowTrace, f: StaticPotential, m: float,
     ``worst_increase`` is the largest jump between consecutive outputs
     (negative when Q strictly decreases everywhere); the trace is monotone
     when it does not exceed ``eps_mono``.  ``limit_gap`` is Q at the final
-    slice minus the exact flow limit.
+    slice minus the exact flow limit.  Q comes from ``f`` and ``m`` alone:
+    attached quantities that do not reproduce it on slice 0 raise ValueError.
     """
     if trace.quantities is None:
         attach_quantities(trace, f, m)
+    elif not np.array_equal(slice_quantities(trace.geometries[0], f, m).q,
+                            trace.quantities[0].q, equal_nan=True):
+        raise ValueError("attached quantities were computed for another weight or mass")
     if len(trace.quantities) < 2:
         raise ValueError("insufficient data: need at least 2 slices with quantities")
     n = trace.ambient.n

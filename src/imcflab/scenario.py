@@ -3,16 +3,19 @@
 A scenario is a sectioned key=value text document (INI syntax) with
 sections [manifold], [potential], [surface], [solver], [analysis] and
 [outputs].  Parsing is strict: unknown sections or keys are rejected by
-name, required keys must be present, and every float key must be finite.
-Semantic rules are checked by their owners while the parser builds the
-model objects; it re-raises their errors as a :class:`ConfigError` that
-names the key, so a config that parses never fails later on one of them:
+name, required keys must be present, every float key must be finite and
+every ``[analysis]`` tolerance non-negative.  Semantic rules are checked
+by their owners while the parser builds the model objects; it re-raises
+their errors as a :class:`ConfigError` that names the key, so a config
+that parses never fails later on one of them:
 
 * ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, radii in (r_min, r_max]
 * ``AxisymmetricGraph``: graphs need n = 3 and pole regularity
-* ``GraphGrid.make``: ``[solver] N`` even and at least 8 (every surface kind)
+* ``GraphGrid.make``: ``[solver] N`` even, 8 to 10,000 (every surface kind)
 * ``SolverParams``: rel_tol, dt_out and cfl_safety positive
 * ``flow.require_reach``: t_end > 0 and the flow inside the domain
+* ``flow.output_times``: at most 10,000 output slices
+* ``flow.require_mean_convex``: a strictly mean convex initial graph
 * ``metrics.tail_in_domain``: the mass-fit tail inside the domain
 
 Example
@@ -44,7 +47,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,8 +56,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, FitQualityError, InsideHorizonError, LabError
 from .expressions import evaluate_radius_expression
-from .flow import (FlowTrace, SolverParams, area_law_residual, flow_graph,
-                   flow_sphere, require_reach)
+from .flow import (FlowTrace, SolverParams, area_law_residual, area_residual,
+                   flow_graph, flow_sphere, output_times, require_mean_convex,
+                   require_reach)
 from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       adm_mass_flux, adm_mass_fit, harmonicity_residual,
                       horizon_radius, profile_weight, rescale_to_unit,
@@ -118,6 +122,13 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be finite")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise ValueError("must be non-negative")
     return value
 
 
@@ -244,6 +255,7 @@ def parse_config(text: str, *, base_dir: Path | None = None,
                     surface = AxisymmetricGraph(grid.theta, rho0, spec)
                 else:
                     surface = load_graph(_existing(base_dir, "surface", "file", fpath), spec)
+                require_mean_convex(surface)
                 r_outer = float(np.max(surface.rho))
             else:
                 raise ConfigError(
@@ -254,17 +266,18 @@ def parse_config(text: str, *, base_dir: Path | None = None,
             raise ConfigError(f"[surface] surface inside horizon{where}: {exc}") from exc
     with _invalid("[solver] "):
         require_reach(spec, r_outer, t_end)
+        output_times(t_end, solver.dt_out)
 
     eps_default = 1e-6 * (200.0 / n_grid) ** 2  # matches the O(dtheta^2) scheme
-    eps_mono = _get(parser, "analysis", "eps_mono", _finite, default=eps_default)
+    eps_mono = _get(parser, "analysis", "eps_mono", _nonnegative, default=eps_default)
     tail_lo = _get(parser, "analysis", "tail_lo", _finite,
                    default=max(100.0, 1.1 * spec.r_min))
     tail_hi = _get(parser, "analysis", "tail_hi", _finite, default=spec.r_max)
     with _invalid("[analysis] "):
         tail = tail_in_domain(spec, (tail_lo, tail_hi))
-    deficit_tol = _get(parser, "analysis", "deficit_tol", _finite, default=1e-8)
-    static_tol = _get(parser, "analysis", "static_tol", _finite, default=1e-8)
-    area_tol = _get(parser, "analysis", "area_tol", _finite, default=1e-4)
+    deficit_tol = _get(parser, "analysis", "deficit_tol", _nonnegative, default=1e-8)
+    static_tol = _get(parser, "analysis", "static_tol", _nonnegative, default=1e-8)
+    area_tol = _get(parser, "analysis", "area_tol", _nonnegative, default=1e-4)
 
     scenario_id = _get(parser, "outputs", "id", default=default_id)
     out_base = Path(out_dir) if out_dir is not None else base_dir
@@ -305,14 +318,14 @@ class RunReport:
     warnings: list
     trace: FlowTrace
     runtime_seconds: float
-    version: str = __version__
 
 
 def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     """Staticity verdicts shared by ``run_scenario`` and ``static-check``: the
     weight's largest static-equation and harmonicity residuals on a 200-point
     log grid, ``weight_is_static`` (both below static_tol), the mass flux at
-    r_max, and the non-static warning (None if static or profile-weight)."""
+    r_max, and the non-static warning (None if static or profile-weight).
+    A non-finite mass flux is a ConfigError naming ``[manifold] r_max``."""
     spec = cfg.manifold
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
     grid = np.geomspace(max(lo, 1e-6), spec.r_max, 200)
@@ -326,6 +339,8 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
         warning = (f"declared potential fails the static equation "
                    f"(max residual {static_max:.3e})")
     mass = float(adm_mass_flux(spec, cfg.reference_potential, spec.r_max))
+    if not math.isfinite(mass):
+        raise ConfigError(f"[manifold] r_max = {spec.r_max:g}: the mass flux there is {mass}")
     return {"static_residual_max": static_max, "harmonic_residual_max": harmonic_max,
             "weight_is_static": is_static, "mass_flux": mass}, warning
 
@@ -340,7 +355,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     mass = diag["mass_flux"]
     try:
         ref = cfg.reference_potential
-        if ref.kind == "sampled":
+        if cfg.potential_kind == "file":
             ref = rescale_to_unit(spec, ref, cfg.tail)
         mass_fit = float(adm_mass_fit(spec, ref, cfg.tail))
     except FitQualityError as exc:
@@ -356,9 +371,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
     attach_quantities(trace, cfg.weight, mass)
     verdict = monotonicity_verdict(trace, cfg.weight, mass, cfg.eps_mono)
-    a0 = trace.initial_area
     rows = []
-    for t, geom, sq in zip(trace.times, trace.geometries, trace.quantities):
+    for t, sq in zip(trace.times, trace.quantities):
         rows.append({
             "t": float(t),
             "area": sq.area,
@@ -367,16 +381,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             "deficit": sq.minkowski_deficit,
             "hawking": sq.hawking_mass if sq.hawking_mass is not None else float("nan"),
             "umb_deficit": sq.umbilicity_deficit,
-            "area_residual": abs(sq.area * float(np.exp(-t)) / a0 - 1.0),
+            "area_residual": area_residual(t, sq.area, trace.initial_area),
         })
 
     area_res = area_law_residual(trace)
     deficit0 = trace.quantities[0].minkowski_deficit
     verdicts = {
-        "monotone": bool(verdict.monotone),
-        "worst_increase": verdict.worst_increase,
-        "limit_gap": verdict.limit_gap,
-        "q_extrapolated": verdict.q_extrapolated,
+        **asdict(verdict),
         "deficit_initial": deficit0,
         "deficit_ok": bool(deficit0 >= -cfg.deficit_tol),
         "area_law_residual": area_res,
@@ -425,7 +436,7 @@ def summary_dict(report: RunReport) -> dict:
     n = report.trace.ambient.n
     return {
         "id": report.scenario_id,
-        "version": report.version,
+        "version": __version__,
         "status": report.status,
         "halt_reason": report.halt_reason,
         "limit_target": limit_target(n),

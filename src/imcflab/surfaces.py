@@ -30,7 +30,7 @@ principal curvatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +67,10 @@ class CoordinateSphere:
 @dataclass(frozen=True)
 class GraphGrid:
     """Precomputed uniform theta grid machinery shared by geometry and flow;
-    :meth:`make` owns the grid rules (uniform over [0, pi], even N >= 8)."""
+    :meth:`make` owns the grid rules (uniform over [0, pi], N even in [8, MAX_INTERVALS])."""
 
-    n_intervals: int
+    MAX_INTERVALS = 10_000  # caps what a config allocates; refinement needs 3200
+
     theta: np.ndarray
     dtheta: float
     sin_t: np.ndarray
@@ -78,9 +79,9 @@ class GraphGrid:
 
     @classmethod
     def make(cls, n_intervals: int) -> "GraphGrid":
-        if n_intervals < 8 or n_intervals % 2:
-            raise ValueError(
-                f"grid needs an even number of intervals, at least 8, got {n_intervals}")
+        if not 8 <= n_intervals <= cls.MAX_INTERVALS or n_intervals % 2:
+            raise ValueError(f"grid needs an even number of intervals from 8 "
+                             f"to {cls.MAX_INTERVALS}, got {n_intervals}")
         theta = np.linspace(0.0, np.pi, n_intervals + 1)
         dtheta = np.pi / n_intervals
         sin_t = np.sin(theta)
@@ -89,15 +90,12 @@ class GraphGrid:
         w = np.ones(n_intervals + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        return cls(n_intervals, theta, dtheta, sin_t, cot_t, w * (dtheta / 3.0))
+        return cls(theta, dtheta, sin_t, cot_t, w * (dtheta / 3.0))
 
 
 class GraphFrame(NamedTuple):
     """Raw per-node arrays of a graph slice (shared flow/geometry kernel)."""
 
-    rho: np.ndarray
-    rho_p: np.ndarray
-    rho_pp: np.ndarray
     v: np.ndarray
     w: np.ndarray        # sqrt(V + rho'^2/rho^2)
     e: np.ndarray        # meridian metric coefficient
@@ -109,27 +107,26 @@ class GraphFrame(NamedTuple):
 def graph_frame(rho: np.ndarray, spec: ManifoldSpec, grid: GraphGrid) -> GraphFrame:
     """Evaluate derivatives, metric factors and curvatures of rho(theta)."""
     dth = grid.dtheta
-    rho_p = np.empty_like(rho)
-    rho_p[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * dth)
-    rho_p[0] = rho_p[-1] = 0.0
-    rho_pp = np.empty_like(rho)
-    rho_pp[1:-1] = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dth**2
-    rho_pp[0] = 2.0 * (rho[1] - rho[0]) / dth**2
-    rho_pp[-1] = 2.0 * (rho[-2] - rho[-1]) / dth**2
+    rho_t = np.empty_like(rho)
+    rho_t[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * dth)
+    rho_t[0] = rho_t[-1] = 0.0
+    rho_tt = np.empty_like(rho)
+    rho_tt[1:-1] = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dth**2
+    rho_tt[0] = 2.0 * (rho[1] - rho[0]) / dth**2
+    rho_tt[-1] = 2.0 * (rho[-2] - rho[-1]) / dth**2
 
     v = spec.profile.value(rho)
     dv = spec.profile.deriv(rho)
-    rp2 = rho_p * rho_p
+    rp2 = rho_t * rho_t
     rho2 = rho * rho
     w = np.sqrt(v + rp2 / rho2)
     e = rp2 / v + rho2
-    k_mer = (-rho_pp + rp2 * dv / (2.0 * v) + rho * v + 2.0 * rp2 / rho) / (w * e)
-    cterm = rho_p * grid.cot_t
-    cterm[0] = rho_pp[0]
-    cterm[-1] = rho_pp[-1]
+    k_mer = (-rho_tt + rp2 * dv / (2.0 * v) + rho * v + 2.0 * rp2 / rho) / (w * e)
+    cterm = rho_t * grid.cot_t
+    cterm[0] = rho_tt[0]
+    cterm[-1] = rho_tt[-1]
     k_par = (v / rho - cterm / rho2) / w
-    return GraphFrame(rho, rho_p, rho_pp, v, w, e, k_mer, k_par,
-                      k_mer + k_par)
+    return GraphFrame(v, w, e, k_mer, k_par, k_mer + k_par)
 
 
 def _first_derivative_o4(rho: np.ndarray, dth: float) -> np.ndarray:
@@ -154,12 +151,14 @@ class AxisymmetricGraph:
     """A radial graph rho(theta) on the uniform grid over [0, pi] (n = 3).
 
     Pole regularity (vanishing one-sided derivative at both poles) is
-    required at construction, within a tolerance scaled to the grid.
+    required at construction, within a tolerance scaled to the grid, which
+    the graph keeps as ``grid``.
     """
 
     theta: np.ndarray
     rho: np.ndarray
     ambient: ManifoldSpec
+    grid: GraphGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient.n != 3:
@@ -174,6 +173,7 @@ class AxisymmetricGraph:
         grid = GraphGrid.make(theta.size - 1)
         if not np.allclose(theta, grid.theta, atol=1e-12, rtol=0.0):
             raise ValueError("theta must be the uniform grid over [0, pi]")
+        object.__setattr__(self, "grid", grid)
         self.ambient.require_in_domain(rho, "graph radius")
         dth = grid.dtheta
         tol = 5.0 * dth**2 * max(1.0, float(np.max(np.abs(rho))))
@@ -220,15 +220,8 @@ class SurfaceGeometry:
     mean_convex: bool
     theta: np.ndarray | None = None
     area_element: np.ndarray | None = None
-    kappa_meridian: np.ndarray | None = None
-    kappa_parallel: np.ndarray | None = None
     sphere_radius: float | None = None
     simpson_w: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        """Ambient dimension n."""
-        return self.ambient.n
 
 
 def sphere_geometry(sphere: CoordinateSphere) -> SurfaceGeometry:
@@ -250,13 +243,10 @@ def sphere_geometry(sphere: CoordinateSphere) -> SurfaceGeometry:
     return SurfaceGeometry(
         kind="sphere", ambient=spec, radii=np.array([r]),
         mean_curvature=h * one, second_form_norm_sq=(h * h / (n - 1)) * one,
-        area=float(area), mean_convex=bool(h > 0.0),
-        kappa_meridian=(h / (n - 1)) * one, kappa_parallel=(h / (n - 1)) * one,
-        sphere_radius=float(r))
+        area=float(area), mean_convex=bool(h > 0.0), sphere_radius=float(r))
 
 
-def graph_geometry(graph: AxisymmetricGraph,
-                   grid: GraphGrid | None = None) -> SurfaceGeometry:
+def graph_geometry(graph: AxisymmetricGraph) -> SurfaceGeometry:
     """Discrete geometry of an axisymmetric radial graph.
 
     Mean-convexity loss (H <= 0 somewhere) is reported through the
@@ -264,10 +254,7 @@ def graph_geometry(graph: AxisymmetricGraph,
     positive at some node raises :class:`InsideHorizonError` (the graph's
     radii were checked against the domain when it was built).
     """
-    spec = graph.ambient
-    if grid is None or grid.n_intervals != graph.n_intervals:
-        grid = GraphGrid.make(graph.n_intervals)
-    rho = graph.rho
+    spec, grid, rho = graph.ambient, graph.grid, graph.rho
     frame = graph_frame(rho, spec, grid)
     if np.min(frame.v) <= 0.0:
         raise InsideHorizonError("profile nonpositive somewhere on the graph")
@@ -279,9 +266,7 @@ def graph_geometry(graph: AxisymmetricGraph,
         kind="graph", ambient=spec, radii=rho,
         mean_curvature=frame.h, second_form_norm_sq=asq,
         area=area, mean_convex=bool(np.min(frame.h) > 0.0),
-        theta=grid.theta, area_element=jac,
-        kappa_meridian=frame.k_meridian, kappa_parallel=frame.k_parallel,
-        simpson_w=grid.simpson_w)
+        theta=grid.theta, area_element=jac, simpson_w=grid.simpson_w)
 
 
 def surface_integral(geom: SurfaceGeometry, integrand) -> float:
@@ -312,7 +297,7 @@ def umbilicity_deficit(geom: SurfaceGeometry) -> float:
     """
     if geom.kind == "sphere":
         return 0.0
-    n = geom.dim
+    n = geom.ambient.n
     return float(np.max((n - 1) * geom.second_form_norm_sq
                         - geom.mean_curvature**2))
 

@@ -127,6 +127,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=key):
             L.SolverParams(**{key: value})
 
+    def test_size_caps(self, schw3m1):
+        assert L.GraphGrid.make(3200).theta.size == 3201
+        with pytest.raises(ValueError, match="from 8 to 10000"):
+            L.GraphGrid.make(L.GraphGrid.MAX_INTERVALS + 2)
+        with pytest.raises(ValueError, match="more than 10000 slices"):
+            L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0, dt_out=1e-12)
+        with pytest.raises(DomainError, match="r_max"):
+            L.require_reach(schw3m1, 4.0, 1e200)
+
     def test_reach_is_the_strict_domain_rule(self, schw3m1):
         # the flow reaches 4 e^1.5 = 17.92675628..., 2.4e-10 relative
         # beyond r_max: every flow rejects it up front, not mid-run

@@ -213,12 +213,10 @@ class TestAdmMassFit:
     def test_rescale_then_fit(self, schw3m1):
         v = schw3m1.profile
         f3 = L.StaticPotential(
-            kind="closed-form",
             value=lambda r: 3.0 * np.sqrt(v.value(r)),
             deriv=lambda r: 3.0 * v.deriv(r) / (2.0 * np.sqrt(v.value(r))),
             deriv2=lambda r: 3.0 * (v.deriv2(r) / (2.0 * np.sqrt(v.value(r)))
-                                    - v.deriv(r) ** 2 / (4.0 * v.value(r) ** 1.5)),
-            asymptotic_to_one=False)
+                                    - v.deriv(r) ** 2 / (4.0 * v.value(r) ** 1.5)))
         rescaled = L.rescale_to_unit(schw3m1, f3)
         # fitted constant carries the r^-2 tail term as ~1e-5 relative bias
         assert rescaled.value(900.0) == pytest.approx(

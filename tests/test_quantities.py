@@ -71,8 +71,7 @@ class TestWeightedTotalMeanCurvature:
                 theta, 1.5 + 0.3 * np.cos(2 * theta), flat3))
         else:
             g = L.sphere_geometry(L.CoordinateSphere(1.5, flat3))
-        bad = L.StaticPotential(kind="closed-form",
-                                value=lambda r: np.sqrt(r - 2.0),
+        bad = L.StaticPotential(value=lambda r: np.sqrt(r - 2.0),
                                 deriv=lambda r: 0.5 / np.sqrt(r - 2.0),
                                 deriv2=lambda r: -0.25 * (r - 2.0) ** -1.5)
         with pytest.raises(DomainError):
@@ -210,6 +209,16 @@ class TestVerdicts:
         assert sq.area == pytest.approx(64 * math.pi, rel=1e-13)
         assert sq.hawking_mass == pytest.approx(1.0, abs=1e-12)
         assert sq.umbilicity_deficit == 0.0
+
+    def test_verdict_answers_for_its_own_weight_and_mass(self, schw3m1):
+        f = L.sqrt_potential(schw3m1)
+        fresh = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1.0)
+        assert not L.monotonicity_verdict(fresh, f, 0.0).monotone
+        tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1.0)
+        L.attach_quantities(tr, f, 1.0)
+        with pytest.raises(ValueError, match="another weight or mass"):
+            L.monotonicity_verdict(tr, f, 0.0)
+        assert L.monotonicity_verdict(tr, f, 1.0).monotone
 
     def test_perturbed_graph_strictly_decreasing(self, schw3m1):
         f = L.sqrt_potential(schw3m1)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import imcflab as L
 from imcflab.cli import main
 from imcflab.errors import ConfigError
-from imcflab.scenario import (CSV_HEADER, exit_code_for, parse_config,
+from imcflab.scenario import (_SCHEMA, CSV_HEADER, exit_code_for, parse_config,
                               render_csv, run_scenario, summary_dict)
 
 from conftest import child_env
@@ -71,6 +72,8 @@ def custom_profile_config(tmp_path) -> str:
             "[analysis]\ntail_lo = 100\ntail_hi = 800\n")
 
 
+NOT_MEAN_CONVEX = "[surface] invalid: initial slice is not strictly mean convex"
+
 # (section, key, value) edits of a valid n=3, m=1, r0=4, t_end=3 sphere
 # config, and what the exit-2 message must name
 BAD_VALUES = [
@@ -88,6 +91,29 @@ BAD_VALUES = [
     ([("manifold", "r_max", "17.92675628"), ("analysis", "tail_lo", "10")],
      "[solver] t_end"),
     ([("manifold", "n", "2")], "3 <= n <= 7"),
+    # a negative tolerance can never hold, so each verdict would be false
+    ([("analysis", "static_tol", "-1")], "[analysis] static_tol"),
+    ([("analysis", "eps_mono", "-1")], "[analysis] eps_mono"),
+    ([("analysis", "area_tol", "-1")], "[analysis] area_tol"),
+    ([("analysis", "deficit_tol", "-1")], "[analysis] deficit_tol"),
+    # sizes past their caps; each fails its allocation or exp at once unchecked
+    ([("solver", "dt_out", "1e-12")], "[solver] dt_out"),
+    ([("solver", "dt_out", "1e-300")], "[solver] dt_out"),
+    ([("solver", "dt_out", "5e-324")], "[solver] dt_out"),
+    ([("solver", "t_end", "1e200")], "[solver] t_end"),
+    ([("solver", "N", "1000000000000")], "[solver] N"),
+    # initial graphs that are not strictly mean convex
+    ([("surface", "kind", "graph"), ("surface", "rho0", "4 + 0.3*P2(cos(theta))"),
+      ("manifold", "m", "1.9")], NOT_MEAN_CONVEX),
+    ([("surface", "kind", "graph"), ("surface", "rho0", "2.1 + 0.1*P2(cos(theta))")],
+     NOT_MEAN_CONVEX),
+    # r^(n-1) overflows while f' underflows, so the mass flux at r_max is nan
+    ([("manifold", "r_max", "1e300")], "[manifold] r_max"),
+    ([("manifold", "n", "7"), ("manifold", "r_max", "1e60")], "[manifold] r_max"),
+    ([("manifold", "family", "flat"), ("manifold", "r_max", "1e300")],
+     "[manifold] r_max"),
+    ([("manifold", "n", "5"), ("manifold", "m", "-1"), ("manifold", "r_max", "1e100")],
+     "[manifold] r_max"),
 ]
 
 
@@ -107,6 +133,15 @@ class TestParseConfig:
         assert cfg.t_end == 3.0
         assert cfg.surface_kind == "sphere"
         assert cfg.potential_kind == "static"
+
+    def test_readme_example_lists_every_key_and_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(example).scenario_id == "demo"
+        blocks = dict(block.split("]\n", 1) for block in example.split("[")[1:])
+        for sec, keys in _SCHEMA.items():
+            for key in keys:
+                assert f"{key} = " in blocks[sec], f"[{sec}] {key}"
 
     def test_eps_mono_scales_with_grid(self, tmp_path):
         text = MINIMAL + "\n[solver]\nN = 400\n"
@@ -242,6 +277,19 @@ class TestEmitOutputs:
         assert payload["verdicts"]["overall_pass"] is True
         assert "volatile" in payload and "timestamp_utc" in payload["volatile"]
 
+    def test_json_area_residual_is_the_csv_maximum(self, tmp_path):
+        # math.exp and np.exp differ in the last bit at some of these times
+        text = (MINIMAL.replace("m = 1.0", "m = 1.0\nr_max = 1e4")
+                .replace("r0 = 4.0", "r0 = 4.5") + "[solver]\nt_end = 4\ndt_out = 0.01\n")
+        cfg = parse_config(text, base_dir=tmp_path, out_dir=tmp_path)
+        csv_path, json_path = L.emit_outputs(run_scenario(cfg), cfg.csv_path,
+                                             cfg.json_path)
+        column = [float(line.split(",")[-1])
+                  for line in csv_path.read_text().splitlines()[1:]]
+        assert len(column) == 401
+        verdicts = json.loads(json_path.read_text())["verdicts"]
+        assert verdicts["area_law_residual"] == max(column)
+
     def test_reruns_byte_identical(self, tmp_path):
         texts = []
         summaries = []
@@ -315,6 +363,13 @@ class TestCli:
         assert payload["is_static"] is True
         assert payload["horizon_radius"] == pytest.approx(2.0, abs=1e-10)
         assert payload["mass_flux_at_r_max"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_static_check_rejects_non_finite_mass_flux(self, tmp_path, capsys):
+        text = MINIMAL.replace("m = 1.0", "m = 1.0\nr_max = 1e300")
+        (tmp_path / "s.cfg").write_text(text)
+        assert main(["static-check", "--config", str(tmp_path / "s.cfg")]) == 2
+        captured = capsys.readouterr()
+        assert "[manifold] r_max" in captured.err and captured.out == ""
 
     def test_oracle_reference_values(self):
         res = run_cli("oracle", "--n", "3", "--m", "1.0", "--r", "4.0")
