@@ -103,13 +103,34 @@ def _cmd_flow(args) -> int:
     return code
 
 
+def _failure(exc: LabError | OSError) -> tuple[int, str]:
+    """The exit code and stderr message the CLI gives an error."""
+    if isinstance(exc, ConfigError):
+        return EXIT_PARSE, f"config error: {exc}"
+    if isinstance(exc, SolverFailureError):
+        return EXIT_SOLVER, f"solver failure: {exc} {exc.diagnostics}"
+    if isinstance(exc, LabError):
+        return EXIT_UNEXPECTED, f"error: {exc}"
+    return EXIT_UNEXPECTED, f"i/o error: {exc}"
+
+
 def _run_one(job) -> tuple[str, int, dict]:
-    """Sweep worker: run one config, write outputs, return its summary."""
+    """Sweep worker: run one config, write outputs, return its summary.
+
+    A config that fails is recorded under its file stem with the exit code
+    and message ``flow`` would give it, so the sweep goes on.
+    """
     config_path, out_dir, strict = job
-    cfg = load_config(Path(config_path),
-                      out_dir=None if out_dir is None else Path(out_dir))
-    report = run_scenario(cfg)
-    emit_outputs(report, cfg.csv_path, cfg.json_path)
+    try:
+        cfg = load_config(Path(config_path),
+                          out_dir=None if out_dir is None else Path(out_dir))
+        report = run_scenario(cfg)
+        emit_outputs(report, cfg.csv_path, cfg.json_path)
+    except (LabError, OSError) as exc:
+        code, message = _failure(exc)
+        stem = Path(config_path).stem
+        print(f"[{stem}] {message}", file=sys.stderr)
+        return stem, code, {"id": stem, "error": message}
     return report.scenario_id, exit_code_for(report, strict=strict), summary_dict(report)
 
 
@@ -211,18 +232,10 @@ def main(argv=None) -> int:
                 "static-check": _cmd_static_check, "oracle": _cmd_oracle}
     try:
         return commands[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SolverFailureError as exc:
-        print(f"solver failure: {exc} {exc.diagnostics}", file=sys.stderr)
-        return EXIT_SOLVER
-    except LabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+    except (LabError, OSError) as exc:
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

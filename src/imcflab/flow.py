@@ -7,16 +7,25 @@ graphs the flow reduces to the scalar quasilinear parabolic equation
 
     d rho / dt = W / H,      W = sqrt(V + rho'^2/rho^2),
 
-advanced by the method of lines on the uniform theta grid with an
-adaptive embedded Runge-Kutta pair (Bogacki-Shampine 3(2)).  The step
-size is capped by the parabolic stability bound of the explicit scheme,
+advanced by the method of lines on the uniform theta grid with the
+linearly implicit Rosenbrock-W method ROS34PW2 (Rang & Angermann, BIT 45,
+2005): four stages, third order, and an embedded second-order solution
+whose difference sets the step size (relative tolerance ``rel_tol``).  A
+W-method keeps its order with any approximation of the Jacobian
+(Steihaug & Wolfbrandt, Math. Comp. 33, 1979), so the W-matrix carries
+only the stiff diffusion part of the Jacobian,
 
-    dt <= 0.9 * cfl_safety * dtheta^2 * min_nodes(H^2 E),
+    J_D = diag(1 / (H^2 E)) D2,
 
-with 1/(H^2 E) the local diffusion coefficient of the graph equation;
-the embedded error estimate (relative tolerance ``rel_tol``) acts as a
-backstop.  Steps land exactly on the requested output times, so emitted
-slices carry no interpolation error.
+with D2 the reflecting second difference of the curvature stencil.  The
+step size is therefore set by accuracy alone, not by a dtheta^2
+stability bound, and a flow takes about the same number of steps at any
+grid size.  Each step factors the tridiagonal I - gamma dt J_D once and
+reuses the factors for all four stages.  Since J_D has zero row sums,
+every solve is split as x = b[0] + z with z solving for b - b[0]: a
+constant right-hand side gives z = 0 exactly, so round graphs stay
+exactly round.  Steps land exactly on the requested output times, so
+emitted slices carry no interpolation error.
 
 Smoothness is assumed, not manufactured: losing mean convexity or
 touching the inner boundary halts the trace with a reason instead of
@@ -35,7 +44,8 @@ import numpy as np
 from .errors import DomainError, MeanConvexityError, SolverFailureError
 from .metrics import ManifoldSpec
 from .surfaces import (AxisymmetricGraph, CoordinateSphere, SurfaceGeometry,
-                       graph_frame, graph_geometry, sphere_geometry)
+                       graph_frame, graph_geometry, second_difference,
+                       sphere_geometry)
 
 __all__ = [
     "SolverParams",
@@ -55,7 +65,9 @@ MAX_SLICES = 10_000  # cap on t_end / dt_out; every slice stays in memory
 @dataclass(frozen=True)
 class SolverParams:
     """Tuning knobs of the graph time stepper; each must be positive and
-    finite, else ``ValueError`` names it."""
+    finite, else ``ValueError`` names it.  ``cfl_safety`` is kept so that
+    configs stay valid, but the stepper has no stability cap for it to
+    scale, so it changes no result."""
 
     rel_tol: float = 1e-7
     abs_tol: float = 1e-12
@@ -146,7 +158,9 @@ def flow_sphere(sphere: CoordinateSphere, t_end: float,
         surfaces.append(s)
         geometries.append(sphere_geometry(s))
     return FlowTrace(times=times, surfaces=surfaces, geometries=geometries,
-                     status="completed", stats={"steps": 0, "rejected": 0})
+                     status="completed",
+                     stats={"steps": 0, "rejected": 0, "rhs_evals": 0,
+                            "factorizations": 0})
 
 
 def require_mean_convex(graph: AxisymmetricGraph) -> SurfaceGeometry:
@@ -158,6 +172,56 @@ def require_mean_convex(graph: AxisymmetricGraph) -> SurfaceGeometry:
         raise MeanConvexityError(
             f"initial slice is not strictly mean convex (min H = {min_h:.3e})")
     return geom
+
+
+# ROS34PW2 (Rang & Angermann 2005): stage i solves
+#   (I - gamma dt J) k_i = dt f(y + sum_j ALPHA[i][j] k_j) + dt J sum_j GAMMA[i][j] k_j,
+# then y_new = y + sum B[i] k_i, and sum (B - B_HAT)[i] k_i estimates its error.
+_GAMMA = 0.435866521508459
+_ALPHA = ((), (0.87173304301691801,),
+          (0.84457060015369423, -0.11299064236484185), (0.0, 0.0, 1.0))
+_GAMMA_IJ = ((), (-0.87173304301691801,),
+             (-0.90338057013044082, 0.054180672388095326),
+             (0.24212380706095346, -1.2232505839045147, 0.54526025533510214))
+_B = (0.24212380706095346, -1.2232505839045147, 1.5452602553351020, _GAMMA)
+_B_HAT = (0.37810903145819369, -0.096042292212423178, 0.5, 0.2179332607542295)
+_B_ERR = tuple(b - b_hat for b, b_hat in zip(_B, _B_HAT))
+
+
+def _combine(coeffs, vectors):
+    """sum_j coeffs[j] * vectors[j], skipping zero coefficients."""
+    return sum(c * v for c, v in zip(coeffs, vectors) if c)
+
+
+def _w_solver(s: np.ndarray):
+    """Factor the W-matrix I - gamma dt J_D = I - diag(s) dtheta^2 D2, with
+    s = gamma dt / (H^2 E dtheta^2), and return its solve x = b[0] + z.
+
+    The matrix is tridiagonal and diagonally dominant, so the Thomas
+    factorization needs no pivoting.  Its rows sum to one, so z solves for
+    b - b[0] and a constant b gives z = 0 exactly.
+    """
+    s = s.tolist()
+    n = len(s)
+    upper = [-2.0 * s[0]] + [-si for si in s[1:-1]]
+    lower = [-si for si in s[1:-1]] + [-2.0 * s[-1]]
+    mult = [0.0] * n
+    inv_piv = [0.0] * n
+    inv_piv[0] = 1.0 / (1.0 + 2.0 * s[0])
+    for i in range(1, n):
+        mult[i] = lower[i - 1] * inv_piv[i - 1]
+        inv_piv[i] = 1.0 / (1.0 + 2.0 * s[i] - mult[i] * upper[i - 1])
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        z = (b - b[0]).tolist()
+        for i in range(1, n):
+            z[i] -= mult[i] * z[i - 1]
+        z[-1] *= inv_piv[-1]
+        for i in range(n - 2, -1, -1):
+            z[i] = (z[i] - upper[i] * z[i + 1]) * inv_piv[i]
+        return b[0] + np.array(z)
+
+    return solve
 
 
 def flow_graph(graph: AxisymmetricGraph, t_end: float,
@@ -174,23 +238,24 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
     geom0 = require_mean_convex(graph)
 
     times = output_times(t_end, params.dt_out)
-    dth2 = grid.dtheta**2
-    cfl = 0.9 * params.cfl_safety * dth2
+    dth = grid.dtheta
     horizon_guard = spec.r_min * (1.0 + 1e-9)
 
-    def rhs(y):
-        return graph_frame(y, spec, grid)
+    def scaled_rms(v, y):
+        scale = params.abs_tol + params.rel_tol * np.abs(y)
+        return float(np.sqrt(np.mean((v / scale) ** 2)))
 
     y = graph.rho.copy()
     t = 0.0
-    frame = rhs(y)
+    frame = graph_frame(y, spec, grid)
     out_surfaces = [graph]
     out_geoms = [geom0]
     emitted = 1
     status, reason = "completed", None
-    nsteps = nrej = 0
-    h2e_min = float(np.min(frame.h**2 * frame.e))
-    dt = cfl * h2e_min
+    nsteps = nrej = nfact = 0
+    nevals = 1
+    # Hairer's starting step: 1% of the time scale |y| / |dy/dt|
+    dt = 0.01 * scaled_rms(y, y) / max(scaled_rms(frame.w / frame.h, y), 1e-300)
 
     while emitted < len(times):
         min_h = float(np.min(frame.h))
@@ -200,48 +265,39 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
         if float(np.min(y)) <= horizon_guard:
             status, reason = "halted", "horizon"
             break
+        diagnostics = {"t": t, "dt": float(dt), "steps": nsteps,
+                       "rejected": nrej, "min_H": min_h}
         if nsteps + nrej > params.max_steps:
-            raise SolverFailureError(
-                "step budget exhausted",
-                diagnostics={"t": t, "steps": nsteps, "rejected": nrej,
-                             "dt": dt, "min_H": min_h})
-
-        h2e_min = float(np.min(frame.h**2 * frame.e))
-        dt = min(dt, cfl * h2e_min)
-        t_next = times[emitted]
-        at_output = t + dt >= t_next - 1e-14
-        if at_output:
-            dt = t_next - t
+            raise SolverFailureError("step budget exhausted", diagnostics)
         if dt < 1e-13 * max(1.0, t):
-            raise SolverFailureError(
-                "step size underflow",
-                diagnostics={"t": t, "dt": dt, "steps": nsteps,
-                             "rejected": nrej, "min_H": min_h})
+            raise SolverFailureError("step size underflow", diagnostics)
 
-        k1 = frame.w / frame.h
-        f2 = rhs(y + 0.5 * dt * k1)
-        f3 = rhs(y + 0.75 * dt * f2.w / f2.h)
-        k2 = f2.w / f2.h
-        k3 = f3.w / f3.h
-        y_new = y + dt * (2.0 * k1 + 3.0 * k2 + 4.0 * k3) / 9.0
-        if not np.all(np.isfinite(y_new)):
+        # land exactly on the next output; dt stays the controller's step
+        t_next = float(times[emitted])
+        at_output = t + dt >= t_next - 1e-14
+        h = t_next - t if at_output else dt
+
+        diffusion = 1.0 / (frame.h**2 * frame.e)
+        solve = _w_solver((_GAMMA * h / dth**2) * diffusion)
+        nfact += 1
+        ks = [solve(h * (frame.w / frame.h))]
+        for i in range(1, 4):
+            stage = graph_frame(y + _combine(_ALPHA[i], ks), spec, grid)
+            coupled = diffusion * second_difference(_combine(_GAMMA_IJ[i], ks), dth)
+            ks.append(solve(h * (stage.w / stage.h + coupled)))
+        nevals += 3
+        y_new = y + _combine(_B, ks)
+        enorm = scaled_rms(_combine(_B_ERR, ks), y_new)
+        if not (np.all(np.isfinite(y_new)) and math.isfinite(enorm)):
             nrej += 1
-            dt *= 0.25
-            continue
-        frame_new = rhs(y_new)
-        k4 = frame_new.w / frame_new.h
-        err = dt * (-5.0 * k1 / 72.0 + k2 / 12.0 + k3 / 9.0 - k4 / 8.0)
-        scale = params.abs_tol + params.rel_tol * np.abs(y_new)
-        enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if not math.isfinite(enorm):
-            nrej += 1
-            dt *= 0.25
+            dt = 0.25 * h
             continue
         if enorm <= 1.0:
             nsteps += 1
-            t = t_next if at_output else t + dt
+            t = t_next if at_output else t + h
             y = y_new
-            frame = frame_new
+            frame = graph_frame(y, spec, grid)
+            nevals += 1
             if at_output:
                 surf = AxisymmetricGraph(grid.theta, y.copy(), spec)
                 geom = graph_geometry(surf)
@@ -251,14 +307,17 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
                 out_surfaces.append(surf)
                 out_geoms.append(geom)
                 emitted += 1
-            dt = dt * min(5.0, 0.9 / max(enorm, 1e-10) ** (1.0 / 3.0))
+            grown = h * min(5.0, 0.9 / max(enorm, 1e-10) ** (1.0 / 3.0))
+            # a step shortened to land on an output does not shrink the next
+            dt = max(dt, grown) if at_output else grown
         else:
             nrej += 1
-            dt = dt * max(0.2, 0.9 / enorm ** (1.0 / 3.0))
+            dt = h * max(0.2, 0.9 / enorm ** (1.0 / 3.0))
 
     return FlowTrace(times=times[:emitted].copy(), surfaces=out_surfaces,
                      geometries=out_geoms, status=status, halt_reason=reason,
-                     stats={"steps": nsteps, "rejected": nrej})
+                     stats={"steps": nsteps, "rejected": nrej,
+                            "rhs_evals": nevals, "factorizations": nfact})
 
 
 def area_residual(t: float, area: float, area0: float) -> float:

@@ -444,6 +444,7 @@ def summary_dict(report: RunReport) -> dict:
         "tolerances": report.tolerances,
         "warnings": list(report.warnings),
         "config": report.echo,
+        "solver_stats": dict(report.trace.stats),
     }
 
 

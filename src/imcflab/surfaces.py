@@ -104,16 +104,23 @@ class GraphFrame(NamedTuple):
     h: np.ndarray
 
 
+def second_difference(rho: np.ndarray, dth: float) -> np.ndarray:
+    """Central second difference on the grid with even reflection at the
+    poles; its rows sum to zero, so it maps constants to exactly 0."""
+    d = np.empty_like(rho)
+    d[1:-1] = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dth**2
+    d[0] = 2.0 * (rho[1] - rho[0]) / dth**2
+    d[-1] = 2.0 * (rho[-2] - rho[-1]) / dth**2
+    return d
+
+
 def graph_frame(rho: np.ndarray, spec: ManifoldSpec, grid: GraphGrid) -> GraphFrame:
     """Evaluate derivatives, metric factors and curvatures of rho(theta)."""
     dth = grid.dtheta
     rho_t = np.empty_like(rho)
     rho_t[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * dth)
     rho_t[0] = rho_t[-1] = 0.0
-    rho_tt = np.empty_like(rho)
-    rho_tt[1:-1] = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dth**2
-    rho_tt[0] = 2.0 * (rho[1] - rho[0]) / dth**2
-    rho_tt[-1] = 2.0 * (rho[-2] - rho[-1]) / dth**2
+    rho_tt = second_difference(rho, dth)
 
     v = spec.profile.value(rho)
     dv = spec.profile.deriv(rho)

@@ -79,6 +79,44 @@ class TestGraphFlow:
         with pytest.raises(SolverFailureError) as exc:
             L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 1.0, params)
         assert "steps" in exc.value.diagnostics
+        # plain numbers, so the CLI message shows no np.float64(...)
+        assert all(type(v) in (int, float) for v in exc.value.diagnostics.values())
+
+    @pytest.mark.parametrize("t_end", [1e-14, 5e-324])
+    def test_flow_shorter_than_the_underflow_floor_completes(self, schw3m1, t_end):
+        # the floor applies to the controller's step, not to the last
+        # step shortened to land on t_end
+        tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), t_end)
+        assert tr.status == "completed"
+        assert tr.times.tolist() == [0.0, t_end]
+        assert tr.stats["steps"] == 1
+
+    def test_step_count_does_not_grow_with_the_grid(self, schw3m1):
+        # an explicit stepper's dtheta^2 cap would take ~16x the steps at N=800
+        steps = {n: L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, n), 3.0).stats["steps"]
+                 for n in (200, 800)}
+        assert max(steps.values()) < 1000
+        assert abs(steps[800] / steps[200] - 1.0) <= 0.1
+
+    def test_final_q_converged_in_time(self, schw3m1):
+        f = L.sqrt_potential(schw3m1)
+        q_end = {}
+        for rel_tol in (L.SolverParams().rel_tol, 1e-10):
+            tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 3.0,
+                              L.SolverParams(rel_tol=rel_tol))
+            L.attach_quantities(tr, f, 1.0)
+            q_end[rel_tol] = tr.quantities[-1].q
+        default, tight = q_end.values()
+        assert abs(default - tight) <= 1e-10
+
+    def test_solver_counters(self, schw3m1):
+        tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 0.5)
+        st = tr.stats
+        attempts = st["steps"] + st["rejected"]
+        # one factorization per attempt; three new stages per attempt, one
+        # more right-hand side per accepted step and one at the start
+        assert st["factorizations"] == attempts
+        assert st["rhs_evals"] == 1 + 3 * attempts + st["steps"]
 
     def test_domain_guard(self, schw3m1):
         with pytest.raises(DomainError, match="r_max"):
@@ -115,6 +153,9 @@ class TestOutputTimes:
         assert tr.status == "completed"
         assert tr.halt_reason is None
         assert tr.stats["steps"] > 0
+        sphere = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 0.2)
+        assert sphere.stats == {"steps": 0, "rejected": 0, "rhs_evals": 0,
+                                "factorizations": 0}
         assert len(tr.surfaces) == len(tr.geometries) == len(tr.times)
 
 

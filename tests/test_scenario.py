@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import imcflab as L
+from imcflab import cli
 from imcflab.cli import main
-from imcflab.errors import ConfigError
+from imcflab.errors import ConfigError, SolverFailureError
 from imcflab.scenario import (_SCHEMA, CSV_HEADER, exit_code_for, parse_config,
                               render_csv, run_scenario, summary_dict)
 
@@ -489,6 +490,36 @@ class TestCli:
         agg = json.loads((out / "sweep_summary.json").read_text())
         assert [s["id"] for s in agg["scenarios"]] == ["a", "b"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_records_failing_configs_and_goes_on(self, tmp_path, monkeypatch,
+                                                       capsys, jobs):
+        self._recording_pool(monkeypatch)
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        for name in ("a", "c", "d"):
+            (cfgs / f"{name}.cfg").write_text(MINIMAL)
+        (cfgs / "b.cfg").write_text(MINIMAL + "\n[analysis]\nstatic_tol = -1\n")
+        real_run = cli.run_scenario
+
+        def run_scenario(cfg):
+            if cfg.scenario_id == "c":
+                raise SolverFailureError("step size underflow", {"t": 0.5})
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        out = tmp_path / "out"
+        # the first nonzero code by id
+        assert main(["sweep", "--config", str(cfgs), "--out", str(out),
+                     "--jobs", jobs]) == 2
+        agg = json.loads((out / "sweep_summary.json").read_text())
+        assert agg["exit_codes"] == {"a": 0, "b": 2, "c": 3, "d": 0}
+        assert agg["passed"] == 2 and agg["failed"] == 2
+        assert [s["id"] for s in agg["scenarios"]] == ["a", "b", "c", "d"]
+        assert sorted(p.name for p in out.glob("*.csv")) == ["a.csv", "d.csv"]
+        err = capsys.readouterr().err
+        assert "[b] config error: " in err and "static_tol" in err
+        assert "[c] solver failure: step size underflow" in err
+
 
 # Modules that only some runs need; a cold start must not load them.
 LAZY_MODULES = ("scipy", "concurrent.futures.process", "mpmath")
@@ -516,6 +547,15 @@ class TestColdStart:
         assert cold_start(["flow", "--config", str(tmp_path / "s.cfg"),
                            "--out", str(tmp_path / "out")]) == {"loaded": [], "code": 0}
         assert (tmp_path / "out" / "s.csv").exists()
+
+    def test_schwarzschild_graph_flow_loads_no_scipy(self, tmp_path):
+        (tmp_path / "g.cfg").write_text(
+            MINIMAL.replace("kind = sphere\nr0 = 4.0",
+                            "kind = graph\nrho0 = 4 + 0.3*P2(cos(theta))")
+            + "\n[solver]\nN = 40\nt_end = 0.5\n")
+        assert cold_start(["flow", "--config", str(tmp_path / "g.cfg"),
+                           "--out", str(tmp_path / "out")]) == {"loaded": [], "code": 0}
+        assert (tmp_path / "out" / "g.csv").exists()
 
     def test_custom_tabulated_profile_loads_scipy(self, tmp_path):
         (tmp_path / "c.cfg").write_text(custom_profile_config(tmp_path))
