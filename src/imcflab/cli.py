@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``flow``         run one scenario config, write CSV + JSON, exit per contract
-* ``sweep``        run every *.cfg in a directory (optionally in parallel)
+* ``sweep``        run every *.cfg in a directory (ids must be distinct)
 * ``static-check`` metric/potential diagnostics only, no flow
 * ``oracle``       print the closed-form Schwarzschild sphere reference chain
 
@@ -92,7 +92,7 @@ def _cmd_flow(args) -> int:
     csv_path, json_path = emit_outputs(report, cfg.csv_path, cfg.json_path)
     code = exit_code_for(report, strict=args.strict)
     v = report.verdicts
-    print(f"[{report.scenario_id}] status={report.status} "
+    print(f"[{report.scenario_id}] status={report.trace.status} "
           f"monotone={v['monotone']} worst_increase={v['worst_increase']:.3e} "
           f"deficit0={v['deficit_initial']:.3e} "
           f"area_residual={v['area_law_residual']:.3e}")
@@ -150,14 +150,20 @@ def _cmd_sweep(args) -> int:
             results = list(pool.map(_run_one, jobs))
     else:
         results = [_run_one(j) for j in jobs]
+    by_id: dict = {}  # ids are known only once a worker has parsed its config
+    for path, (sid, _c, _s) in zip(paths, results):
+        by_id.setdefault(sid, []).append(path.name)
+    shared = [f"scenario id {sid!r} is shared by configs {' and '.join(names)}"
+              for sid, names in sorted(by_id.items()) if len(names) > 1]
+    if shared:
+        raise ConfigError("; ".join(shared))
     results.sort(key=lambda r: r[0])
-    summaries = [s for (_i, _c, s) in results]
     codes = {i: c for (i, c, _s) in results}
     aggregate = {
-        "scenarios": summaries,
+        "scenarios": [s for (_i, _c, s) in results],
         "exit_codes": codes,
-        "passed": sum(1 for c in codes.values() if c == 0),
-        "failed": sum(1 for c in codes.values() if c != 0),
+        "passed": sum(1 for (_i, c, _s) in results if c == 0),
+        "failed": sum(1 for (_i, c, _s) in results if c != 0),
     }
     out_base = Path(args.out) if args.out is not None else cfg_dir
     out_base.mkdir(parents=True, exist_ok=True)

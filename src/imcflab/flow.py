@@ -27,10 +27,10 @@ constant right-hand side gives z = 0 exactly, so round graphs stay
 exactly round.  Steps land exactly on the requested output times, so
 emitted slices carry no interpolation error.
 
-Smoothness is assumed, not manufactured: losing mean convexity or
-touching the inner boundary halts the trace with a reason instead of
-regularizing, and step-size underflow raises a solver failure with
-diagnostics.
+Smoothness is assumed, not manufactured: each accepted step is tested
+once, and losing mean convexity ("H<=0") or a state at or inside r_min
+("horizon") halts the trace with that reason instead of regularizing;
+step-size underflow raises a solver failure with diagnostics.
 """
 
 from __future__ import annotations
@@ -228,9 +228,9 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
                params: SolverParams = SolverParams()) -> FlowTrace:
     """Method-of-lines IMCF for an axisymmetric radial graph.
 
-    The initial slice must pass :func:`require_mean_convex`.  The trace
-    halts with reason "H<=0" or "horizon" if smoothness or the domain
-    is lost mid-flow; both are reported, not raised.
+    The initial slice must pass :func:`require_mean_convex`.  Each accepted
+    state halts the trace with reason "H<=0" if min H <= 0, else "horizon"
+    if min rho <= r_min; halts are reported, not raised.
     """
     spec = graph.ambient
     require_reach(spec, float(np.max(graph.rho)), t_end)
@@ -239,7 +239,6 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
 
     times = output_times(t_end, params.dt_out)
     dth = grid.dtheta
-    horizon_guard = spec.r_min * (1.0 + 1e-9)
 
     def scaled_rms(v, y):
         scale = params.abs_tol + params.rel_tol * np.abs(y)
@@ -258,19 +257,12 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
     dt = 0.01 * scaled_rms(y, y) / max(scaled_rms(frame.w / frame.h, y), 1e-300)
 
     while emitted < len(times):
-        min_h = float(np.min(frame.h))
-        if min_h <= 0.0:
-            status, reason = "halted", "H<=0"
-            break
-        if float(np.min(y)) <= horizon_guard:
-            status, reason = "halted", "horizon"
-            break
-        diagnostics = {"t": t, "dt": float(dt), "steps": nsteps,
-                       "rejected": nrej, "min_H": min_h}
-        if nsteps + nrej > params.max_steps:
-            raise SolverFailureError("step budget exhausted", diagnostics)
-        if dt < 1e-13 * max(1.0, t):
-            raise SolverFailureError("step size underflow", diagnostics)
+        failure = ("step budget exhausted" if nsteps + nrej > params.max_steps else
+                   "step size underflow" if dt < 1e-13 * max(1.0, t) else None)
+        if failure:
+            raise SolverFailureError(failure, {
+                "t": t, "dt": float(dt), "steps": nsteps, "rejected": nrej,
+                "min_H": float(np.min(frame.h))})
 
         # land exactly on the next output; dt stays the controller's step
         t_next = float(times[emitted])
@@ -298,14 +290,14 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
             y = y_new
             frame = graph_frame(y, spec, grid)
             nevals += 1
+            min_h = float(np.min(frame.h))
+            if min_h <= 0.0 or float(np.min(y)) <= spec.r_min:
+                status, reason = "halted", "H<=0" if min_h <= 0.0 else "horizon"
+                break
             if at_output:
                 surf = AxisymmetricGraph(grid.theta, y.copy(), spec)
-                geom = graph_geometry(surf)
-                if not geom.mean_convex:
-                    status, reason = "halted", "H<=0"
-                    break
                 out_surfaces.append(surf)
-                out_geoms.append(geom)
+                out_geoms.append(graph_geometry(surf, frame))
                 emitted += 1
             grown = h * min(5.0, 0.9 / max(enorm, 1e-10) ** (1.0 / 3.0))
             # a step shortened to land on an output does not shrink the next

@@ -68,7 +68,7 @@ def _curvature_terms(geom: SurfaceGeometry, f: StaticPotential,
     n = geom.ambient.n
     om = unit_sphere_area(n - 1)
     if geom.kind == "sphere":
-        r = geom.sphere_radius
+        r = float(geom.radii[0])
         excess = float(f.excess(r, geom.ambient.profile))
         if not math.isfinite(excess):
             raise DomainError("weight not finite on the slice")
@@ -116,7 +116,7 @@ def hawking_mass(geom: SurfaceGeometry) -> float:
             f"Hawking mass is defined for n = 3, got n = {geom.ambient.n}")
     if geom.kind == "sphere":
         # integral(H^2)/16 pi is V on a coordinate sphere
-        u = geom.ambient.profile.mass_aspect(geom.sphere_radius)
+        u = geom.ambient.profile.mass_aspect(float(geom.radii[0]))
         return math.sqrt(geom.area / (16 * math.pi)) * float(u)
     wth2 = surface_integral(geom, geom.mean_curvature**2)
     return math.sqrt(geom.area / (16 * math.pi)) * (1.0 - wth2 / (16 * math.pi))

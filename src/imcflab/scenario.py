@@ -313,8 +313,6 @@ class RunReport:
     verdicts: dict
     tolerances: dict
     echo: dict
-    status: str
-    halt_reason: str | None
     warnings: list
     trace: FlowTrace
     runtime_seconds: float
@@ -329,8 +327,11 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     spec = cfg.manifold
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
     grid = np.geomspace(max(lo, 1e-6), spec.r_max, 200)
-    s_rr, s_tt = static_residual(spec, cfg.weight, grid)
-    harm = harmonicity_residual(spec, cfg.weight, grid)
+    # at huge r_max these overflow; a non-finite flux is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_rr, s_tt = static_residual(spec, cfg.weight, grid)
+        harm = harmonicity_residual(spec, cfg.weight, grid)
+        mass = float(adm_mass_flux(spec, cfg.reference_potential, spec.r_max))
     static_max = float(np.max(np.abs(np.stack([s_rr, s_tt]))))
     harmonic_max = float(np.max(np.abs(harm)))
     is_static = static_max < cfg.static_tol and harmonic_max < cfg.static_tol
@@ -338,7 +339,6 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     if cfg.potential_kind != "profile-weight" and not is_static:
         warning = (f"declared potential fails the static equation "
                    f"(max residual {static_max:.3e})")
-    mass = float(adm_mass_flux(spec, cfg.reference_potential, spec.r_max))
     if not math.isfinite(mass):
         raise ConfigError(f"[manifold] r_max = {spec.r_max:g}: the mass flux there is {mass}")
     return {"static_residual_max": static_max, "harmonic_residual_max": harmonic_max,
@@ -406,8 +406,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     }
     return RunReport(
         scenario_id=cfg.scenario_id, rows=rows, verdicts=verdicts,
-        tolerances=tolerances, echo=cfg.echo, status=trace.status,
-        halt_reason=trace.halt_reason, warnings=warnings, trace=trace,
+        tolerances=tolerances, echo=cfg.echo, warnings=warnings, trace=trace,
         runtime_seconds=time.perf_counter() - t_start)
 
 
@@ -424,7 +423,7 @@ def exit_code_for(report: RunReport, strict: bool = False) -> int:
         return 5
     if not report.verdicts["area_law_ok"]:
         return 3
-    if report.status != "completed":
+    if report.trace.status != "completed":
         return 3 if strict else 0
     if strict and report.warnings:
         return 6
@@ -437,8 +436,8 @@ def summary_dict(report: RunReport) -> dict:
     return {
         "id": report.scenario_id,
         "version": __version__,
-        "status": report.status,
-        "halt_reason": report.halt_reason,
+        "status": report.trace.status,
+        "halt_reason": report.trace.halt_reason,
         "limit_target": limit_target(n),
         "verdicts": report.verdicts,
         "tolerances": report.tolerances,

@@ -213,9 +213,8 @@ class SurfaceGeometry:
     """Derived extrinsic geometry of one slice.
 
     Per-node arrays have length 1 for coordinate spheres (every node is
-    equivalent) and grid length for graphs.  ``sphere_radius`` preserves the
-    exact defining radius of sphere slices so downstream consumers can
-    re-evaluate closed forms at full precision.
+    equivalent; ``radii[0]`` is the exact defining radius, so closed forms
+    re-evaluate at full precision) and grid length for graphs.
     """
 
     kind: str                       # "sphere" | "graph"
@@ -227,7 +226,6 @@ class SurfaceGeometry:
     mean_convex: bool
     theta: np.ndarray | None = None
     area_element: np.ndarray | None = None
-    sphere_radius: float | None = None
     simpson_w: np.ndarray | None = None
 
 
@@ -250,19 +248,22 @@ def sphere_geometry(sphere: CoordinateSphere) -> SurfaceGeometry:
     return SurfaceGeometry(
         kind="sphere", ambient=spec, radii=np.array([r]),
         mean_curvature=h * one, second_form_norm_sq=(h * h / (n - 1)) * one,
-        area=float(area), mean_convex=bool(h > 0.0), sphere_radius=float(r))
+        area=float(area), mean_convex=bool(h > 0.0))
 
 
-def graph_geometry(graph: AxisymmetricGraph) -> SurfaceGeometry:
+def graph_geometry(graph: AxisymmetricGraph,
+                   frame: GraphFrame | None = None) -> SurfaceGeometry:
     """Discrete geometry of an axisymmetric radial graph.
 
-    Mean-convexity loss (H <= 0 somewhere) is reported through the
+    ``frame`` is the graph's :func:`graph_frame`, evaluated here when not
+    given.  Mean-convexity loss (H <= 0 somewhere) is reported through the
     ``mean_convex`` flag rather than raised; a profile that is not
     positive at some node raises :class:`InsideHorizonError` (the graph's
     radii were checked against the domain when it was built).
     """
     spec, grid, rho = graph.ambient, graph.grid, graph.rho
-    frame = graph_frame(rho, spec, grid)
+    if frame is None:
+        frame = graph_frame(rho, spec, grid)
     if np.min(frame.v) <= 0.0:
         raise InsideHorizonError("profile nonpositive somewhere on the graph")
     asq = frame.k_meridian**2 + frame.k_parallel**2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import imcflab as L
+from imcflab import flow
 
 # the source tree the tests import imcflab from
 SRC_DIR = str(Path(L.__file__).resolve().parent.parent)
@@ -33,6 +34,24 @@ def p2_graph(spec, r0, amp, n_intervals):
     theta = np.linspace(0.0, np.pi, n_intervals + 1)
     rho = r0 + amp * (1.5 * np.cos(theta) ** 2 - 0.5)
     return L.AxisymmetricGraph(theta, rho, spec)
+
+
+def negative_h_beyond(monkeypatch, rho_lim):
+    """Make the flow's graph_frame report H < 0 at one node of every state
+    reaching past rho_lim, so a graph flow outgrowing rho_lim loses mean
+    convexity there; return the min radius of each state so reported."""
+    real = flow.graph_frame
+    flipped = []
+
+    def frame(rho, spec, grid):
+        fr = real(rho, spec, grid)
+        if np.min(rho) > rho_lim:
+            fr.h[len(rho) // 2] = -abs(fr.h[len(rho) // 2])
+            flipped.append(float(np.min(rho)))
+        return fr
+
+    monkeypatch.setattr(flow, "graph_frame", frame)
+    return flipped
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 import imcflab as L
 from imcflab.errors import DomainError, MeanConvexityError, SolverFailureError
 
-from conftest import p2_graph
+from conftest import negative_h_beyond, p2_graph
 
 
 class TestSphereFlow:
@@ -121,6 +121,26 @@ class TestGraphFlow:
     def test_domain_guard(self, schw3m1):
         with pytest.raises(DomainError, match="r_max"):
             L.flow_graph(L.AxisymmetricGraph.constant(800.0, schw3m1, 100), 2.0)
+
+    def test_graph_just_outside_the_horizon_completes(self, schw3m1):
+        # r_min = 2; only a state at or inside r_min halts with "horizon"
+        g = L.AxisymmetricGraph.constant(2.000000001, schw3m1, 200)
+        tr = L.flow_graph(g, 0.5)
+        assert tr.status == "completed" and tr.halt_reason is None
+        assert tr.times.tolist() == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        assert len(tr.surfaces) == len(tr.geometries) == 6
+
+    def test_loss_of_mean_convexity_halts(self, schw3m1, monkeypatch):
+        # rho = 4 e^(t/2) passes rho_lim at t = 0.25, between two outputs
+        rho_lim = 4.0 * math.exp(0.125)
+        flipped = negative_h_beyond(monkeypatch, rho_lim)
+        tr = L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 1.0)
+        assert tr.status == "halted" and tr.halt_reason == "H<=0"
+        assert flipped
+        assert tr.times.tolist() == pytest.approx([0.0, 0.1, 0.2])
+        assert len(tr.surfaces) == len(tr.geometries) == 3
+        assert all(g.mean_convex for g in tr.geometries)
+        assert max(np.max(s.rho) for s in tr.surfaces) < rho_lim
 
     def test_flow_then_measure_consistent_with_interpolation(self, schw3m1):
         # the area law makes log(area) linear in t, so the area of a direct

@@ -14,7 +14,7 @@ from imcflab.errors import ConfigError, SolverFailureError
 from imcflab.scenario import (_SCHEMA, CSV_HEADER, exit_code_for, parse_config,
                               render_csv, run_scenario, summary_dict)
 
-from conftest import child_env
+from conftest import child_env, negative_h_beyond
 
 MINIMAL = """
 [manifold]
@@ -222,7 +222,7 @@ class TestRunScenario:
         cfg = parse_config(MINIMAL, base_dir=tmp_path)
         report = run_scenario(cfg)
         v = report.verdicts
-        assert report.status == "completed"
+        assert report.trace.status == "completed"
         assert v["monotone"] and v["deficit_ok"] and v["area_law_ok"]
         assert v["overall_pass"]
         assert abs(v["worst_increase"]) < 1e-13
@@ -259,6 +259,18 @@ class TestRunScenario:
         assert exit_code_for(report) == 5
         report.verdicts["monotone"] = False
         assert exit_code_for(report) == 4  # monotonicity outranks deficit
+
+    def test_halt_on_lost_mean_convexity_warns(self, tmp_path, monkeypatch):
+        negative_h_beyond(monkeypatch, 4.0 * math.exp(0.125))
+        text = MINIMAL.replace("kind = sphere\nr0 = 4.0",
+                               "kind = graph\nrho0 = 4.0\n[solver]\nN = 100\nt_end = 1.0")
+        report = run_scenario(parse_config(text, base_dir=tmp_path))
+        assert report.trace.halt_reason == "H<=0"
+        assert [row["t"] for row in report.rows] == pytest.approx([0.0, 0.1, 0.2])
+        assert "flow halted early: H<=0" in report.warnings
+        assert summary_dict(report)["status"] == "halted"
+        assert exit_code_for(report) == 0
+        assert exit_code_for(report, strict=True) == 3
 
 
 class TestEmitOutputs:
@@ -349,6 +361,19 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("surface", ["kind = sphere\nr0 = 2.000000001",
+                                         "kind = graph\nrho0 = 2.000000001"],
+                             ids=["sphere", "graph"])
+    def test_flow_just_outside_the_horizon_exits_zero(self, tmp_path, capsys, surface):
+        # m = 1 puts r_min at the horizon r = 2
+        (tmp_path / "h.cfg").write_text(
+            MINIMAL.replace("kind = sphere\nr0 = 4.0", surface)
+            + "\n[solver]\nN = 200\nt_end = 0.5\n")
+        assert main(["flow", "--config", str(tmp_path / "h.cfg"),
+                     "--out", str(tmp_path)]) == 0
+        assert "status=completed" in capsys.readouterr().out
+        assert len((tmp_path / "h.csv").read_text().splitlines()) == 1 + 6
 
     def test_monotonicity_violation_exit_four(self, tmp_path):
         (tmp_path / "n.cfg").write_text(NEGCTL)
@@ -519,6 +544,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[b] config error: " in err and "static_tol" in err
         assert "[c] solver failure: step size underflow" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_rejects_configs_sharing_an_id(self, tmp_path, monkeypatch,
+                                                 capsys, jobs):
+        self._recording_pool(monkeypatch)
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        (cfgs / "a.cfg").write_text(MINIMAL + "\n[outputs]\nid = same\n")
+        (cfgs / "b.cfg").write_text(NEGCTL.replace("id = negctl", "id = same"))
+        # a config that fails is recorded under its file stem
+        (cfgs / "c.cfg").write_text(MINIMAL + "\n[outputs]\ncolour = red\n")
+        (cfgs / "d.cfg").write_text(MINIMAL + "\n[outputs]\nid = c\n")
+        (cfgs / "e.cfg").write_text(MINIMAL)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfgs), "--out", str(out),
+                     "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert "config error: " in err
+        assert "'same' is shared by configs a.cfg and b.cfg" in err
+        assert "'c' is shared by configs c.cfg and d.cfg" in err
+        assert not (out / "sweep_summary.json").exists()
 
 
 # Modules that only some runs need; a cold start must not load them.
