@@ -43,9 +43,9 @@ import numpy as np
 
 from .errors import DomainError, MeanConvexityError, SolverFailureError
 from .metrics import ManifoldSpec
-from .surfaces import (AxisymmetricGraph, CoordinateSphere, SurfaceGeometry,
-                       graph_frame, graph_geometry, second_difference,
-                       sphere_geometry)
+from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphFrame,
+                       SurfaceGeometry, graph_frame, graph_geometry,
+                       second_difference, sphere_geometry)
 
 __all__ = [
     "SolverParams",
@@ -163,10 +163,12 @@ def flow_sphere(sphere: CoordinateSphere, t_end: float,
                             "factorizations": 0})
 
 
-def require_mean_convex(graph: AxisymmetricGraph) -> SurfaceGeometry:
-    """The geometry of a graph that may start a flow: MeanConvexityError
-    unless it is strictly mean convex (min H > 1e-6)."""
-    geom = graph_geometry(graph)
+def require_mean_convex(graph: AxisymmetricGraph,
+                        frame: GraphFrame | None = None) -> SurfaceGeometry:
+    """The geometry of a graph that may start a flow, built on ``frame``
+    (its :func:`graph_frame`, evaluated when not given):
+    MeanConvexityError unless it is strictly mean convex (min H > 1e-6)."""
+    geom = graph_geometry(graph, frame)
     min_h = float(np.min(geom.mean_curvature))
     if min_h <= 1e-6:
         raise MeanConvexityError(
@@ -230,12 +232,18 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
 
     The initial slice must pass :func:`require_mean_convex`.  Each accepted
     state halts the trace with reason "H<=0" if min H <= 0, else "horizon"
-    if min rho <= r_min; halts are reported, not raised.
+    if min rho <= r_min; halts are reported, not raised.  Besides the
+    counters, ``stats`` holds the smallest and largest accepted step
+    (``dt_min``, ``dt_max``) and the margins to a halt over the initial
+    and every accepted state: ``min_H`` and ``min_rho_margin``
+    (min rho - r_min).
     """
     spec = graph.ambient
     require_reach(spec, float(np.max(graph.rho)), t_end)
     grid = graph.grid
-    geom0 = require_mean_convex(graph)
+    y = graph.rho.copy()
+    frame = graph_frame(y, spec, grid)
+    geom0 = require_mean_convex(graph, frame)
 
     times = output_times(t_end, params.dt_out)
     dth = grid.dtheta
@@ -244,15 +252,16 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
         scale = params.abs_tol + params.rel_tol * np.abs(y)
         return float(np.sqrt(np.mean((v / scale) ** 2)))
 
-    y = graph.rho.copy()
     t = 0.0
-    frame = graph_frame(y, spec, grid)
     out_surfaces = [graph]
     out_geoms = [geom0]
     emitted = 1
     status, reason = "completed", None
     nsteps = nrej = nfact = 0
     nevals = 1
+    dt_min, dt_max = math.inf, 0.0
+    min_h_seen = float(np.min(frame.h))
+    min_rho_seen = float(np.min(y))
     # Hairer's starting step: 1% of the time scale |y| / |dy/dt|
     dt = 0.01 * scaled_rms(y, y) / max(scaled_rms(frame.w / frame.h, y), 1e-300)
 
@@ -286,12 +295,14 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
             continue
         if enorm <= 1.0:
             nsteps += 1
+            dt_min, dt_max = min(dt_min, h), max(dt_max, h)
             t = t_next if at_output else t + h
             y = y_new
             frame = graph_frame(y, spec, grid)
             nevals += 1
-            min_h = float(np.min(frame.h))
-            if min_h <= 0.0 or float(np.min(y)) <= spec.r_min:
+            min_h, min_rho = float(np.min(frame.h)), float(np.min(y))
+            min_h_seen, min_rho_seen = min(min_h_seen, min_h), min(min_rho_seen, min_rho)
+            if min_h <= 0.0 or min_rho <= spec.r_min:
                 status, reason = "halted", "H<=0" if min_h <= 0.0 else "horizon"
                 break
             if at_output:
@@ -309,7 +320,10 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
     return FlowTrace(times=times[:emitted].copy(), surfaces=out_surfaces,
                      geometries=out_geoms, status=status, halt_reason=reason,
                      stats={"steps": nsteps, "rejected": nrej,
-                            "rhs_evals": nevals, "factorizations": nfact})
+                            "rhs_evals": nevals, "factorizations": nfact,
+                            "dt_min": dt_min, "dt_max": dt_max,
+                            "min_H": min_h_seen,
+                            "min_rho_margin": min_rho_seen - spec.r_min})
 
 
 def area_residual(t: float, area: float, area0: float) -> float:

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-# scipy is imported inside the functions that need it (tabulated data and
-# horizon search): loading scipy.interpolate dominates a cold start.
 
 from .errors import DomainError, FitQualityError, InsideHorizonError
 
@@ -64,17 +62,78 @@ def _maybe_item(x):
     return arr.item() if arr.ndim == 0 else arr
 
 
-def _spline(r, y):
-    """Cubic spline through tabulated (r, y): matching 1-d arrays of at
-    least 4 samples with strictly increasing radii."""
-    r = np.asarray(r, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if r.ndim != 1 or r.shape != y.shape or r.size < 4:
+class _Spline:
+    """A piecewise polynomial of degree 1 to 3 on the knots ``x``.
+
+    ``c[k][i]`` multiplies (r - x[i])^(deg - k) on piece i, highest power
+    first, and the end pieces extrapolate.  The powers are summed from the
+    constant up, with s^2 = s*s and s^3 = s^2*s: the rounding of the usual
+    compiled PPoly evaluator, which the tests use as the reference.
+    """
+
+    def __init__(self, x: np.ndarray, c: tuple):
+        self.x = x
+        self._c = c
+        self._inner = x[1:-1]
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        i = self._inner.searchsorted(r, "right")  # the piece; ends extrapolate
+        s = r - self.x[i]
+        c = self._c
+        out = c[-1][i] + c[-2][i] * s
+        if len(c) > 2:
+            s2 = s * s
+            out = out + c[-3][i] * s2
+            if len(c) > 3:
+                out = out + c[-4][i] * (s2 * s)
+        return out
+
+    def derivative(self, nu: int = 1) -> "_Spline":
+        """The nu-th derivative, for 1 <= nu < degree."""
+        deg = len(self._c) - 1
+        return _Spline(self.x, tuple(
+            ck * float(math.perm(deg - k, nu)) for k, ck in enumerate(self._c[:-nu])))
+
+
+def _spline(r, y) -> _Spline:
+    """Not-a-knot cubic spline through tabulated (r, y): matching 1-d
+    arrays of at least 4 finite samples with strictly increasing radii.
+
+    It is built as the reference CubicSpline builds it.  The knot slopes
+    solve a tridiagonal system with diagonally dominant interior rows,
+    eliminated in LAPACK gtsv's order without row swaps; on tables whose
+    neighbouring intervals differ little gtsv swaps none either, and the
+    spline agrees bit for bit.
+    """
+    x = np.array(r, dtype=float)
+    y = np.array(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 4:
         raise ValueError("need matching 1-d arrays with at least 4 samples")
-    if np.any(np.diff(r) <= 0):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("samples must be finite")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
         raise ValueError("sample radii must be strictly increasing")
-    from scipy.interpolate import CubicSpline
-    return CubicSpline(r, y)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = np.concatenate(([d0], dx[:-1])).tolist()
+    lower = np.concatenate((dx[1:], [d1])).tolist()
+    b = np.concatenate((
+        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])).tolist()
+    for i in range(len(b) - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= diag[-1]
+    for i in range(len(b) - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    s = np.array(b)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return _Spline(x, (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 def unit_sphere_area(k: int) -> float:
@@ -416,13 +475,20 @@ def rescale_to_unit(spec: ManifoldSpec, f: StaticPotential,
                            deriv2=lambda r: f.deriv2(r) / c)
 
 
+_RTOL = 4.0 * np.finfo(float).eps  # relative part of the bisection stopping rule
+
+
 def horizon_radius(spec: ManifoldSpec, xtol: float = 1e-12) -> float | None:
     """Smallest root of V(r) = 0 below r_max, or None when V stays positive.
 
     Brackets by scanning a log grid from the inner end of the profile's
-    support and refines by bisection to ``xtol``; absence of a horizon
-    (e.g. nonpositive-mass Schwarzschild) is a normal result, not an error.
+    support and refines by bisection until the half-step is below
+    ``xtol + 4 eps r`` (the classic stopping rule, so the root agrees bit
+    for bit with the usual library bisection); absence of a horizon (e.g.
+    nonpositive-mass Schwarzschild) is a normal result, not an error.
     """
+    if not xtol > 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol!r}")
     lo = 1e-8
     if spec.profile.support is not None:
         lo = max(lo, spec.profile.support[0])
@@ -436,5 +502,14 @@ def horizon_radius(spec: ManifoldSpec, xtol: float = 1e-12) -> float | None:
     i = int(sign_change[0])
     if vals[i] == 0.0:
         return float(grid[i])
-    from scipy.optimize import bisect
-    return float(bisect(spec.profile.value, grid[i], grid[i + 1], xtol=xtol))
+    if vals[i + 1] == 0.0:
+        return float(grid[i + 1])
+    xa, fa, dm = float(grid[i]), vals[i], float(grid[i + 1] - grid[i])
+    while True:
+        dm *= 0.5
+        xm = xa + dm
+        fm = spec.profile.value(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < xtol + _RTOL * abs(xm):
+            return xm

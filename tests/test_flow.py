@@ -118,6 +118,32 @@ class TestGraphFlow:
         assert st["factorizations"] == attempts
         assert st["rhs_evals"] == 1 + 3 * attempts + st["steps"]
 
+    def test_solver_margins(self, schw3m1):
+        tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 0.5)
+        st = tr.stats
+        assert 0.0 < st["dt_min"] <= st["dt_max"] <= 0.1 + 1e-14
+        # the margins cover every accepted state, the emitted ones included
+        assert 0.0 < st["min_H"] <= min(np.min(g.mean_curvature) for g in tr.geometries)
+        assert 0.0 < st["min_rho_margin"] == np.min(tr.surfaces[0].rho) - schw3m1.r_min
+
+    def test_each_state_frame_evaluated_once(self, schw3m1, monkeypatch):
+        # the t = 0 frame feeds the mean-convexity test and the first slice
+        calls = {"flow": 0, "surfaces": 0}
+        for module, key in ((L.flow, "flow"), (L.surfaces, "surfaces")):
+            def counted(*args, _real=module.graph_frame, _key=key):
+                calls[_key] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, "graph_frame", counted)
+        tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 0.5)
+        assert calls == {"flow": tr.stats["rhs_evals"], "surfaces": 0}
+
+    def test_area_residual_converges_at_second_order(self, schw3m1):
+        # pins the O(dtheta^2) scheme behind the default eps_mono
+        res = [L.area_law_residual(L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, n), 3.0))
+               for n in (100, 200, 400)]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(res, res[1:])]
+        assert all(1.8 <= p <= 2.3 for p in orders), (res, orders)
+
     def test_domain_guard(self, schw3m1):
         with pytest.raises(DomainError, match="r_max"):
             L.flow_graph(L.AxisymmetricGraph.constant(800.0, schw3m1, 100), 2.0)
@@ -136,7 +162,7 @@ class TestGraphFlow:
         flipped = negative_h_beyond(monkeypatch, rho_lim)
         tr = L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 1.0)
         assert tr.status == "halted" and tr.halt_reason == "H<=0"
-        assert flipped
+        assert flipped and tr.stats["min_H"] < 0.0
         assert tr.times.tolist() == pytest.approx([0.0, 0.1, 0.2])
         assert len(tr.surfaces) == len(tr.geometries) == 3
         assert all(g.mean_convex for g in tr.geometries)

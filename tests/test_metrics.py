@@ -3,9 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.optimize import bisect
 
 import imcflab as L
 from imcflab.errors import DomainError, FitQualityError
+from imcflab.metrics import _spline
 
 from conftest import SUITE_NM, suite_grid
 from oracles import scalar_curvature_fd, static_tensor_fd
@@ -239,6 +242,38 @@ class TestHorizonRadius:
         assert L.horizon_radius(L.ManifoldSpec.schwarzschild(3, -1.0)) is None
         assert L.horizon_radius(flat3) is None
 
+    @staticmethod
+    def _reference_root(spec, lo=1e-8):
+        """The library bisection on the first sign change of V over the
+        same 512-point log grid, the reference for the in-package one."""
+        grid = np.geomspace(lo, spec.r_max, 512)
+        vals = spec.profile.value(grid)
+        i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)[0][0]
+        return bisect(spec.profile.value, grid[i], grid[i + 1], xtol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_root_equals_library_bisection(self, n, m):
+        spec = L.ManifoldSpec.schwarzschild(n, m)
+        assert L.horizon_radius(spec) == self._reference_root(spec)
+
+    def test_sampled_root_equals_library_bisection(self):
+        # the library bisection on the library spline of the same table
+        r = np.geomspace(1.2, 2000.0, 700)
+        ref = CubicSpline(r, 1.0 - 2.0 / r)
+        spec_ref = L.ManifoldSpec.custom(
+            L.RadialProfile(ref, ref.derivative(1), ref.derivative(2),
+                            support=(1.2, 2000.0)), 3, r_min=2.5)
+        spec = L.ManifoldSpec.custom(
+            L.RadialProfile.from_samples(r, 1.0 - 2.0 / r), 3, r_min=2.5)
+        assert L.horizon_radius(spec) == self._reference_root(spec_ref, lo=1.2)
+
+    @pytest.mark.parametrize("xtol", [0.0, -1.0, math.nan])
+    def test_non_positive_xtol_rejected(self, schw3m1, xtol):
+        # the bisection stops only once its half-step is below xtol + 4 eps r
+        with pytest.raises(ValueError, match="xtol"):
+            L.horizon_radius(schw3m1, xtol=xtol)
+
     def test_sampled_profile_horizon(self):
         r = np.linspace(1.8, 30.0, 4000)
         profile = L.RadialProfile.from_samples(r, 1.0 - 2.0 / r)
@@ -259,6 +294,46 @@ class TestDerivativeConsistency:
                 errs.append(abs(fd - deriv(r)))
             order = math.log2(errs[0] / errs[1])
             assert order > 1.9
+
+
+class TestSpline:
+    @staticmethod
+    def _uneven_table(num=600):
+        """A Schwarzschild V on num knots from 2.1 to 1000 whose spacing
+        grows geometrically with a random +-25% jitter."""
+        steps = np.geomspace(1.0, 50.0, num - 1) * np.random.default_rng(7).uniform(
+            0.8, 1.25, num - 1)
+        cum = np.concatenate(([0.0], np.cumsum(steps)))
+        r = 2.1 + 997.9 * cum / cum[-1]
+        return r, 1.0 - 2.0 / r
+
+    def test_matches_library_cubic_spline(self):
+        r, v = self._uneven_table()
+        ours, ref = _spline(r, v), CubicSpline(r, v)
+        probes = np.concatenate((r, 0.5 * (r[1:] + r[:-1]),
+                                 [1.0, 2.0, 2.09, 1000.5, 1100.0, 5000.0]))
+        for nu in (0, 1, 2):
+            got = ours(probes) if nu == 0 else ours.derivative(nu)(probes)
+            want = ref(probes) if nu == 0 else ref.derivative(nu)(probes)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), nu
+        assert np.array_equal(ours(r), ref(r))
+        assert np.array_equal(ours(r[:-1]), v[:-1])
+        assert ours(r[5]) == v[5] and ours.x[0] == 2.1 and ours.x[-1] == r[-1]
+
+    @pytest.mark.parametrize("r, y, match", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "at least 4 samples"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0], "at least 4 samples"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "at least 4 samples"),
+        ([1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0], "strictly increasing"),
+        ([1.0, 3.0, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0], "strictly increasing"),
+        ([1.0, 2.0, np.nan, 4.0], [1.0, 2.0, 3.0, 4.0], "finite"),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, np.inf, 3.0, 4.0], "finite"),
+    ])
+    def test_input_checks(self, r, y, match):
+        with pytest.raises(ValueError, match=match):
+            _spline(r, y)
+        with pytest.raises(ValueError, match=match):
+            L.RadialProfile.from_samples(np.asarray(r), np.asarray(y))
 
 
 class TestSampledProfiles:

@@ -73,6 +73,17 @@ def custom_profile_config(tmp_path) -> str:
             "[analysis]\ntail_lo = 100\ntail_hi = 800\n")
 
 
+def sampled_potential_config(tmp_path) -> str:
+    """Write a tabulated sqrt(V) for m = -0.5 Schwarzschild, running past
+    r_max (the mass flux differentiates it there), to tmp_path/pot.txt and
+    return a sphere config weighted by it (``kind = file``)."""
+    r = np.geomspace(1.0, 4000.0, 3000)
+    np.savetxt(tmp_path / "pot.txt", np.column_stack([r, np.sqrt(1 + 1 / r)]))
+    return ("[manifold]\nfamily = schwarzschild\nn = 3\nm = -0.5\n"
+            "[potential]\nkind = file\nfile = pot.txt\n"
+            "[surface]\nkind = sphere\nr0 = 4.0\n[solver]\nt_end = 1.0\n")
+
+
 NOT_MEAN_CONVEX = "[surface] invalid: initial slice is not strictly mean convex"
 
 # (section, key, value) edits of a valid n=3, m=1, r0=4, t_end=3 sphere
@@ -603,9 +614,22 @@ class TestColdStart:
                            "--out", str(tmp_path / "out")]) == {"loaded": [], "code": 0}
         assert (tmp_path / "out" / "g.csv").exists()
 
-    def test_custom_tabulated_profile_loads_scipy(self, tmp_path):
+    def test_custom_tabulated_profile_loads_no_scipy(self, tmp_path):
         (tmp_path / "c.cfg").write_text(custom_profile_config(tmp_path))
         assert cold_start(["flow", "--config", str(tmp_path / "c.cfg"),
-                           "--out", str(tmp_path / "out")]) == {"loaded": ["scipy"],
-                                                                "code": 0}
+                           "--out", str(tmp_path / "out")]) == {"loaded": [], "code": 0}
         assert (tmp_path / "out" / "c.csv").exists()
+
+    def test_sweep_over_tabulated_inputs_loads_no_scipy(self, tmp_path):
+        # a custom profile and a sampled potential, the sweep's spline paths
+        (tmp_path / "c.cfg").write_text(custom_profile_config(tmp_path))
+        (tmp_path / "p.cfg").write_text(sampled_potential_config(tmp_path))
+        assert cold_start(["sweep", "--config", str(tmp_path), "--jobs", "1",
+                           "--out", str(tmp_path / "out")]) == {"loaded": [], "code": 0}
+        summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        assert summary["exit_codes"] == {"c": 0, "p": 0}
+
+    def test_static_check_horizon_search_loads_no_scipy(self, tmp_path):
+        (tmp_path / "s.cfg").write_text(MINIMAL)
+        assert cold_start(["static-check", "--config",
+                           str(tmp_path / "s.cfg")]) == {"loaded": [], "code": 0}
