@@ -18,14 +18,17 @@ only the stiff diffusion part of the Jacobian,
     J_D = diag(1 / (H^2 E)) D2,
 
 with D2 the reflecting second difference of the curvature stencil.  The
-step size is therefore set by accuracy alone, not by a dtheta^2
-stability bound, and a flow takes about the same number of steps at any
-grid size.  Each step factors the tridiagonal I - gamma dt J_D once and
-reuses the factors for all four stages.  Since J_D has zero row sums,
-every solve is split as x = b[0] + z with z solving for b - b[0]: a
-constant right-hand side gives z = 0 exactly, so round graphs stay
-exactly round.  Steps land exactly on the requested output times, so
-emitted slices carry no interpolation error.
+stages are taken in transformed form (Hairer & Wanner, Solving ODEs II,
+IV.7), where J_D enters the W-matrix and nothing else, and the new state
+is the last stage's input plus the last stage (the method is stiffly
+accurate).  The step size is set by accuracy alone, not by a dtheta^2
+stability bound, so a flow takes about the same number of steps at any
+grid size.  Each step factors the tridiagonal I - gamma dt J_D once for
+all four stages.  Since J_D has zero row sums, every solve is split as
+x = b[0] + z with z solving for b - b[0]: a constant right-hand side
+gives z = 0 exactly, so round graphs stay exactly round.  Steps land
+exactly on the requested output times, so emitted slices carry no
+interpolation error.
 
 Smoothness is assumed, not manufactured: each accepted step is tested
 once, and losing mean convexity ("H<=0") or a state at or inside r_min
@@ -45,7 +48,7 @@ from .errors import DomainError, MeanConvexityError, SolverFailureError
 from .metrics import ManifoldSpec
 from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphFrame,
                        SurfaceGeometry, graph_frame, graph_geometry,
-                       second_difference, sphere_geometry)
+                       sphere_geometry)
 
 __all__ = [
     "SolverParams",
@@ -176,8 +179,8 @@ def require_mean_convex(graph: AxisymmetricGraph,
     return geom
 
 
-# ROS34PW2 (Rang & Angermann 2005): stage i solves
-#   (I - gamma dt J) k_i = dt f(y + sum_j ALPHA[i][j] k_j) + dt J sum_j GAMMA[i][j] k_j,
+# ROS34PW2 (Rang & Angermann 2005) in its standard form: stage i solves
+#   (I - gamma dt J) k_i = dt f(y + sum_j ALPHA[i][j] k_j) + dt J sum_j GAMMA_IJ[i][j] k_j,
 # then y_new = y + sum B[i] k_i, and sum (B - B_HAT)[i] k_i estimates its error.
 _GAMMA = 0.435866521508459
 _ALPHA = ((), (0.87173304301691801,),
@@ -187,41 +190,67 @@ _GAMMA_IJ = ((), (-0.87173304301691801,),
              (0.24212380706095346, -1.2232505839045147, 0.54526025533510214))
 _B = (0.24212380706095346, -1.2232505839045147, 1.5452602553351020, _GAMMA)
 _B_HAT = (0.37810903145819369, -0.096042292212423178, 0.5, 0.2179332607542295)
-_B_ERR = tuple(b - b_hat for b, b_hat in zip(_B, _B_HAT))
+
+
+def _times_g_inv(row):
+    """row G^-1 over the first len(row) stages, G lower triangular with
+    gamma on its diagonal and GAMMA_IJ below it: x solves x G = row."""
+    x = list(row)
+    for j in reversed(range(len(x))):
+        x[j] = (x[j] - sum(x[k] * _GAMMA_IJ[k][j] for k in range(j + 1, len(x)))) / _GAMMA
+    return tuple(x)
+
+
+# In the transformed stages u_i = sum_j G[i][j] k_j, stage i solves
+#   (I - gamma dt J) u_i = gamma dt f(y + sum_j A_U[i][j] u_j) + sum_j C_U[i][j] u_j,
+# so J enters the W-matrix only.  The method is stiffly accurate
+# (B G^-1 = A_U[3] + e_4): y_new is stage 4's input plus u_4, and
+# sum E_U[i] u_i is the error estimate.
+_A_U = tuple(_times_g_inv(row) for row in _ALPHA)
+_C_U = tuple(tuple(-_GAMMA * x for x in _times_g_inv([0.0] * i + [1.0])[:-1])
+             for i in range(4))
+_E_U = _times_g_inv([b - b_hat for b, b_hat in zip(_B, _B_HAT)])
 
 
 def _combine(coeffs, vectors):
-    """sum_j coeffs[j] * vectors[j], skipping zero coefficients."""
-    return sum(c * v for c, v in zip(coeffs, vectors) if c)
+    """sum_j coeffs[j] * vectors[j], added left to right into a new array."""
+    out = coeffs[0] * vectors[0]
+    for c, v in zip(coeffs[1:], vectors[1:]):
+        out += c * v
+    return out
 
 
 def _w_solver(s: np.ndarray):
     """Factor the W-matrix I - gamma dt J_D = I - diag(s) dtheta^2 D2, with
     s = gamma dt / (H^2 E dtheta^2), and return its solve x = b[0] + z.
 
-    The matrix is tridiagonal and diagonally dominant, so the Thomas
-    factorization needs no pivoting.  Its rows sum to one, so z solves for
-    b - b[0] and a constant b gives z = 0 exactly.
+    Row i is -s_i, 1 + 2 s_i, -s_i, with the outer entry doubled in the
+    reflecting pole rows.  The matrix is diagonally dominant, so the Thomas
+    factorization needs no pivoting and its pivots are at least 1.  With
+    the inverse pivots q, the elimination is two sweeps with one
+    coefficient each over z = q (b - b[0]): z_i += f_i z_(i-1) forward and
+    z_i += c_i z_(i+1) backward, where f_i and c_i are s_i q_i, doubled at
+    the poles.  The rows sum to one, so a constant b gives z = 0 exactly.
     """
-    s = s.tolist()
-    n = len(s)
-    upper = [-2.0 * s[0]] + [-si for si in s[1:-1]]
-    lower = [-si for si in s[1:-1]] + [-2.0 * s[-1]]
-    mult = [0.0] * n
-    inv_piv = [0.0] * n
-    inv_piv[0] = 1.0 / (1.0 + 2.0 * s[0])
-    for i in range(1, n):
-        mult[i] = lower[i - 1] * inv_piv[i - 1]
-        inv_piv[i] = 1.0 / (1.0 + 2.0 * s[i] - mult[i] * upper[i - 1])
+    n = s.size
+    couple = s[1:] * s[:-1]          # sub- times superdiagonal
+    couple[0] *= 2.0
+    couple[-1] *= 2.0
+    p = 0.0
+    q = np.fromiter([p := 1.0 / (d - x * p) for d, x in
+                     zip((1.0 + 2.0 * s).tolist(), [0.0, *couple.tolist()])], float, n)
+    sq = s * q
+    f = [0.0, *sq[1:].tolist()]
+    f[-1] *= 2.0
+    c = [0.0, *sq[-2::-1].tolist()]  # backward order
+    c[-1] *= 2.0
 
     def solve(b: np.ndarray) -> np.ndarray:
-        z = (b - b[0]).tolist()
-        for i in range(1, n):
-            z[i] -= mult[i] * z[i - 1]
-        z[-1] *= inv_piv[-1]
-        for i in range(n - 2, -1, -1):
-            z[i] = (z[i] - upper[i] * z[i + 1]) * inv_piv[i]
-        return b[0] + np.array(z)
+        z = 0.0
+        fwd = [z := zi + fi * z for zi, fi in zip((q * (b - b[0])).tolist(), f)]
+        z = 0.0
+        back = [z := zi + ci * z for zi, ci in zip(reversed(fwd), c)]
+        return b[0] + np.fromiter(reversed(back), float, n)
 
     return solve
 
@@ -233,7 +262,8 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
     The initial slice must pass :func:`require_mean_convex`.  Each accepted
     state halts the trace with reason "H<=0" if min H <= 0, else "horizon"
     if min rho <= r_min; halts are reported, not raised.  Besides the
-    counters, ``stats`` holds the smallest and largest accepted step
+    counters, ``stats`` holds ``landing_steps`` (accepted steps shortened
+    to land on an output time), the smallest and largest accepted step
     (``dt_min``, ``dt_max``) and the margins to a halt over the initial
     and every accepted state: ``min_H`` and ``min_rho_margin``
     (min rho - r_min).
@@ -257,7 +287,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
     out_geoms = [geom0]
     emitted = 1
     status, reason = "completed", None
-    nsteps = nrej = nfact = 0
+    nsteps = nrej = nfact = nland = 0
     nevals = 1
     dt_min, dt_max = math.inf, 0.0
     min_h_seen = float(np.min(frame.h))
@@ -278,23 +308,24 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
         at_output = t + dt >= t_next - 1e-14
         h = t_next - t if at_output else dt
 
-        diffusion = 1.0 / (frame.h**2 * frame.e)
-        solve = _w_solver((_GAMMA * h / dth**2) * diffusion)
+        gh = _GAMMA * h
+        solve = _w_solver((gh / dth**2) / (frame.h**2 * frame.e))
         nfact += 1
-        ks = [solve(h * (frame.w / frame.h))]
-        for i in range(1, 4):
-            stage = graph_frame(y + _combine(_ALPHA[i], ks), spec, grid)
-            coupled = diffusion * second_difference(_combine(_GAMMA_IJ[i], ks), dth)
-            ks.append(solve(h * (stage.w / stage.h + coupled)))
+        us = [solve(gh * (frame.w / frame.h))]
+        for a_row, c_row in zip(_A_U[1:], _C_U[1:]):
+            y_stage = y + _combine(a_row, us)
+            stage = graph_frame(y_stage, spec, grid)
+            us.append(solve(gh * (stage.w / stage.h) + _combine(c_row, us)))
         nevals += 3
-        y_new = y + _combine(_B, ks)
-        enorm = scaled_rms(_combine(_B_ERR, ks), y_new)
+        y_new = y_stage + us[3]
+        enorm = scaled_rms(_combine(_E_U, us), y_new)
         if not (np.all(np.isfinite(y_new)) and math.isfinite(enorm)):
             nrej += 1
             dt = 0.25 * h
             continue
         if enorm <= 1.0:
             nsteps += 1
+            nland += h < dt             # shortened to land on an output
             dt_min, dt_max = min(dt_min, h), max(dt_max, h)
             t = t_next if at_output else t + h
             y = y_new
@@ -321,7 +352,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
                      geometries=out_geoms, status=status, halt_reason=reason,
                      stats={"steps": nsteps, "rejected": nrej,
                             "rhs_evals": nevals, "factorizations": nfact,
-                            "dt_min": dt_min, "dt_max": dt_max,
+                            "landing_steps": nland, "dt_min": dt_min, "dt_max": dt_max,
                             "min_H": min_h_seen,
                             "min_rho_margin": min_rho_seen - spec.r_min})
 

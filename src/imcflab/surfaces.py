@@ -30,6 +30,7 @@ principal curvatures.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,7 +68,8 @@ class CoordinateSphere:
 @dataclass(frozen=True)
 class GraphGrid:
     """Precomputed uniform theta grid machinery shared by geometry and flow;
-    :meth:`make` owns the grid rules (uniform over [0, pi], N even in [8, MAX_INTERVALS])."""
+    :meth:`make` owns the grid rules (uniform over [0, pi], N even in [8, MAX_INTERVALS])
+    and caches its last few grids, so callers of one N share read-only arrays."""
 
     MAX_INTERVALS = 10_000  # caps what a config allocates; refinement needs 3200
 
@@ -78,6 +80,7 @@ class GraphGrid:
     simpson_w: np.ndarray   # composite Simpson weights including dtheta/3
 
     @classmethod
+    @functools.lru_cache(maxsize=8, typed=True)
     def make(cls, n_intervals: int) -> "GraphGrid":
         if not 8 <= n_intervals <= cls.MAX_INTERVALS or n_intervals % 2:
             raise ValueError(f"grid needs an even number of intervals from 8 "
@@ -90,7 +93,10 @@ class GraphGrid:
         w = np.ones(n_intervals + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        return cls(theta, dtheta, sin_t, cot_t, w * (dtheta / 3.0))
+        grid = cls(theta, dtheta, sin_t, cot_t, w * (dtheta / 3.0))
+        for a in (grid.theta, grid.sin_t, grid.cot_t, grid.simpson_w):
+            a.flags.writeable = False
+        return grid
 
 
 class GraphFrame(NamedTuple):

@@ -118,6 +118,23 @@ class TestGraphFlow:
         assert st["factorizations"] == attempts
         assert st["rhs_evals"] == 1 + 3 * attempts + st["steps"]
 
+    def test_landing_steps(self, schw3m1):
+        # accepted steps shortened to land on an output: at most one per output
+        g = p2_graph(schw3m1, 4.0, 0.3, 100)
+        assert L.flow_graph(g, 0.1).stats["landing_steps"] == 1
+        for t_end, dt_out in ((1.0, 0.05), (0.01, 0.001)):
+            tr = L.flow_graph(g, t_end, L.SolverParams(dt_out=dt_out))
+            assert 0 < tr.stats["landing_steps"] <= len(tr.times) - 1
+        assert tr.stats["landing_steps"] == tr.stats["steps"] == 10
+
+    def test_surfaces_share_one_read_only_grid(self, schw3m1):
+        grid = L.GraphGrid.make(200)
+        assert L.GraphGrid.make(200) is grid
+        for a in (grid.theta, grid.sin_t, grid.cot_t, grid.simpson_w):
+            assert not a.flags.writeable
+        tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 0.5)
+        assert all(s.grid is grid for s in tr.surfaces)
+
     def test_solver_margins(self, schw3m1):
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 0.5)
         st = tr.stats
@@ -177,6 +194,56 @@ class TestGraphFlow:
         direct = fine.geometries[1].area
         interp = math.sqrt(coarse.geometries[0].area * coarse.geometries[1].area)
         assert abs(direct / interp - 1.0) < 1e-5
+
+
+def w_matrix(s):
+    """The dense W-matrix I - diag(s) dtheta^2 D2, reflecting rows included."""
+    n = s.size
+    m = np.diag(1.0 + 2.0 * s)
+    m[np.arange(1, n - 1), np.arange(0, n - 2)] = -s[1:-1]
+    m[np.arange(1, n - 1), np.arange(2, n)] = -s[1:-1]
+    m[0, 1], m[-1, -2] = -2.0 * s[0], -2.0 * s[-1]
+    return m
+
+
+class TestWSolver:
+    @pytest.mark.parametrize("n_int", [8, 100, 3200])
+    @pytest.mark.parametrize("spread", ["wide", "zero"])
+    def test_matches_dense_oracle(self, n_int, spread):
+        rng = np.random.default_rng(n_int)
+        s = np.zeros(n_int + 1)
+        if spread == "wide":
+            s = 10.0 ** rng.uniform(-6.0, 6.0, n_int + 1)
+            s[rng.choice(n_int + 1, 3, replace=False)] = 0.0
+            s[[0, -1]] = 1e6, 0.0
+        b = rng.standard_normal(n_int + 1)
+        b_in = b.copy()
+        x = L.flow._w_solver(s)(b)
+        oracle = np.linalg.solve(w_matrix(s), b)
+        assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert np.array_equal(b, b_in)
+        const = np.full(n_int + 1, 3.7)
+        assert np.array_equal(L.flow._w_solver(s)(const), const)
+
+    def test_transformed_coefficients_match_the_tableau(self):
+        F = L.flow
+
+        def lower(rows, diag=0.0):
+            m = np.diag(np.full(4, diag))
+            for i, row in enumerate(rows):
+                m[i, :len(row)] = row
+            return m
+
+        g = lower(F._GAMMA_IJ, F._GAMMA)
+        g_inv = np.linalg.inv(g)
+        a_u, c_u = lower(F._A_U), lower(F._C_U)
+        m_u, e_u = np.array(F._times_g_inv(F._B)), np.array(F._E_U)
+        np.testing.assert_allclose(a_u @ g, lower(F._ALPHA), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(m_u @ g, F._B, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(e_u @ g, np.subtract(F._B, F._B_HAT), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(c_u, -F._GAMMA * np.tril(g_inv, -1), rtol=0, atol=1e-14)
+        # stiffly accurate: the update y + sum M_U u is the last stage input plus u_4
+        np.testing.assert_allclose(m_u - a_u[3], [0.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-14)
 
 
 class TestOutputTimes:
