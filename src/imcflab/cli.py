@@ -108,7 +108,8 @@ def _failure(exc: LabError | OSError) -> tuple[int, str]:
     if isinstance(exc, ConfigError):
         return EXIT_PARSE, f"config error: {exc}"
     if isinstance(exc, SolverFailureError):
-        return EXIT_SOLVER, f"solver failure: {exc} {exc.diagnostics}"
+        diagnostics = json.dumps(exc.diagnostics, sort_keys=True)
+        return EXIT_SOLVER, f"solver failure: {exc} {diagnostics}"
     if isinstance(exc, LabError):
         return EXIT_UNEXPECTED, f"error: {exc}"
     return EXIT_UNEXPECTED, f"i/o error: {exc}"

@@ -24,11 +24,15 @@ is the last stage's input plus the last stage (the method is stiffly
 accurate).  The step size is set by accuracy alone, not by a dtheta^2
 stability bound, so a flow takes about the same number of steps at any
 grid size.  Each step factors the tridiagonal I - gamma dt J_D once for
-all four stages.  Since J_D has zero row sums, every solve is split as
-x = b[0] + z with z solving for b - b[0]: a constant right-hand side
-gives z = 0 exactly, so round graphs stay exactly round.  Steps land
-exactly on the requested output times, so emitted slices carry no
-interpolation error.
+all four stages: one Python pass for the Thomas pivots, then numpy prefix
+products of the multipliers of its two elimination sweeps.  Each sweep is
+a first-order linear recurrence, so a solve runs it in scan form as a
+prefix sum (Kogge & Stone, IEEE Trans. Comput. C-22, 1973; Blelloch,
+CMU-CS-90-190, 1990), with no per-node Python.  Since J_D has zero row
+sums, every solve is split as x = b[0] + z with z solving for b - b[0]: a
+constant right-hand side gives z = 0 exactly, so round graphs stay
+exactly round.  Steps land exactly on the requested output times, so
+emitted slices carry no interpolation error.
 
 Smoothness is assumed, not manufactured: each accepted step is tested
 once, and losing mean convexity ("H<=0") or a state at or inside r_min
@@ -220,6 +224,43 @@ def _combine(coeffs, vectors):
     return out
 
 
+_FLOOR = 1e-200  # smallest prefix product of a sweep; keeps 1/r and w/r finite
+
+
+def _prefix_runs(m: np.ndarray):
+    """Run starts, r and 1 / r for the recurrence z_i = w_i + m_i z_(i-1).
+
+    On the run from start a to the next one, the prefix product
+    r_i = m_(a+1) ... m_i (r_a = 1) stays at or above _FLOOR, and
+    z = r cumsum(w / r) once the carry m_a z_(a-1) is added to w_a; m_0
+    never enters.  A doubled pole multiplier can exceed 1, so a run ends
+    before its first entry below the floor, not where its last one is."""
+    r = np.empty_like(m)
+    starts = [0]
+    while True:
+        a = starts[-1]
+        r[a] = 1.0
+        tail = np.cumprod(m[a + 1:], out=r[a + 1:])
+        if tail.size == 0 or tail.min() >= _FLOOR:
+            return starts, r, 1.0 / r
+        starts.append(a + 1 + int(np.argmax(tail < _FLOOR)))
+
+
+def _sweep(u: np.ndarray, m: np.ndarray, starts, r, weights) -> np.ndarray:
+    """z_i = w_i + m_i z_(i-1), z_0 = w_0, as one prefix sum per run of
+    :func:`_prefix_runs`, where w / r = u weights: ``weights`` is 1 / r,
+    or q / r for w = q u."""
+    if len(starts) == 1:
+        return r * np.cumsum(u * weights)
+    z = np.empty_like(u)
+    for a, e in zip(starts, starts[1:] + [u.size]):
+        seg = u[a:e] * weights[a:e]
+        if a:
+            seg[0] += m[a] * z[a - 1]
+        z[a:e] = r[a:e] * np.cumsum(seg)
+    return z
+
+
 def _w_solver(s: np.ndarray):
     """Factor the W-matrix I - gamma dt J_D = I - diag(s) dtheta^2 D2, with
     s = gamma dt / (H^2 E dtheta^2), and return its solve x = b[0] + z.
@@ -227,10 +268,12 @@ def _w_solver(s: np.ndarray):
     Row i is -s_i, 1 + 2 s_i, -s_i, with the outer entry doubled in the
     reflecting pole rows.  The matrix is diagonally dominant, so the Thomas
     factorization needs no pivoting and its pivots are at least 1.  With
-    the inverse pivots q, the elimination is two sweeps with one
-    coefficient each over z = q (b - b[0]): z_i += f_i z_(i-1) forward and
-    z_i += c_i z_(i+1) backward, where f_i and c_i are s_i q_i, doubled at
-    the poles.  The rows sum to one, so a constant b gives z = 0 exactly.
+    the inverse pivots q, the elimination is two first-order recurrences
+    on z = q (b - b[0]): z_i += f_i z_(i-1) forward and z_i += c_i z_(i+1)
+    backward, where f_i and c_i are s_i q_i, doubled at the poles.  Their
+    prefix products are taken here, once per factorization, so each solve
+    is a prefix sum per direction (:func:`_sweep`).  The rows sum to one,
+    so a constant b gives z = 0 exactly.
     """
     n = s.size
     couple = s[1:] * s[:-1]          # sub- times superdiagonal
@@ -240,17 +283,17 @@ def _w_solver(s: np.ndarray):
     q = np.fromiter([p := 1.0 / (d - x * p) for d, x in
                      zip((1.0 + 2.0 * s).tolist(), [0.0, *couple.tolist()])], float, n)
     sq = s * q
-    f = [0.0, *sq[1:].tolist()]
+    f = sq.copy()
     f[-1] *= 2.0
-    c = [0.0, *sq[-2::-1].tolist()]  # backward order
+    c = sq[::-1].copy()              # backward order
     c[-1] *= 2.0
+    f_starts, f_r, f_r_inv = _prefix_runs(f)
+    fwd = (f, f_starts, f_r, q * f_r_inv)   # w = q (b - b[0])
+    back = (c, *_prefix_runs(c))
 
     def solve(b: np.ndarray) -> np.ndarray:
-        z = 0.0
-        fwd = [z := zi + fi * z for zi, fi in zip((q * (b - b[0])).tolist(), f)]
-        z = 0.0
-        back = [z := zi + ci * z for zi, ci in zip(reversed(fwd), c)]
-        return b[0] + np.fromiter(reversed(back), float, n)
+        z = _sweep(b - b[0], *fwd)
+        return b[0] + _sweep(z[::-1], *back)[::-1]
 
     return solve
 

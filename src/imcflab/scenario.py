@@ -36,7 +36,7 @@ Running a scenario produces a :class:`RunReport` holding the per-slice
 quantity table and named verdicts; :func:`emit_outputs` renders it as a
 CSV table plus a JSON summary.  Identical configs produce byte-identical
 CSV, and JSON identical except for the single "volatile" key that holds
-the timestamp and runtime.
+the timestamp, the runtime and its per-phase timings.
 """
 
 from __future__ import annotations
@@ -316,6 +316,7 @@ class RunReport:
     warnings: list
     trace: FlowTrace
     runtime_seconds: float
+    timings: dict                   # wall seconds per phase of run_scenario
 
 
 def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
@@ -347,10 +348,11 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute one scenario: diagnostics, mass, flow, quantities, verdicts."""
-    t_start = time.perf_counter()
+    marks = [time.perf_counter()]   # phase boundaries
     spec = cfg.manifold
     diag, warning = static_diagnostics(cfg)
     warnings = [warning] if warning else []
+    marks.append(time.perf_counter())
 
     mass = diag["mass_flux"]
     try:
@@ -361,6 +363,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     except FitQualityError as exc:
         mass_fit = None
         warnings.append(f"tail mass fit rejected: {exc}")
+    marks.append(time.perf_counter())
 
     if cfg.surface_kind == "sphere":
         trace = flow_sphere(cfg.surface, cfg.t_end, dt_out=cfg.solver.dt_out)
@@ -368,6 +371,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         trace = flow_graph(cfg.surface, cfg.t_end, cfg.solver)
     if trace.status == "halted":
         warnings.append(f"flow halted early: {trace.halt_reason}")
+    marks.append(time.perf_counter())
 
     attach_quantities(trace, cfg.weight, mass)
     verdict = monotonicity_verdict(trace, cfg.weight, mass, cfg.eps_mono)
@@ -398,6 +402,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     verdicts["overall_pass"] = bool(
         verdicts["monotone"] and verdicts["deficit_ok"]
         and verdicts["area_law_ok"] and trace.status == "completed")
+    marks.append(time.perf_counter())
 
     tolerances = {
         "eps_mono": cfg.eps_mono, "deficit_tol": cfg.deficit_tol,
@@ -407,7 +412,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     return RunReport(
         scenario_id=cfg.scenario_id, rows=rows, verdicts=verdicts,
         tolerances=tolerances, echo=cfg.echo, warnings=warnings, trace=trace,
-        runtime_seconds=time.perf_counter() - t_start)
+        runtime_seconds=time.perf_counter() - marks[0],
+        timings={phase: end - start for phase, start, end in zip(
+            ("diagnostics", "mass_fit", "flow", "quantities"), marks, marks[1:])})
 
 
 def exit_code_for(report: RunReport, strict: bool = False) -> int:
@@ -461,13 +468,14 @@ def emit_outputs(report: RunReport, csv_path, json_path) -> tuple[Path, Path]:
     """Write the CSV table and the JSON summary.
 
     The JSON is deterministic except for the single "volatile" key holding
-    the timestamp and runtime.
+    the timestamp, the runtime and its per-phase ``timings``.
     """
     csv_path, json_path = Path(csv_path), Path(json_path)
     payload = summary_dict(report)
     payload["volatile"] = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "runtime_seconds": report.runtime_seconds,
+        "timings": report.timings,
     }
     for path, text in ((csv_path, render_csv(report)),
                        (json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")):

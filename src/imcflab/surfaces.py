@@ -184,7 +184,9 @@ class AxisymmetricGraph:
         if rho.shape != theta.shape:
             raise ValueError("theta and rho must have matching shapes")
         grid = GraphGrid.make(theta.size - 1)
-        if not np.allclose(theta, grid.theta, atol=1e-12, rtol=0.0):
+        # the grid's own (read-only) theta needs no comparison
+        if theta is not grid.theta and not np.allclose(theta, grid.theta,
+                                                       atol=1e-12, rtol=0.0):
             raise ValueError("theta must be the uniform grid over [0, pi]")
         object.__setattr__(self, "grid", grid)
         self.ambient.require_in_domain(rho, "graph radius")

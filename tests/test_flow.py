@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import imcflab as L
 from imcflab.errors import DomainError, MeanConvexityError, SolverFailureError
 
 from conftest import negative_h_beyond, p2_graph
+from oracles import spheroid_polar_radius
 
 
 class TestSphereFlow:
@@ -206,16 +208,32 @@ def w_matrix(s):
     return m
 
 
+def oracle_s(kind, n_int, rng, spec):
+    """W-matrix coefficients s of each kind the solver must handle."""
+    if kind == "zero":
+        return np.zeros(n_int + 1)
+    if kind == "wide":
+        s = 10.0 ** rng.uniform(-6.0, 6.0, n_int + 1)
+        s[rng.choice(n_int + 1, 3, replace=False)] = 0.0
+        s[[0, -1]] = 1e6, 0.0
+        return s
+    if kind == "positive":  # the flow's regime: one run at N <= 200
+        return 10.0 ** rng.uniform(-2.0, 3.0, n_int + 1)
+    if kind == "tiny":      # every prefix product underflows: one run per node
+        return 10.0 ** rng.uniform(-300.0, -290.0, n_int + 1)
+    # the s of a real frame, built as flow_graph builds it for a step h
+    graph = p2_graph(spec, 4.0, 0.3, n_int)
+    frame = L.surfaces.graph_frame(graph.rho, spec, graph.grid)
+    gh = L.flow._GAMMA * 0.05
+    return (gh / graph.grid.dtheta**2) / (frame.h**2 * frame.e)
+
+
 class TestWSolver:
-    @pytest.mark.parametrize("n_int", [8, 100, 3200])
-    @pytest.mark.parametrize("spread", ["wide", "zero"])
-    def test_matches_dense_oracle(self, n_int, spread):
+    @pytest.mark.parametrize("n_int", [8, 100, 200, 3200])
+    @pytest.mark.parametrize("kind", ["wide", "zero", "positive", "frame", "tiny"])
+    def test_matches_dense_oracle(self, n_int, kind, schw3m1):
         rng = np.random.default_rng(n_int)
-        s = np.zeros(n_int + 1)
-        if spread == "wide":
-            s = 10.0 ** rng.uniform(-6.0, 6.0, n_int + 1)
-            s[rng.choice(n_int + 1, 3, replace=False)] = 0.0
-            s[[0, -1]] = 1e6, 0.0
+        s = oracle_s(kind, n_int, rng, schw3m1)
         b = rng.standard_normal(n_int + 1)
         b_in = b.copy()
         x = L.flow._w_solver(s)(b)
@@ -244,6 +262,53 @@ class TestWSolver:
         np.testing.assert_allclose(c_u, -F._GAMMA * np.tril(g_inv, -1), rtol=0, atol=1e-14)
         # stiffly accurate: the update y + sum M_U u is the last stage input plus u_4
         np.testing.assert_allclose(m_u - a_u[3], [0.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-14)
+
+
+def p4(x):
+    return (35.0 * x**4 - 30.0 * x**2 + 3.0) / 8.0
+
+
+# (mass or None for flat space, initial rho(theta), t_end); the worst Q rise
+# between outputs of each flow and its margin to the default eps_mono = 4e-6
+# at N = 100 (measured, 2 vCPU x86-64, numpy 2.4):
+GUARD_FLOWS = {
+    # strictly decreasing: worst rise -1.7e-6, 5.7e-6 below eps_mono
+    "m=-1 4+0.3P2": (-1.0, lambda th: 4.0 + 0.3 * (1.5 * np.cos(th) ** 2 - 0.5), 3.0),
+    # worst rise 2.4e-8, 170x under eps_mono
+    "m=1 4+0.3P4": (1.0, lambda th: 4.0 + 0.3 * p4(np.cos(th)), 3.0),
+    # off-centre: worst rise 1.8e-7, 22x under eps_mono
+    "m=1 4+0.3cos": (1.0, lambda th: 4.0 + 0.3 * np.cos(th), 3.0),
+    # strictly decreasing: worst rise -3.4e-2
+    "flat 2:1 spheroid": (None, spheroid_polar_radius, 0.5),
+}
+
+
+class TestDenseReferenceFlows:
+    @pytest.mark.parametrize("name", GUARD_FLOWS)
+    def test_flow_matches_a_dense_w_solve(self, name, monkeypatch):
+        # a wrong but stable solve is just another W-method Jacobian, which the
+        # error estimate cannot see; only a dense reference solve shows it
+        mass, rho0, t_end = GUARD_FLOWS[name]
+        if mass is None:
+            spec, mass = L.ManifoldSpec.flat(3), 0.0
+        else:
+            spec = L.ManifoldSpec.schwarzschild(3, mass)
+        graph = L.AxisymmetricGraph.from_function(rho0, spec, 100)
+        f = L.sqrt_potential(spec)
+        traces = [L.flow_graph(graph, t_end)]
+        monkeypatch.setattr(L.flow, "_w_solver", lambda s: functools.partial(
+            np.linalg.solve, w_matrix(s)))
+        traces.append(L.flow_graph(graph, t_end))
+        for tr in traces:
+            assert tr.status == "completed"
+            L.attach_quantities(tr, f, mass)
+        fast, dense = traces
+        for key in ("steps", "rejected", "rhs_evals"):
+            assert fast.stats[key] == dense.stats[key]
+        q_fast, q_dense = ([sq.q for sq in tr.quantities] for tr in traces)
+        np.testing.assert_allclose(q_fast, q_dense, rtol=1e-12, atol=0.0)
+        verdict = L.monotonicity_verdict(fast, f, mass, 4e-6)
+        assert verdict.monotone, verdict.worst_increase
 
 
 class TestOutputTimes:

@@ -300,6 +300,10 @@ class TestEmitOutputs:
                                                         rel=1e-15)
         assert payload["verdicts"]["overall_pass"] is True
         assert "volatile" in payload and "timestamp_utc" in payload["volatile"]
+        timings = payload["volatile"]["timings"]
+        assert sorted(timings) == ["diagnostics", "flow", "mass_fit", "quantities"]
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= payload["volatile"]["runtime_seconds"]
 
     def test_json_area_residual_is_the_csv_maximum(self, tmp_path):
         # math.exp and np.exp differ in the last bit at some of these times
@@ -555,6 +559,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[b] config error: " in err and "static_tol" in err
         assert "[c] solver failure: step size underflow" in err
+        line = next(x for x in err.splitlines() if x.startswith("[c] "))
+        assert json.loads(line[line.index("{"):]) == {"t": 0.5}
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_rejects_configs_sharing_an_id(self, tmp_path, monkeypatch,

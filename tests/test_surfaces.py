@@ -114,6 +114,15 @@ class TestGraphGeometry:
             L.AxisymmetricGraph(np.linspace(0, 3.0, 201),
                                 np.full(201, 1.0), flat3)
 
+    def test_foreign_theta_is_checked_against_the_grid(self, flat3):
+        grid = L.GraphGrid.make(200)
+        rho = np.full(201, 1.0)
+        # the grid's own array is taken as is; any other theta is compared
+        assert L.AxisymmetricGraph(grid.theta, rho, flat3).theta is grid.theta
+        assert L.AxisymmetricGraph(grid.theta.copy(), rho, flat3).grid is grid
+        with pytest.raises(ValueError, match="uniform"):
+            L.AxisymmetricGraph(grid.theta + 1e-9, rho, flat3)
+
 
 class TestSurfaceIntegral:
     def test_constant_integrand_gives_area(self, flat3):
