@@ -22,7 +22,7 @@ rho0 = 4.0 + 0.3 * (1.5 * np.cos(theta) ** 2 - 0.5)
 surface = L.AxisymmetricGraph(theta, rho0, spec)
 
 print("flowing rho0 = 4 + 0.3 P2(cos theta), N=200, t_end=2 ...")
-trace = L.flow_graph(surface, 2.0, L.SolverParams(dt_out=0.2))
+trace = L.flow_graph(surface, 2.0, dt_out=0.2)
 L.attach_quantities(trace, f, m)
 
 print(f"\n{'t':>5} {'area':>12} {'Q':>12} {'umbilicity':>11} {'area residual':>13}")

@@ -22,8 +22,8 @@ from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid,
                        SurfaceGeometry, graph_geometry, load_graph,
                        save_graph, sphere_geometry, surface_integral,
                        umbilicity_deficit)
-from .flow import (FlowTrace, SolverParams, area_law_residual, flow_graph,
-                   flow_sphere, require_reach)
+from .flow import (FlowTrace, area_law_residual, flow_graph, flow_sphere,
+                   require_reach)
 from .quantities import (MonotonicityVerdict, SliceQuantities,
                          attach_quantities, hawking_mass, limit_target,
                          minkowski_deficit, monotone_quantity,
@@ -49,7 +49,7 @@ __all__ = [
     "sphere_geometry", "graph_geometry", "surface_integral",
     "umbilicity_deficit", "save_graph", "load_graph",
     # flow
-    "SolverParams", "FlowTrace", "flow_sphere", "flow_graph",
+    "FlowTrace", "flow_sphere", "flow_graph",
     "require_reach", "area_law_residual",
     # quantities
     "SliceQuantities", "MonotonicityVerdict", "limit_target",

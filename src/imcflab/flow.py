@@ -55,11 +55,11 @@ from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphFrame,
                        sphere_geometry)
 
 __all__ = [
-    "SolverParams",
     "FlowTrace",
     "flow_sphere",
     "flow_graph",
     "require_reach",
+    "require_positive",
     "require_mean_convex",
     "output_times",
     "area_residual",
@@ -67,27 +67,12 @@ __all__ = [
 ]
 
 MAX_SLICES = 10_000  # cap on t_end / dt_out; every slice stays in memory
+MAX_STEPS = 5_000_000  # cap on accepted plus rejected graph steps
+_ABS_TOL = 1e-12       # absolute part of the graph stepper's error scale
 
 
-@dataclass(frozen=True)
-class SolverParams:
-    """Tuning knobs of the graph time stepper; each must be positive and
-    finite, else ``ValueError`` names it.  ``cfl_safety`` is kept so that
-    configs stay valid, but the stepper has no stability cap for it to
-    scale, so it changes no result."""
-
-    rel_tol: float = 1e-7
-    abs_tol: float = 1e-12
-    dt_out: float = 0.1
-    cfl_safety: float = 0.5
-    max_steps: int = 5_000_000
-
-    def __post_init__(self):
-        for key in ("rel_tol", "abs_tol", "dt_out", "cfl_safety", "max_steps"):
-            _require_positive(key, getattr(self, key))
-
-
-def _require_positive(key: str, value) -> None:
+def require_positive(key: str, value) -> None:
+    """ValueError naming the solver ``key`` unless its value is positive and finite."""
     if not 0 < value < math.inf:
         raise ValueError(f"{key} must be positive and finite, got {value!r}")
 
@@ -135,7 +120,7 @@ def output_times(t_end: float, dt_out: float) -> np.ndarray:
     """0, dt_out, 2 dt_out, ..., t_end; a last multiple within rounding of
     t_end (never t = 0) is snapped onto it.  ValueError unless dt_out is
     positive and finite and t_end / dt_out is at most ``MAX_SLICES``."""
-    _require_positive("dt_out", dt_out)
+    require_positive("dt_out", dt_out)
     if not t_end / dt_out <= MAX_SLICES:
         raise ValueError(f"dt_out = {dt_out:g} asks for more than {MAX_SLICES} slices")
     k_max = int(math.floor(t_end / dt_out + 1e-9))
@@ -298,9 +283,11 @@ def _w_solver(s: np.ndarray):
     return solve
 
 
-def flow_graph(graph: AxisymmetricGraph, t_end: float,
-               params: SolverParams = SolverParams()) -> FlowTrace:
-    """Method-of-lines IMCF for an axisymmetric radial graph.
+def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
+               rel_tol: float = 1e-7) -> FlowTrace:
+    """Method-of-lines IMCF for an axisymmetric radial graph, emitting a
+    slice at each of :func:`output_times` and keeping the error of each
+    step within ``rel_tol`` (ValueError unless positive and finite).
 
     The initial slice must pass :func:`require_mean_convex`.  Each accepted
     state halts the trace with reason "H<=0" if min H <= 0, else "horizon"
@@ -309,20 +296,21 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
     to land on an output time), the smallest and largest accepted step
     (``dt_min``, ``dt_max``) and the margins to a halt over the initial
     and every accepted state: ``min_H`` and ``min_rho_margin``
-    (min rho - r_min).
+    (min rho - r_min).  Past ``MAX_STEPS`` attempts it raises a solver failure.
     """
     spec = graph.ambient
+    require_positive("rel_tol", rel_tol)
     require_reach(spec, float(np.max(graph.rho)), t_end)
     grid = graph.grid
     y = graph.rho.copy()
     frame = graph_frame(y, spec, grid)
     geom0 = require_mean_convex(graph, frame)
 
-    times = output_times(t_end, params.dt_out)
+    times = output_times(t_end, dt_out)
     dth = grid.dtheta
 
     def scaled_rms(v, y):
-        scale = params.abs_tol + params.rel_tol * np.abs(y)
+        scale = _ABS_TOL + rel_tol * np.abs(y)
         return float(np.sqrt(np.mean((v / scale) ** 2)))
 
     t = 0.0
@@ -339,7 +327,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float,
     dt = 0.01 * scaled_rms(y, y) / max(scaled_rms(frame.w / frame.h, y), 1e-300)
 
     while emitted < len(times):
-        failure = ("step budget exhausted" if nsteps + nrej > params.max_steps else
+        failure = ("step budget exhausted" if nsteps + nrej > MAX_STEPS else
                    "step size underflow" if dt < 1e-13 * max(1.0, t) else None)
         if failure:
             raise SolverFailureError(failure, {

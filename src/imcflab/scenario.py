@@ -12,9 +12,9 @@ that parses never fails later on one of them:
 * ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, radii in (r_min, r_max]
 * ``AxisymmetricGraph``: graphs need n = 3 and pole regularity
 * ``GraphGrid.make``: ``[solver] N`` even, 8 to 10,000 (every surface kind)
-* ``SolverParams``: rel_tol, dt_out and cfl_safety positive
+* ``flow.require_positive``: rel_tol and cfl_safety positive and finite
 * ``flow.require_reach``: t_end > 0 and the flow inside the domain
-* ``flow.output_times``: at most 10,000 output slices
+* ``flow.output_times``: dt_out positive and finite, at most 10,000 slices
 * ``flow.require_mean_convex``: a strictly mean convex initial graph
 * ``metrics.tail_in_domain``: the mass-fit tail inside the domain
 
@@ -56,9 +56,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, FitQualityError, InsideHorizonError, LabError
 from .expressions import evaluate_radius_expression
-from .flow import (FlowTrace, SolverParams, area_law_residual, area_residual,
-                   flow_graph, flow_sphere, output_times, require_mean_convex,
-                   require_reach)
+from .flow import (FlowTrace, area_law_residual, area_residual, flow_graph,
+                   flow_sphere, output_times, require_mean_convex, require_reach,
+                   require_positive)
 from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       adm_mass_flux, adm_mass_fit, harmonicity_residual,
                       horizon_radius, profile_weight, rescale_to_unit,
@@ -106,8 +106,9 @@ class ScenarioConfig:
     potential_kind: str
     surface: object                    # CoordinateSphere | AxisymmetricGraph
     surface_kind: str
-    solver: SolverParams
     t_end: float
+    dt_out: float
+    rel_tol: float
     eps_mono: float
     tail: tuple[float, float]
     deficit_tol: float
@@ -231,11 +232,14 @@ def parse_config(text: str, *, base_dir: Path | None = None,
     t_end = _get(parser, "solver", "t_end", _finite, default=3.0)
     with _invalid("[solver] N: "):
         grid = GraphGrid.make(n_grid)
+    rel_tol = _get(parser, "solver", "rel_tol", _finite, default=1e-7)
+    dt_out = _get(parser, "solver", "dt_out", _finite, default=0.1)
+    # cfl_safety scaled a stability cap the stepper no longer has: it is
+    # validated, so configs keep their exit codes, then dropped
+    cfl_safety = _get(parser, "solver", "cfl_safety", _finite, default=0.5)
     with _invalid("[solver] "):
-        solver = SolverParams(
-            rel_tol=_get(parser, "solver", "rel_tol", _finite, default=1e-7),
-            dt_out=_get(parser, "solver", "dt_out", _finite, default=0.1),
-            cfl_safety=_get(parser, "solver", "cfl_safety", _finite, default=0.5))
+        require_positive("rel_tol", rel_tol)
+        require_positive("cfl_safety", cfl_safety)
 
     surf_kind = _get(parser, "surface", "kind", required=True).lower()
     with _invalid("[surface] invalid: "):
@@ -266,7 +270,7 @@ def parse_config(text: str, *, base_dir: Path | None = None,
             raise ConfigError(f"[surface] surface inside horizon{where}: {exc}") from exc
     with _invalid("[solver] "):
         require_reach(spec, r_outer, t_end)
-        output_times(t_end, solver.dt_out)
+        output_times(t_end, dt_out)
 
     eps_default = 1e-6 * (200.0 / n_grid) ** 2  # matches the O(dtheta^2) scheme
     eps_mono = _get(parser, "analysis", "eps_mono", _nonnegative, default=eps_default)
@@ -287,8 +291,8 @@ def parse_config(text: str, *, base_dir: Path | None = None,
     return ScenarioConfig(
         scenario_id=scenario_id, manifold=spec, weight=weight,
         reference_potential=reference, potential_kind=pot_kind,
-        surface=surface, surface_kind=surf_kind, solver=solver, t_end=t_end,
-        eps_mono=eps_mono, tail=tail, deficit_tol=deficit_tol,
+        surface=surface, surface_kind=surf_kind, t_end=t_end, dt_out=dt_out,
+        rel_tol=rel_tol, eps_mono=eps_mono, tail=tail, deficit_tol=deficit_tol,
         static_tol=static_tol, area_tol=area_tol,
         csv_path=csv_path, json_path=json_path, echo=echo)
 
@@ -327,7 +331,8 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     A non-finite mass flux is a ConfigError naming ``[manifold] r_max``."""
     spec = cfg.manifold
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
-    grid = np.geomspace(max(lo, 1e-6), spec.r_max, 200)
+    # a domain narrower than that start collapses the grid onto r_max
+    grid = np.geomspace(min(max(lo, 1e-6), spec.r_max), spec.r_max, 200)
     # at huge r_max these overflow; a non-finite flux is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         s_rr, s_tt = static_residual(spec, cfg.weight, grid)
@@ -366,9 +371,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     marks.append(time.perf_counter())
 
     if cfg.surface_kind == "sphere":
-        trace = flow_sphere(cfg.surface, cfg.t_end, dt_out=cfg.solver.dt_out)
+        trace = flow_sphere(cfg.surface, cfg.t_end, cfg.dt_out)
     else:
-        trace = flow_graph(cfg.surface, cfg.t_end, cfg.solver)
+        trace = flow_graph(cfg.surface, cfg.t_end, cfg.dt_out, cfg.rel_tol)
     if trace.status == "halted":
         warnings.append(f"flow halted early: {trace.halt_reason}")
     marks.append(time.perf_counter())
@@ -406,8 +411,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
     tolerances = {
         "eps_mono": cfg.eps_mono, "deficit_tol": cfg.deficit_tol,
-        "static_tol": cfg.static_tol, "area_tol": cfg.area_tol,
-        "rel_tol": cfg.solver.rel_tol, "cfl_safety": cfg.solver.cfl_safety,
+        "static_tol": cfg.static_tol, "area_tol": cfg.area_tol, "rel_tol": cfg.rel_tol,
     }
     return RunReport(
         scenario_id=cfg.scenario_id, rows=rows, verdicts=verdicts,

@@ -76,10 +76,10 @@ class TestGraphFlow:
         with pytest.raises(MeanConvexityError):
             L.flow_graph(p2_graph(flat3, 1.0, 0.7, 100), 0.5)
 
-    def test_step_budget_failure_has_diagnostics(self, schw3m1):
-        params = L.SolverParams(max_steps=10)
+    def test_step_budget_failure_has_diagnostics(self, schw3m1, monkeypatch):
+        monkeypatch.setattr(L.flow, "MAX_STEPS", 10)
         with pytest.raises(SolverFailureError) as exc:
-            L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 1.0, params)
+            L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 1.0)
         assert "steps" in exc.value.diagnostics
         # plain numbers, so the CLI message shows no np.float64(...)
         assert all(type(v) in (int, float) for v in exc.value.diagnostics.values())
@@ -102,13 +102,12 @@ class TestGraphFlow:
 
     def test_final_q_converged_in_time(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
-        q_end = {}
-        for rel_tol in (L.SolverParams().rel_tol, 1e-10):
-            tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 3.0,
-                              L.SolverParams(rel_tol=rel_tol))
+        q_end = []
+        for tol in ({}, {"rel_tol": 1e-10}):   # the default, then a tight one
+            tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 3.0, **tol)
             L.attach_quantities(tr, f, 1.0)
-            q_end[rel_tol] = tr.quantities[-1].q
-        default, tight = q_end.values()
+            q_end.append(tr.quantities[-1].q)
+        default, tight = q_end
         assert abs(default - tight) <= 1e-10
 
     def test_solver_counters(self, schw3m1):
@@ -125,7 +124,7 @@ class TestGraphFlow:
         g = p2_graph(schw3m1, 4.0, 0.3, 100)
         assert L.flow_graph(g, 0.1).stats["landing_steps"] == 1
         for t_end, dt_out in ((1.0, 0.05), (0.01, 0.001)):
-            tr = L.flow_graph(g, t_end, L.SolverParams(dt_out=dt_out))
+            tr = L.flow_graph(g, t_end, dt_out=dt_out)
             assert 0 < tr.stats["landing_steps"] <= len(tr.times) - 1
         assert tr.stats["landing_steps"] == tr.stats["steps"] == 10
 
@@ -191,8 +190,8 @@ class TestGraphFlow:
         # the area law makes log(area) linear in t, so the area of a direct
         # t = 0.05 output must match interpolating the coarser trace
         g = p2_graph(schw3m1, 4.0, 0.3, 100)
-        fine = L.flow_graph(g, 0.1, L.SolverParams(dt_out=0.05))
-        coarse = L.flow_graph(g, 0.1, L.SolverParams(dt_out=0.1))
+        fine = L.flow_graph(g, 0.1, dt_out=0.05)
+        coarse = L.flow_graph(g, 0.1, dt_out=0.1)
         direct = fine.geometries[1].area
         interp = math.sqrt(coarse.geometries[0].area * coarse.geometries[1].area)
         assert abs(direct / interp - 1.0) < 1e-5
@@ -339,12 +338,12 @@ class TestOutputTimes:
 
 class TestValidation:
     @pytest.mark.parametrize("key, value", [
-        ("rel_tol", 0.0), ("rel_tol", -1.0), ("abs_tol", math.nan),
-        ("dt_out", 0.0), ("dt_out", math.inf), ("cfl_safety", -1.0),
-        ("max_steps", 0)])
-    def test_solver_params_reject_non_positive(self, key, value):
+        ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.nan),
+        ("dt_out", 0.0), ("dt_out", math.inf)])
+    def test_solver_params_reject_non_positive(self, schw3m1, key, value):
         with pytest.raises(ValueError, match=key):
-            L.SolverParams(**{key: value})
+            L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 1.0,
+                         **{key: value})
 
     def test_size_caps(self, schw3m1):
         assert L.GraphGrid.make(3200).theta.size == 3201

@@ -139,8 +139,8 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL, base_dir=tmp_path)
         assert cfg.manifold.n == 3
         assert cfg.manifold.mass_param == 1.0
-        assert cfg.solver.rel_tol == 1e-7
-        assert cfg.solver.dt_out == 0.1
+        assert cfg.rel_tol == 1e-7
+        assert cfg.dt_out == 0.1
         assert cfg.eps_mono == 1e-6
         assert cfg.t_end == 3.0
         assert cfg.surface_kind == "sphere"
@@ -329,6 +329,18 @@ class TestEmitOutputs:
         assert texts[0] == texts[1]
         assert summaries[0] == summaries[1]
 
+    def test_cfl_safety_changes_no_result(self, tmp_path):
+        plain, given = (run_scenario(parse_config(text, base_dir=tmp_path)) for text in (
+            SPHEROID, SPHEROID.replace("[solver]", "[solver]\ncfl_safety = 0.05")))
+        assert render_csv(given) == render_csv(plain)
+        a, b = summary_dict(plain), summary_dict(given)
+        assert b["config"]["solver"]["cfl_safety"] == "0.05"
+        assert "cfl_safety" not in a["config"]["solver"]
+        assert (json.dumps({**a, "config": None}, sort_keys=True)
+                == json.dumps({**b, "config": None}, sort_keys=True))
+        assert sorted(a["tolerances"]) == ["area_tol", "deficit_tol", "eps_mono",
+                                           "rel_tol", "static_tol"]
+
     def test_unwritable_path_reports_path(self, tmp_path):
         cfg = parse_config(MINIMAL, base_dir=tmp_path)
         report = run_scenario(cfg)
@@ -411,6 +423,21 @@ class TestCli:
         assert main(["static-check", "--config", str(tmp_path / "s.cfg")]) == 2
         captured = capsys.readouterr()
         assert "[manifold] r_max" in captured.err and captured.out == ""
+
+    # domains that end below the start of static_diagnostics' probe grid
+    @pytest.mark.parametrize("manifold, r0, tail", [
+        ("family = flat\nr_min = 0.95\nr_max = 1.0", 0.97, (0.96, 1.0)),
+        ("family = schwarzschild\nm = 1\nr_max = 2.1", 2.05, (2.02, 2.1)),
+        ("family = flat\nr_min = 0\nr_max = 5e-7", 4e-7, (1e-7, 5e-7)),
+    ], ids=["flat-shell", "schwarzschild-near-horizon", "flat-tiny"])
+    def test_narrow_domain_exits_zero(self, tmp_path, manifold, r0, tail):
+        (tmp_path / "d.cfg").write_text(
+            f"[manifold]\nn = 3\n{manifold}\n[surface]\nkind = sphere\nr0 = {r0}\n"
+            f"[solver]\nt_end = 0.01\n[analysis]\ntail_lo = {tail[0]}\n"
+            f"tail_hi = {tail[1]}\n")
+        cfg = str(tmp_path / "d.cfg")
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert main(["static-check", "--config", cfg]) == 0
 
     def test_oracle_reference_values(self):
         res = run_cli("oracle", "--n", "3", "--m", "1.0", "--r", "4.0")
