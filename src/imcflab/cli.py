@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -115,13 +116,15 @@ def _failure(exc: LabError | OSError) -> tuple[int, str]:
     return EXIT_UNEXPECTED, f"i/o error: {exc}"
 
 
-def _run_one(job) -> tuple[str, int, dict]:
-    """Sweep worker: run one config, write outputs, return its summary.
+def _run_one(job) -> tuple[str, int, dict, float]:
+    """Sweep worker: run one config, write outputs, return its id, exit
+    code, summary and wall seconds (parse, run and write).
 
     A config that fails is recorded under its file stem with the exit code
     and message ``flow`` would give it, so the sweep goes on.
     """
     config_path, out_dir, strict = job
+    start = time.perf_counter()
     try:
         cfg = load_config(Path(config_path),
                           out_dir=None if out_dir is None else Path(out_dir))
@@ -131,8 +134,9 @@ def _run_one(job) -> tuple[str, int, dict]:
         code, message = _failure(exc)
         stem = Path(config_path).stem
         print(f"[{stem}] {message}", file=sys.stderr)
-        return stem, code, {"id": stem, "error": message}
-    return report.scenario_id, exit_code_for(report, strict=strict), summary_dict(report)
+        return stem, code, {"id": stem, "error": message}, time.perf_counter() - start
+    return (report.scenario_id, exit_code_for(report, strict=strict), summary_dict(report),
+            time.perf_counter() - start)
 
 
 def _cmd_sweep(args) -> int:
@@ -152,19 +156,21 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_run_one(j) for j in jobs]
     by_id: dict = {}  # ids are known only once a worker has parsed its config
-    for path, (sid, _c, _s) in zip(paths, results):
+    for path, (sid, *_rest) in zip(paths, results):
         by_id.setdefault(sid, []).append(path.name)
     shared = [f"scenario id {sid!r} is shared by configs {' and '.join(names)}"
               for sid, names in sorted(by_id.items()) if len(names) > 1]
     if shared:
         raise ConfigError("; ".join(shared))
     results.sort(key=lambda r: r[0])
-    codes = {i: c for (i, c, _s) in results}
+    codes = {i: c for (i, c, _s, _w) in results}
     aggregate = {
-        "scenarios": [s for (_i, _c, s) in results],
+        "scenarios": [s for (_i, _c, s, _w) in results],
         "exit_codes": codes,
-        "passed": sum(1 for (_i, c, _s) in results if c == 0),
-        "failed": sum(1 for (_i, c, _s) in results if c != 0),
+        "passed": sum(1 for c in codes.values() if c == 0),
+        "failed": sum(1 for c in codes.values() if c != 0),
+        # the one key that differs between reruns
+        "volatile": {"runtime_seconds": {i: w for (i, _c, _s, w) in results}},
     }
     out_base = Path(args.out) if args.out is not None else cfg_dir
     out_base.mkdir(parents=True, exist_ok=True)

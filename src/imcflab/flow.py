@@ -3,21 +3,37 @@
 Surfaces are evolved with outward normal speed 1/H.  For coordinate
 spheres the flow is exact, r(t) = r0 exp(t/(n-1)), independent of the
 profile (the sqrt(V) factors in the speed and in H cancel).  For radial
-graphs the flow reduces to the scalar quasilinear parabolic equation
+graphs (n = 3) the flow reduces to the scalar quasilinear parabolic equation
 
-    d rho / dt = W / H,      W = sqrt(V + rho'^2/rho^2),
+    d rho / dt = F(rho) = W / H,      W = sqrt(V + rho'^2/rho^2),
 
-advanced by the method of lines on the uniform theta grid with the
+which is stepped in the comoving variable sigma = e^(-t/2) rho.  This
+divides out the exact sphere growth, so that
+
+    d sigma / dt = G(sigma, t) = e^(-t/2) F(e^(t/2) sigma) - sigma / 2,
+
+a round graph is a fixed point, and the step size is set by the decaying
+non-round modes alone (star-shaped IMCF becomes round once the growth is
+divided out: Gerhardt, J. Differential Geom. 32, 1990; Urbas, Math. Z.
+205, 1990).  Frames, halt tests and emitted slices use rho = e^(t/2) sigma.
+
+The method of lines on the uniform theta grid advances sigma with the
 linearly implicit Rosenbrock-W method ROS34PW2 (Rang & Angermann, BIT 45,
 2005): four stages, third order, and an embedded second-order solution
-whose difference sets the step size (relative tolerance ``rel_tol``).  A
-W-method keeps its order with any approximation of the Jacobian
-(Steihaug & Wolfbrandt, Math. Comp. 33, 1979), so the W-matrix carries
-only the stiff diffusion part of the Jacobian,
+whose difference sets the step size (relative tolerance ``rel_tol``).
+Stage i is evaluated at time t + alpha_i dt, alpha_i the row sums of the
+stage coefficients, (0, 0.8717, 0.7316, 1).  A W-method keeps its order
+with any approximation of the Jacobian (Steihaug & Wolfbrandt, Math.
+Comp. 33, 1979), so t may be treated as a state whose Jacobian column is
+zero, and the W-matrix carries only the stiff diffusion part of the
+Jacobian,
 
     J_D = diag(1 / (H^2 E)) D2,
 
-with D2 the reflecting second difference of the curvature stencil.  The
+with D2 the reflecting second difference of the curvature stencil and
+H, E taken at rho.  J_D is the same in both variables: dG/dsigma is the
+Jacobian of F at rho = e^(t/2) sigma minus I/2, and J_D leaves out the
+shift as it leaves out the lower-order terms.  The
 stages are taken in transformed form (Hairer & Wanner, Solving ODEs II,
 IV.7), where J_D enters the W-matrix and nothing else, and the new state
 is the last stage's input plus the last stage (the method is stiffly
@@ -30,9 +46,10 @@ a first-order linear recurrence, so a solve runs it in scan form as a
 prefix sum (Kogge & Stone, IEEE Trans. Comput. C-22, 1973; Blelloch,
 CMU-CS-90-190, 1990), with no per-node Python.  Since J_D has zero row
 sums, every solve is split as x = b[0] + z with z solving for b - b[0]: a
-constant right-hand side gives z = 0 exactly, so round graphs stay
-exactly round.  Steps land exactly on the requested output times, so
-emitted slices carry no interpolation error.
+round graph gives the same G at every node, a constant right-hand side
+gives z = 0 exactly, and so round graphs stay exactly round.  Steps land
+exactly on the requested output times, so emitted slices carry no
+interpolation error.
 
 Smoothness is assumed, not manufactured: each accepted step is tested
 once, and losing mean convexity ("H<=0") or a state at or inside r_min
@@ -106,7 +123,8 @@ def require_reach(spec: ManifoldSpec, r_outer: float, t_end: float) -> None:
     """Require t_end > 0 (else ValueError) and, for a slice reaching out to
     ``r_outer``, r_outer e^(t_end/(n-1)) <= r_max (else DomainError): the
     strict rule that the slices built at each output obey.  A growth
-    t_end/(n-1) beyond 709 is rejected before math.exp can overflow."""
+    t_end/(n-1) beyond 709 is rejected before math.exp can overflow, so
+    the graph stepper's factor e^(t/2) stays finite."""
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     growth = t_end / (spec.n - 1)
@@ -199,6 +217,7 @@ _A_U = tuple(_times_g_inv(row) for row in _ALPHA)
 _C_U = tuple(tuple(-_GAMMA * x for x in _times_g_inv([0.0] * i + [1.0])[:-1])
              for i in range(4))
 _E_U = _times_g_inv([b - b_hat for b, b_hat in zip(_B, _B_HAT)])
+_STAGE_TIMES = tuple(sum(row) for row in _ALPHA)  # stage i runs at t + alpha_i dt
 
 
 def _combine(coeffs, vectors):
@@ -219,16 +238,31 @@ def _prefix_runs(m: np.ndarray):
     r_i = m_(a+1) ... m_i (r_a = 1) stays at or above _FLOOR, and
     z = r cumsum(w / r) once the carry m_a z_(a-1) is added to w_a; m_0
     never enters.  A doubled pole multiplier can exceed 1, so a run ends
-    before its first entry below the floor, not where its last one is."""
+    before its first entry below the floor, not where its last one is.
+    The products are taken in windows, each continuing the last: the first
+    window spans the whole array, the first one after a restart is as long
+    as the run just ended, and each further one doubles.  Each run's length
+    is charged once to the next run's first window, so a factorization
+    scans at most about 5 N entries however many runs it has."""
+    n = m.size
     r = np.empty_like(m)
+    r[0] = 1.0
     starts = [0]
-    while True:
-        a = starts[-1]
-        r[a] = 1.0
-        tail = np.cumprod(m[a + 1:], out=r[a + 1:])
-        if tail.size == 0 or tail.min() >= _FLOOR:
-            return starts, r, 1.0 / r
-        starts.append(a + 1 + int(np.argmax(tail < _FLOOR)))
+    done, width = 1, n       # r[:done] is final
+    while done < n:
+        end = min(n, done + width)
+        seg = m[done - 1:end].copy()
+        seg[0] = r[done - 1]             # continue the product bit for bit
+        np.cumprod(seg, out=r[done - 1:end])
+        if r[done:end].min() < _FLOOR:
+            a = done + int(np.argmax(r[done:end] < _FLOOR))
+            width = a - starts[-1]
+            starts.append(a)
+            r[a] = 1.0
+            done = a + 1
+        else:
+            done, width = end, 2 * width
+    return starts, r, 1.0 / r
 
 
 def _sweep(u: np.ndarray, m: np.ndarray, starts, r, weights) -> np.ndarray:
@@ -302,8 +336,8 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
     require_positive("rel_tol", rel_tol)
     require_reach(spec, float(np.max(graph.rho)), t_end)
     grid = graph.grid
-    y = graph.rho.copy()
-    frame = graph_frame(y, spec, grid)
+    rho = graph.rho
+    frame = graph_frame(rho, spec, grid)
     geom0 = require_mean_convex(graph, frame)
 
     times = output_times(t_end, dt_out)
@@ -313,7 +347,12 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
         scale = _ABS_TOL + rel_tol * np.abs(y)
         return float(np.sqrt(np.mean((v / scale) ** 2)))
 
+    def rate(rho, frame, t):
+        """G(sigma, t) = e^(-t/2) (W/H - rho/2), from the frame at rho = e^(t/2) sigma."""
+        return math.exp(-0.5 * t) * (frame.w / frame.h - 0.5 * rho)
+
     t = 0.0
+    y = rho.copy()                  # sigma = e^(-t/2) rho
     out_surfaces = [graph]
     out_geoms = [geom0]
     emitted = 1
@@ -322,9 +361,9 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
     nevals = 1
     dt_min, dt_max = math.inf, 0.0
     min_h_seen = float(np.min(frame.h))
-    min_rho_seen = float(np.min(y))
+    min_rho_seen = float(np.min(rho))
     # Hairer's starting step: 1% of the time scale |y| / |dy/dt|
-    dt = 0.01 * scaled_rms(y, y) / max(scaled_rms(frame.w / frame.h, y), 1e-300)
+    dt = 0.01 * scaled_rms(y, y) / max(scaled_rms(rate(rho, frame, t), y), 1e-300)
 
     while emitted < len(times):
         failure = ("step budget exhausted" if nsteps + nrej > MAX_STEPS else
@@ -342,11 +381,13 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
         gh = _GAMMA * h
         solve = _w_solver((gh / dth**2) / (frame.h**2 * frame.e))
         nfact += 1
-        us = [solve(gh * (frame.w / frame.h))]
-        for a_row, c_row in zip(_A_U[1:], _C_U[1:]):
+        us = [solve(gh * rate(rho, frame, t))]
+        for a_row, c_row, alpha in zip(_A_U[1:], _C_U[1:], _STAGE_TIMES[1:]):
             y_stage = y + _combine(a_row, us)
-            stage = graph_frame(y_stage, spec, grid)
-            us.append(solve(gh * (stage.w / stage.h) + _combine(c_row, us)))
+            t_stage = t + alpha * h
+            rho_stage = math.exp(0.5 * t_stage) * y_stage
+            stage = graph_frame(rho_stage, spec, grid)
+            us.append(solve(gh * rate(rho_stage, stage, t_stage) + _combine(c_row, us)))
         nevals += 3
         y_new = y_stage + us[3]
         enorm = scaled_rms(_combine(_E_U, us), y_new)
@@ -360,15 +401,16 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
             dt_min, dt_max = min(dt_min, h), max(dt_max, h)
             t = t_next if at_output else t + h
             y = y_new
-            frame = graph_frame(y, spec, grid)
+            rho = math.exp(0.5 * t) * y
+            frame = graph_frame(rho, spec, grid)
             nevals += 1
-            min_h, min_rho = float(np.min(frame.h)), float(np.min(y))
+            min_h, min_rho = float(np.min(frame.h)), float(np.min(rho))
             min_h_seen, min_rho_seen = min(min_h_seen, min_h), min(min_rho_seen, min_rho)
             if min_h <= 0.0 or min_rho <= spec.r_min:
                 status, reason = "halted", "H<=0" if min_h <= 0.0 else "horizon"
                 break
             if at_output:
-                surf = AxisymmetricGraph(grid.theta, y.copy(), spec)
+                surf = AxisymmetricGraph(grid.theta, rho, spec)
                 out_surfaces.append(surf)
                 out_geoms.append(graph_geometry(surf, frame))
                 emitted += 1

@@ -156,11 +156,35 @@ class TestGraphFlow:
         assert calls == {"flow": tr.stats["rhs_evals"], "surfaces": 0}
 
     def test_area_residual_converges_at_second_order(self, schw3m1):
-        # pins the O(dtheta^2) scheme behind the default eps_mono
-        res = [L.area_law_residual(L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, n), 3.0))
+        # pins the O(dtheta^2) scheme behind the default eps_mono; the time
+        # error is held far below the grid error (rel_tol tightened with N),
+        # so it can neither add to nor cancel the grid error
+        res = [L.area_law_residual(L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, n), 3.0,
+                                                rel_tol=1e-10))
                for n in (100, 200, 400)]
         orders = [math.log2(coarse / fine) for coarse, fine in zip(res, res[1:])]
-        assert all(1.8 <= p <= 2.3 for p in orders), (res, orders)
+        assert all(1.9 <= p <= 2.1 for p in orders), (res, orders)
+
+    def test_time_error_proportional_to_rel_tol(self, schw3m1):
+        # the error at t_end against a tight reference, at the default rel_tol
+        g = p2_graph(schw3m1, 4.0, 0.3, 100)
+        ref, tr = (L.flow_graph(g, 3.0, **tol) for tol in ({"rel_tol": 1e-12}, {}))
+        rel_tol = 1e-7                  # flow_graph's default
+        assert np.max(np.abs(tr.surfaces[-1].rho / ref.surfaces[-1].rho - 1.0)) <= 3 * rel_tol
+        assert abs(tr.geometries[-1].area / ref.geometries[-1].area - 1.0) <= 3 * rel_tol
+
+    def test_round_graph_is_a_fixed_point(self, schw3m1):
+        # in sigma = e^(-t/2) rho a round graph does not move, so the flow
+        # takes one step per output interval, plus at most one more
+        tr = L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 3.0)
+        assert all(np.ptp(s.rho) == 0.0 for s in tr.surfaces)
+        assert L.area_law_residual(tr) <= 1e-14
+        assert tr.stats["steps"] <= len(tr.times)
+
+    def test_comoving_steps(self, schw3m1):
+        # the controller follows the decaying non-round modes only
+        tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 3.0)
+        assert tr.stats["steps"] <= 110
 
     def test_domain_guard(self, schw3m1):
         with pytest.raises(DomainError, match="r_max"):
@@ -227,6 +251,29 @@ def oracle_s(kind, n_int, rng, spec):
     return (gh / graph.grid.dtheta**2) / (frame.h**2 * frame.e)
 
 
+def prefix_runs_reference(m):
+    """Starts and r of :func:`flow._prefix_runs`, one element at a time."""
+    r, starts = np.empty_like(m), [0]
+    r[0] = 1.0
+    for i in range(1, m.size):
+        r[i] = r[i - 1] * m[i]
+        if r[i] < L.flow._FLOOR:
+            starts.append(i)
+            r[i] = 1.0
+    return starts, r
+
+
+def forward_multipliers(s):
+    """The forward sweep's multipliers f = s q of :func:`flow._w_solver`."""
+    q, d_inv = np.empty_like(s), 0.0
+    for i in range(s.size):
+        couple = 0.0 if i == 0 else s[i] * s[i - 1] * (2.0 if i in (1, s.size - 1) else 1.0)
+        q[i] = d_inv = 1.0 / (1.0 + 2.0 * s[i] - couple * d_inv)
+    f = s * q
+    f[-1] *= 2.0
+    return f
+
+
 class TestWSolver:
     @pytest.mark.parametrize("n_int", [8, 100, 200, 3200])
     @pytest.mark.parametrize("kind", ["wide", "zero", "positive", "frame", "tiny"])
@@ -241,6 +288,25 @@ class TestWSolver:
         assert np.array_equal(b, b_in)
         const = np.full(n_int + 1, 3.7)
         assert np.array_equal(L.flow._w_solver(s)(const), const)
+
+    @pytest.mark.parametrize("kind", ["tiny", "mixed", "frame"])
+    def test_prefix_runs_match_reference_in_linear_scans(self, kind, schw3m1, monkeypatch):
+        n_int = 3200
+        rng = np.random.default_rng(7)
+        if kind == "mixed":   # runs of every length, from 1 to hundreds
+            s = 10.0 ** rng.uniform(-40.0, 1.0, n_int + 1)
+        else:
+            s = oracle_s(kind, n_int, rng, schw3m1)
+        m = forward_multipliers(s)
+        scanned = []
+        real = np.cumprod
+        monkeypatch.setattr(np, "cumprod", lambda a, **kw: scanned.append(a.size) or real(a, **kw))
+        starts, r, r_inv = L.flow._prefix_runs(m)
+        ref_starts, ref_r = prefix_runs_reference(m)
+        assert starts == ref_starts
+        assert np.array_equal(r, ref_r) and np.array_equal(r_inv, 1.0 / ref_r)
+        assert (len(starts) == 1) == (kind == "frame")
+        assert sum(scanned) < 5 * m.size, (len(starts), sum(scanned))
 
     def test_transformed_coefficients_match_the_tableau(self):
         F = L.flow
@@ -271,13 +337,13 @@ def p4(x):
 # between outputs of each flow and its margin to the default eps_mono = 4e-6
 # at N = 100 (measured, 2 vCPU x86-64, numpy 2.4):
 GUARD_FLOWS = {
-    # strictly decreasing: worst rise -1.7e-6, 5.7e-6 below eps_mono
+    # strictly decreasing: worst rise -1.67e-6, 5.7e-6 below eps_mono
     "m=-1 4+0.3P2": (-1.0, lambda th: 4.0 + 0.3 * (1.5 * np.cos(th) ** 2 - 0.5), 3.0),
-    # worst rise 2.4e-8, 170x under eps_mono
+    # worst rise 2.39e-8, 167x under eps_mono
     "m=1 4+0.3P4": (1.0, lambda th: 4.0 + 0.3 * p4(np.cos(th)), 3.0),
-    # off-centre: worst rise 1.8e-7, 22x under eps_mono
+    # off-centre: worst rise 1.78e-7, 22x under eps_mono
     "m=1 4+0.3cos": (1.0, lambda th: 4.0 + 0.3 * np.cos(th), 3.0),
-    # strictly decreasing: worst rise -3.4e-2
+    # strictly decreasing: worst rise -3.44e-2
     "flat 2:1 spheroid": (None, spheroid_polar_radius, 0.5),
 }
 

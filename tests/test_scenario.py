@@ -495,6 +495,22 @@ class TestCli:
             individual.pop("volatile")
             assert individual in agg["scenarios"]
 
+    def test_sweep_summary_volatile_holds_runtimes_only(self, tmp_path, monkeypatch):
+        self._recording_pool(monkeypatch)
+        cfgs = self._two_configs(tmp_path)
+        (cfgs / "c.cfg").write_text(MINIMAL + "\n[analysis]\nstatic_tol = -1\n")
+        texts = []
+        for run in ("one", "two"):
+            out = tmp_path / run
+            assert main(["sweep", "--config", str(cfgs), "--out", str(out)]) == 2
+            agg = json.loads((out / "sweep_summary.json").read_text())
+            runtimes = agg.pop("volatile")["runtime_seconds"]
+            assert list(runtimes) == list(agg["exit_codes"]) == ["a", "b", "c"]
+            assert all(type(w) is float and w > 0.0 for w in runtimes.values())
+            texts.append(json.dumps(agg, indent=2, sort_keys=True))
+        assert texts[0] == texts[1]
+        assert sorted(agg) == ["exit_codes", "failed", "passed", "scenarios"]
+
     def test_seed_flag_reserved_and_accepted(self, tmp_path):
         (tmp_path / "s.cfg").write_text(MINIMAL)
         res = run_cli("flow", "--config", str(tmp_path / "s.cfg"),
