@@ -47,9 +47,17 @@ prefix sum (Kogge & Stone, IEEE Trans. Comput. C-22, 1973; Blelloch,
 CMU-CS-90-190, 1990), with no per-node Python.  Since J_D has zero row
 sums, every solve is split as x = b[0] + z with z solving for b - b[0]: a
 round graph gives the same G at every node, a constant right-hand side
-gives z = 0 exactly, and so round graphs stay exactly round.  Steps land
-exactly on the requested output times, so emitted slices carry no
-interpolation error.
+gives z = 0 exactly, and so round graphs stay exactly round.
+
+The first step is 1% of rho's own time scale |rho| / |W/H| in the error
+norm (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The controller
+scales each step by _SAFETY err^(-1/3), _SAFETY = 0.9, within [0.2, 5].
+Steps land exactly on the requested output times, so emitted slices carry
+no interpolation error; a step lands once the next output is within
+dt / _SAFETY, the step the controller would take before its safety
+factor, so no sliver step is left before an output.  A rejected attempt
+is retried with the controller's shorter step and no such stretch, so
+each retry is strictly shorter than the attempt it repeats.
 
 Smoothness is assumed, not manufactured: each accepted step is tested
 once, and losing mean convexity ("H<=0") or a state at or inside r_min
@@ -86,6 +94,7 @@ __all__ = [
 MAX_SLICES = 10_000  # cap on t_end / dt_out; every slice stays in memory
 MAX_STEPS = 5_000_000  # cap on accepted plus rejected graph steps
 _ABS_TOL = 1e-12       # absolute part of the graph stepper's error scale
+_SAFETY = 0.9          # the graph step controller's safety factor
 
 
 def require_positive(key: str, value) -> None:
@@ -270,13 +279,13 @@ def _sweep(u: np.ndarray, m: np.ndarray, starts, r, weights) -> np.ndarray:
     :func:`_prefix_runs`, where w / r = u weights: ``weights`` is 1 / r,
     or q / r for w = q u."""
     if len(starts) == 1:
-        return r * np.cumsum(u * weights)
+        return r * (u * weights).cumsum()
     z = np.empty_like(u)
     for a, e in zip(starts, starts[1:] + [u.size]):
         seg = u[a:e] * weights[a:e]
         if a:
             seg[0] += m[a] * z[a - 1]
-        z[a:e] = r[a:e] * np.cumsum(seg)
+        z[a:e] = r[a:e] * seg.cumsum()
     return z
 
 
@@ -295,12 +304,13 @@ def _w_solver(s: np.ndarray):
     so a constant b gives z = 0 exactly.
     """
     n = s.size
-    couple = s[1:] * s[:-1]          # sub- times superdiagonal
-    couple[0] *= 2.0
+    couple = np.zeros_like(s)        # sub- times superdiagonal, none in row 0
+    np.multiply(s[1:], s[:-1], out=couple[1:])
+    couple[1] *= 2.0
     couple[-1] *= 2.0
     p = 0.0
     q = np.fromiter([p := 1.0 / (d - x * p) for d, x in
-                     zip((1.0 + 2.0 * s).tolist(), [0.0, *couple.tolist()])], float, n)
+                     zip((1.0 + 2.0 * s).tolist(), couple.tolist())], float, n)
     sq = s * q
     f = sq.copy()
     f[-1] *= 2.0
@@ -326,15 +336,16 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
     The initial slice must pass :func:`require_mean_convex`.  Each accepted
     state halts the trace with reason "H<=0" if min H <= 0, else "horizon"
     if min rho <= r_min; halts are reported, not raised.  Besides the
-    counters, ``stats`` holds ``landing_steps`` (accepted steps shortened
-    to land on an output time), the smallest and largest accepted step
-    (``dt_min``, ``dt_max``) and the margins to a halt over the initial
-    and every accepted state: ``min_H`` and ``min_rho_margin``
-    (min rho - r_min).  Past ``MAX_STEPS`` attempts it raises a solver failure.
+    counters, ``stats`` holds ``landing_steps`` (accepted steps whose length
+    an output time set, shortened or stretched to land on it), the smallest
+    and largest accepted step (``dt_min``, ``dt_max``) and the margins to a
+    halt over the initial and every accepted state: ``min_H`` and
+    ``min_rho_margin`` (min rho - r_min).  Past ``MAX_STEPS`` attempts it
+    raises a solver failure.
     """
     spec = graph.ambient
     require_positive("rel_tol", rel_tol)
-    require_reach(spec, float(np.max(graph.rho)), t_end)
+    require_reach(spec, float(graph.rho.max()), t_end)
     grid = graph.grid
     rho = graph.rho
     frame = graph_frame(rho, spec, grid)
@@ -344,12 +355,13 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
     dth = grid.dtheta
 
     def scaled_rms(v, y):
-        scale = _ABS_TOL + rel_tol * np.abs(y)
-        return float(np.sqrt(np.mean((v / scale) ** 2)))
+        x = v / (_ABS_TOL + rel_tol * np.abs(y))
+        return math.sqrt((x * x).mean())
 
-    def rate(rho, frame, t):
-        """G(sigma, t) = e^(-t/2) (W/H - rho/2), from the frame at rho = e^(t/2) sigma."""
-        return math.exp(-0.5 * t) * (frame.w / frame.h - 0.5 * rho)
+    def rate(rho, frame, t, gh):
+        """gamma h G(sigma, t) = gamma h e^(-t/2) (W/H - rho/2), from the
+        frame at rho = e^(t/2) sigma."""
+        return (gh * math.exp(-0.5 * t)) * (frame.w / frame.h - 0.5 * rho)
 
     t = 0.0
     y = rho.copy()                  # sigma = e^(-t/2) rho
@@ -360,10 +372,11 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
     nsteps = nrej = nfact = nland = 0
     nevals = 1
     dt_min, dt_max = math.inf, 0.0
-    min_h_seen = float(np.min(frame.h))
-    min_rho_seen = float(np.min(rho))
-    # Hairer's starting step: 1% of the time scale |y| / |dy/dt|
-    dt = 0.01 * scaled_rms(y, y) / max(scaled_rms(rate(rho, frame, t), y), 1e-300)
+    min_h_seen = float(frame.h.min())
+    min_rho_seen = float(rho.min())
+    # Hairer's starting step: 1% of rho's time scale |rho| / |W/H|
+    dt = 0.01 * scaled_rms(rho, rho) / max(scaled_rms(frame.w / frame.h, rho), 1e-300)
+    retry = False                   # the last attempt was rejected
 
     while emitted < len(times):
         failure = ("step budget exhausted" if nsteps + nrej > MAX_STEPS else
@@ -371,40 +384,42 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
         if failure:
             raise SolverFailureError(failure, {
                 "t": t, "dt": float(dt), "steps": nsteps, "rejected": nrej,
-                "min_H": float(np.min(frame.h))})
+                "min_H": float(frame.h.min())})
 
-        # land exactly on the next output; dt stays the controller's step
+        # land exactly on the next output within dt / _SAFETY (a retry: within
+        # dt, so that it is strictly shorter); dt stays the controller's step
         t_next = float(times[emitted])
-        at_output = t + dt >= t_next - 1e-14
+        at_output = t + (dt if retry else dt / _SAFETY) >= t_next - 1e-14
         h = t_next - t if at_output else dt
 
         gh = _GAMMA * h
         solve = _w_solver((gh / dth**2) / (frame.h**2 * frame.e))
         nfact += 1
-        us = [solve(gh * rate(rho, frame, t))]
+        us = [solve(rate(rho, frame, t, gh))]
         for a_row, c_row, alpha in zip(_A_U[1:], _C_U[1:], _STAGE_TIMES[1:]):
             y_stage = y + _combine(a_row, us)
             t_stage = t + alpha * h
             rho_stage = math.exp(0.5 * t_stage) * y_stage
             stage = graph_frame(rho_stage, spec, grid)
-            us.append(solve(gh * rate(rho_stage, stage, t_stage) + _combine(c_row, us)))
+            us.append(solve(rate(rho_stage, stage, t_stage, gh) + _combine(c_row, us)))
         nevals += 3
         y_new = y_stage + us[3]
         enorm = scaled_rms(_combine(_E_U, us), y_new)
-        if not (np.all(np.isfinite(y_new)) and math.isfinite(enorm)):
+        if not (np.isfinite(y_new).all() and math.isfinite(enorm)):
             nrej += 1
-            dt = 0.25 * h
+            dt, retry = 0.25 * h, True
             continue
-        if enorm <= 1.0:
+        retry = enorm > 1.0
+        if not retry:
             nsteps += 1
-            nland += h < dt             # shortened to land on an output
+            nland += h != dt            # its length set by an output
             dt_min, dt_max = min(dt_min, h), max(dt_max, h)
             t = t_next if at_output else t + h
             y = y_new
             rho = math.exp(0.5 * t) * y
             frame = graph_frame(rho, spec, grid)
             nevals += 1
-            min_h, min_rho = float(np.min(frame.h)), float(np.min(rho))
+            min_h, min_rho = float(frame.h.min()), float(rho.min())
             min_h_seen, min_rho_seen = min(min_h_seen, min_h), min(min_rho_seen, min_rho)
             if min_h <= 0.0 or min_rho <= spec.r_min:
                 status, reason = "halted", "H<=0" if min_h <= 0.0 else "horizon"
@@ -414,12 +429,12 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
                 out_surfaces.append(surf)
                 out_geoms.append(graph_geometry(surf, frame))
                 emitted += 1
-            grown = h * min(5.0, 0.9 / max(enorm, 1e-10) ** (1.0 / 3.0))
+            grown = h * min(5.0, _SAFETY / max(enorm, 1e-10) ** (1.0 / 3.0))
             # a step shortened to land on an output does not shrink the next
             dt = max(dt, grown) if at_output else grown
         else:
             nrej += 1
-            dt = h * max(0.2, 0.9 / enorm ** (1.0 / 3.0))
+            dt = h * max(0.2, _SAFETY / enorm ** (1.0 / 3.0))
 
     return FlowTrace(times=times[:emitted].copy(), surfaces=out_surfaces,
                      geometries=out_geoms, status=status, halt_reason=reason,

@@ -258,9 +258,10 @@ class ManifoldSpec:
                    r_min=float(r_min), r_max=float(r_max))
 
     def require_in_domain(self, r, what: str = "radius") -> None:
-        """The domain rule r_min < r <= r_max for every radius in r: raises
-        InsideHorizonError at or inside r_min, DomainError beyond r_max or NaN."""
-        lo, hi = (r, r) if isinstance(r, float) else (np.min(r), np.max(r))
+        """The domain rule r_min < r <= r_max for a radius or every radius in
+        an array r: raises InsideHorizonError at or inside r_min,
+        DomainError beyond r_max or NaN."""
+        lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
         if lo <= self.r_min:
             raise InsideHorizonError(
                 f"{what} {lo:g} is at or inside the inner boundary "
@@ -350,8 +351,8 @@ def sampled_potential(r: np.ndarray, f: np.ndarray) -> StaticPotential:
 
 def _radial(spec: ManifoldSpec, r):
     """r as a float array inside the working domain, with V(r) and V'(r)."""
-    spec.require_in_domain(r)
     r = np.asarray(r, dtype=float)
+    spec.require_in_domain(r)
     return r, spec.profile.value(r), spec.profile.deriv(r)
 
 

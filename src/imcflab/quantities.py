@@ -77,7 +77,7 @@ def _curvature_terms(geom: SurfaceGeometry, f: StaticPotential,
         return ((n - 1) * om * rk * (1.0 + excess),
                 limit_target(n) * (1.0 + deficit / rk), deficit)
     fv = np.asarray(f.value(geom.radii), dtype=float)
-    if not np.all(np.isfinite(fv)):
+    if not np.isfinite(fv).all():
         raise DomainError("weight not finite at some node of the slice")
     wth = surface_integral(geom, fv * geom.mean_curvature)
     q = geom.area ** (-(n - 2) / (n - 1)) * (2 * (n - 1) * om * m + wth)

@@ -110,23 +110,23 @@ class GraphFrame(NamedTuple):
     h: np.ndarray
 
 
-def second_difference(rho: np.ndarray, dth: float) -> np.ndarray:
-    """Central second difference on the grid with even reflection at the
-    poles; its rows sum to zero, so it maps constants to exactly 0."""
-    d = np.empty_like(rho)
-    d[1:-1] = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dth**2
-    d[0] = 2.0 * (rho[1] - rho[0]) / dth**2
-    d[-1] = 2.0 * (rho[-2] - rho[-1]) / dth**2
-    return d
-
-
 def graph_frame(rho: np.ndarray, spec: ManifoldSpec, grid: GraphGrid) -> GraphFrame:
-    """Evaluate derivatives, metric factors and curvatures of rho(theta)."""
+    """Evaluate derivatives, metric factors and curvatures of rho(theta).
+
+    rho is padded once with its even-reflection ghost nodes,
+    rho(-dtheta) = rho(dtheta) and rho(pi + dtheta) = rho(pi - dtheta), and
+    both central stencils read the padded array: the first difference is
+    exactly 0 at the poles, and the second difference has rows summing to
+    zero, so a constant rho gives c - 2c + c = 0 exactly and a round graph
+    stays exactly round.
+    """
     dth = grid.dtheta
-    rho_t = np.empty_like(rho)
-    rho_t[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * dth)
-    rho_t[0] = rho_t[-1] = 0.0
-    rho_tt = second_difference(rho, dth)
+    pad = np.empty(rho.size + 2)
+    pad[1:-1] = rho
+    pad[0], pad[-1] = rho[1], rho[-2]
+    up, down = pad[2:], pad[:-2]
+    rho_t = (up - down) / (2.0 * dth)
+    rho_tt = (up - 2.0 * rho + down) / dth**2
 
     v = spec.profile.value(rho)
     dv = spec.profile.deriv(rho)
@@ -134,7 +134,7 @@ def graph_frame(rho: np.ndarray, spec: ManifoldSpec, grid: GraphGrid) -> GraphFr
     rho2 = rho * rho
     w = np.sqrt(v + rp2 / rho2)
     e = rp2 / v + rho2
-    k_mer = (-rho_tt + rp2 * dv / (2.0 * v) + rho * v + 2.0 * rp2 / rho) / (w * e)
+    k_mer = (rp2 * (dv / (2.0 * v) + 2.0 / rho) + rho * v - rho_tt) / (w * e)
     cterm = rho_t * grid.cot_t
     cterm[0] = rho_tt[0]
     cterm[-1] = rho_tt[-1]
@@ -191,9 +191,10 @@ class AxisymmetricGraph:
         object.__setattr__(self, "grid", grid)
         self.ambient.require_in_domain(rho, "graph radius")
         dth = grid.dtheta
-        tol = 5.0 * dth**2 * max(1.0, float(np.max(np.abs(rho))))
-        d0 = (-3.0 * rho[0] + 4.0 * rho[1] - rho[2]) / (2.0 * dth)
-        d1 = (3.0 * rho[-1] - 4.0 * rho[-2] + rho[-3]) / (2.0 * dth)
+        tol = 5.0 * dth**2 * max(1.0, float(np.abs(rho).max()))
+        (r0, r1, r2), (s2, s1, s0) = rho[:3].tolist(), rho[-3:].tolist()
+        d0 = (-3.0 * r0 + 4.0 * r1 - r2) / (2.0 * dth)
+        d1 = (3.0 * s0 - 4.0 * s1 + s2) / (2.0 * dth)
         if abs(d0) > tol or abs(d1) > tol:
             raise ValueError(
                 f"pole regularity violated: one-sided rho' = ({d0:.3e}, {d1:.3e}) "
@@ -272,16 +273,16 @@ def graph_geometry(graph: AxisymmetricGraph,
     spec, grid, rho = graph.ambient, graph.grid, graph.rho
     if frame is None:
         frame = graph_frame(rho, spec, grid)
-    if np.min(frame.v) <= 0.0:
+    if frame.v.min() <= 0.0:
         raise InsideHorizonError("profile nonpositive somewhere on the graph")
     asq = frame.k_meridian**2 + frame.k_parallel**2
     rp4 = _first_derivative_o4(rho, grid.dtheta)
     jac = rho * grid.sin_t * np.sqrt(rho * rho + rp4 * rp4 / frame.v)
-    area = 2.0 * np.pi * float(np.dot(grid.simpson_w, jac))
+    area = 2.0 * np.pi * float(grid.simpson_w.dot(jac))
     return SurfaceGeometry(
         kind="graph", ambient=spec, radii=rho,
         mean_curvature=frame.h, second_form_norm_sq=asq,
-        area=area, mean_convex=bool(np.min(frame.h) > 0.0),
+        area=area, mean_convex=bool(frame.h.min() > 0.0),
         theta=grid.theta, area_element=jac, simpson_w=grid.simpson_w)
 
 
@@ -302,7 +303,7 @@ def surface_integral(geom: SurfaceGeometry, integrand) -> float:
     if values.shape != geom.radii.shape:
         raise ValueError(
             f"integrand shape {values.shape} does not match grid {geom.radii.shape}")
-    return 2.0 * np.pi * float(np.dot(geom.simpson_w, values * geom.area_element))
+    return 2.0 * np.pi * float(geom.simpson_w.dot(values * geom.area_element))
 
 
 def umbilicity_deficit(geom: SurfaceGeometry) -> float:
@@ -314,8 +315,8 @@ def umbilicity_deficit(geom: SurfaceGeometry) -> float:
     if geom.kind == "sphere":
         return 0.0
     n = geom.ambient.n
-    return float(np.max((n - 1) * geom.second_form_norm_sq
-                        - geom.mean_curvature**2))
+    return float(((n - 1) * geom.second_form_norm_sq
+                  - geom.mean_curvature**2).max())
 
 
 def save_graph(path, graph: AxisymmetricGraph) -> None:

@@ -173,6 +173,28 @@ def spheroid_h_at_theta(theta, a=1.0, c=2.0):
 
 
 # ---------------------------------------------------------------------------
+# linearised decay of a Legendre mode of a flowing graph, n = 3
+# ---------------------------------------------------------------------------
+
+def legendre_mode_decay(t, ell, m, r0):
+    """a_ell(t) / a_ell(0) for the flow of rho = r0 (1 + eps P_ell(cos theta))
+    in Schwarzschild V = 1 - 2m/r, to first order in eps.
+
+    Write rho = R (1 + eps v) with R(t) = r0 e^(t/2), the exact sphere flow.
+    rho'^2 is O(eps^2), so to first order W = sqrt(V(rho)) and
+    H = 2 sqrt(V(rho)) / rho - eps Lap_S2 v / (R sqrt(V(R))); V(rho) cancels
+    in W/H = (rho / 2) (1 + eps Lap_S2 v / (2 V(R))), and d rho/dt = W/H
+    leaves v_t = Lap_S2 v / (4 V(R(t))).  Lap_S2 P_ell = -ell (ell+1) P_ell, and
+    V(R(t)) = 1 - c e^(-t/2) with c = 2m/r0 integrates to
+    int_0^t ds / V = 2 log((e^(t/2) - c) / (1 - c)), so
+    a_ell(t) = a_ell(0) ((1 - c) / (e^(t/2) - c))^(ell (ell+1) / 2);
+    in flat space that is e^(-ell (ell+1) t / 4).
+    """
+    c = 2.0 * m / r0
+    return ((1.0 - c) / (np.exp(0.5 * t) - c)) ** (ell * (ell + 1) / 2)
+
+
+# ---------------------------------------------------------------------------
 # coordinate spheres of n-dimensional Schwarzschild, 40 significant digits
 # ---------------------------------------------------------------------------
 
