@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``flow``         run one scenario config, write CSV + JSON, exit per contract
-* ``sweep``        run every *.cfg in a directory (ids must be distinct)
-* ``static-check`` metric/potential diagnostics only, no flow
+* ``sweep``        run every *.cfg in a directory (distinct ids and outputs)
+* ``static-check`` metric/potential diagnostics only, no flow, no files
 * ``oracle``       print the closed-form Schwarzschild sphere reference chain
 
 Exit codes: 0 all verdicts pass, 1 unexpected error, 2 parse/validation
@@ -54,29 +54,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", type=Path, default=None,
-                       help="directory for CSV/JSON outputs (default: config dir)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; flows are deterministic and ignore it")
-        p.add_argument("--strict", action="store_true",
-                       help="treat warnings (halts, staticity mismatches) as errors")
-
     p_flow = sub.add_parser("flow", help="run one scenario")
     p_flow.add_argument("--config", type=Path, required=True)
-    common(p_flow)
 
     p_sweep = sub.add_parser("sweep", help="run a directory of scenarios")
     p_sweep.add_argument("--config", type=Path, required=True,
                          help="directory containing *.cfg scenario files")
     p_sweep.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes, at most one per config")
-    common(p_sweep)
 
     p_static = sub.add_parser("static-check",
                               help="staticity and mass diagnostics only")
     p_static.add_argument("--config", type=Path, required=True)
-    common(p_static)
+    for p in (p_flow, p_sweep):
+        p.add_argument("--out", type=Path, default=None,
+                       help="directory for CSV/JSON outputs (default: config dir)")
+    for p in (p_flow, p_sweep, p_static):
+        p.add_argument("--strict", action="store_true",
+                       help="treat warnings (halts, staticity mismatches) as errors")
 
     p_oracle = sub.add_parser("oracle",
                               help="closed-form reference values for a "
@@ -116,12 +111,12 @@ def _failure(exc: LabError | OSError) -> tuple[int, str]:
     return EXIT_UNEXPECTED, f"i/o error: {exc}"
 
 
-def _run_one(job) -> tuple[str, int, dict, float]:
+def _run_one(job) -> tuple[str, int, dict, float, tuple]:
     """Sweep worker: run one config, write outputs, return its id, exit
-    code, summary and wall seconds (parse, run and write).
+    code, summary, wall seconds (parse, run and write) and output paths.
 
-    A config that fails is recorded under its file stem with the exit code
-    and message ``flow`` would give it, so the sweep goes on.
+    A config that fails is recorded under its file stem, with no outputs and
+    the exit code and message ``flow`` would give it, so the sweep goes on.
     """
     config_path, out_dir, strict = job
     start = time.perf_counter()
@@ -134,9 +129,10 @@ def _run_one(job) -> tuple[str, int, dict, float]:
         code, message = _failure(exc)
         stem = Path(config_path).stem
         print(f"[{stem}] {message}", file=sys.stderr)
-        return stem, code, {"id": stem, "error": message}, time.perf_counter() - start
+        return stem, code, {"id": stem, "error": message}, time.perf_counter() - start, ()
     return (report.scenario_id, exit_code_for(report, strict=strict), summary_dict(report),
-            time.perf_counter() - start)
+            time.perf_counter() - start,
+            tuple(str(p.resolve()) for p in (cfg.csv_path, cfg.json_path)))
 
 
 def _cmd_sweep(args) -> int:
@@ -155,22 +151,24 @@ def _cmd_sweep(args) -> int:
             results = list(pool.map(_run_one, jobs))
     else:
         results = [_run_one(j) for j in jobs]
-    by_id: dict = {}  # ids are known only once a worker has parsed its config
-    for path, (sid, *_rest) in zip(paths, results):
-        by_id.setdefault(sid, []).append(path.name)
-    shared = [f"scenario id {sid!r} is shared by configs {' and '.join(names)}"
-              for sid, names in sorted(by_id.items()) if len(names) > 1]
+    # ids and output paths are known only once a worker has parsed its config
+    claims: dict = {}
+    for path, (sid, _c, _s, _w, outputs) in zip(paths, results):
+        for claim in (f"scenario id {sid!r}", *(f"output file {o}" for o in outputs)):
+            claims.setdefault(claim, []).append(path.name)
+    shared = [f"{claim} is shared by configs {' and '.join(names)}"
+              for claim, names in sorted(claims.items()) if len(names) > 1]
     if shared:
         raise ConfigError("; ".join(shared))
     results.sort(key=lambda r: r[0])
-    codes = {i: c for (i, c, _s, _w) in results}
+    codes = {i: c for (i, c, _s, _w, _o) in results}
     aggregate = {
-        "scenarios": [s for (_i, _c, s, _w) in results],
+        "scenarios": [s for (_i, _c, s, _w, _o) in results],
         "exit_codes": codes,
         "passed": sum(1 for c in codes.values() if c == 0),
         "failed": sum(1 for c in codes.values() if c != 0),
         # the one key that differs between reruns
-        "volatile": {"runtime_seconds": {i: w for (i, _c, _s, w) in results}},
+        "volatile": {"runtime_seconds": {i: w for (i, _c, _s, w, _o) in results}},
     }
     out_base = Path(args.out) if args.out is not None else cfg_dir
     out_base.mkdir(parents=True, exist_ok=True)
@@ -185,7 +183,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_static_check(args) -> int:
-    cfg = load_config(args.config, out_dir=args.out)
+    cfg = load_config(args.config)
     diag, warning = static_diagnostics(cfg)
     out = {
         "id": cfg.scenario_id,

@@ -422,25 +422,30 @@ def tail_in_domain(spec: ManifoldSpec, tail) -> tuple[float, float]:
     return lo, hi
 
 
+_TAIL_RADII = 64  # log-spaced sample radii of both tail fits
+
+
+def _tail_sample(spec: ManifoldSpec, f: StaticPotential, tail):
+    """The tail's sample radii and f there; FitQualityError off the domain."""
+    rs = np.geomspace(*tail_in_domain(spec, tail), _TAIL_RADII)
+    return rs, np.asarray(f.value(rs), dtype=float)
+
+
 def adm_mass_fit(spec: ManifoldSpec, f: StaticPotential,
-                 tail: tuple[float, float] = (100.0, 1000.0),
-                 num: int = 64) -> float:
+                 tail: tuple[float, float] = (100.0, 1000.0)) -> float:
     """Mass from a least-squares fit of f ~ 1 - m r^(2-n) on a far tail.
 
-    The tail must hold at least 10 sample radii inside the domain and f must
-    already be close to 1 there (rescale first if it is not); otherwise a
-    :class:`FitQualityError` with a residual report is raised.
+    The fit samples 64 log-spaced radii of a tail inside the domain, and f
+    must already be close to 1 there (rescale first if it is not);
+    otherwise a :class:`FitQualityError` with a residual report is raised.
     """
-    lo, hi = tail_in_domain(spec, tail)
-    if num < 10:
-        raise FitQualityError(f"tail needs at least 10 sample radii, got {num}")
-    rs = np.geomspace(lo, hi, num)
-    fv = np.asarray(f.value(rs), dtype=float)
+    rs, fv = _tail_sample(spec, f, tail)
+    tail = (float(rs[0]), float(rs[-1]))
     dev = np.abs(fv - 1.0)
     if dev.max() > 0.5:
         raise FitQualityError(
             "potential is not near 1 on the tail; rescale before fitting",
-            report={"max_abs_dev": float(dev.max()), "tail": (lo, hi)})
+            report={"max_abs_dev": float(dev.max()), "tail": tail})
     basis = rs ** (2.0 - spec.n)
     m_hat = float(np.dot(1.0 - fv, basis) / np.dot(basis, basis))
     resid = (1.0 - fv) - m_hat * basis
@@ -450,21 +455,19 @@ def adm_mass_fit(spec: ManifoldSpec, f: StaticPotential,
             "tail fit residual too large for the 1 - m r^(2-n) model",
             report={"m_hat": m_hat,
                     "relative_residual": float(np.linalg.norm(resid) / signal),
-                    "tail": (lo, hi)})
+                    "tail": tail})
     return m_hat
 
 
 def rescale_to_unit(spec: ManifoldSpec, f: StaticPotential,
-                    tail: tuple[float, float] = (100.0, 1000.0),
-                    num: int = 64) -> StaticPotential:
+                    tail: tuple[float, float] = (100.0, 1000.0)) -> StaticPotential:
     """Divide f by its fitted asymptotic constant so it tends to 1.
 
-    Fits f ~ c - b r^(2-n) on the tail and returns f/c.  Mass extraction
-    assumes this normalization, so custom weights go through here first.
+    Fits f ~ c - b r^(2-n) on adm_mass_fit's 64 tail radii and returns f/c.
+    Mass extraction assumes this normalization, so custom weights go through
+    here first.
     """
-    lo, hi = tail_in_domain(spec, tail)
-    rs = np.geomspace(lo, hi, max(num, 10))
-    fv = np.asarray(f.value(rs), dtype=float)
+    rs, fv = _tail_sample(spec, f, tail)
     A = np.column_stack([np.ones_like(rs), rs ** (2.0 - spec.n)])
     (c, _b), *_ = np.linalg.lstsq(A, fv, rcond=None)
     if not np.isfinite(c) or abs(c) < 1e-12:
@@ -476,20 +479,20 @@ def rescale_to_unit(spec: ManifoldSpec, f: StaticPotential,
                            deriv2=lambda r: f.deriv2(r) / c)
 
 
-_RTOL = 4.0 * np.finfo(float).eps  # relative part of the bisection stopping rule
+# the bisection stopping rule: half-step below _XTOL + _RTOL * r
+_XTOL = 1e-12
+_RTOL = 4.0 * np.finfo(float).eps
 
 
-def horizon_radius(spec: ManifoldSpec, xtol: float = 1e-12) -> float | None:
+def horizon_radius(spec: ManifoldSpec) -> float | None:
     """Smallest root of V(r) = 0 below r_max, or None when V stays positive.
 
     Brackets by scanning a log grid from the inner end of the profile's
     support and refines by bisection until the half-step is below
-    ``xtol + 4 eps r`` (the classic stopping rule, so the root agrees bit
+    ``1e-12 + 4 eps r`` (the classic stopping rule, so the root agrees bit
     for bit with the usual library bisection); absence of a horizon (e.g.
     nonpositive-mass Schwarzschild) is a normal result, not an error.
     """
-    if not xtol > 0.0:
-        raise ValueError(f"xtol must be positive, got {xtol!r}")
     lo = 1e-8
     if spec.profile.support is not None:
         lo = max(lo, spec.profile.support[0])
@@ -512,5 +515,5 @@ def horizon_radius(spec: ManifoldSpec, xtol: float = 1e-12) -> float | None:
         fm = spec.profile.value(xm)
         if fm * fa >= 0.0:
             xa = xm
-        if fm == 0.0 or abs(dm) < xtol + _RTOL * abs(xm):
+        if fm == 0.0 or abs(dm) < _XTOL + _RTOL * abs(xm):
             return xm

@@ -3,16 +3,17 @@
 A scenario is a sectioned key=value text document (INI syntax) with
 sections [manifold], [potential], [surface], [solver], [analysis] and
 [outputs].  Parsing is strict: unknown sections or keys are rejected by
-name, required keys must be present, every float key must be finite and
-every ``[analysis]`` tolerance non-negative.  Semantic rules are checked
-by their owners while the parser builds the model objects; it re-raises
-their errors as a :class:`ConfigError` that names the key, so a config
-that parses never fails later on one of them:
+name, required keys must be present, data-file keys must name files,
+every float key must be finite and every ``[analysis]`` tolerance
+non-negative.  Semantic rules are checked by their owners while the parser
+builds the model objects; it re-raises their errors as a
+:class:`ConfigError` that names the key, so a config that parses never
+fails later on one of them:
 
 * ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, radii in (r_min, r_max]
 * ``AxisymmetricGraph``: graphs need n = 3 and pole regularity
 * ``GraphGrid.make``: ``[solver] N`` even, 8 to 10,000 (every surface kind)
-* ``flow.require_positive``: rel_tol and cfl_safety positive and finite
+* ``flow.require_positive``: rel_tol positive and finite
 * ``flow.require_reach``: t_end > 0 and the flow inside the domain
 * ``flow.output_times``: dt_out positive and finite, at most 10,000 slices
 * ``flow.require_mean_convex``: a strictly mean convex initial graph
@@ -88,7 +89,7 @@ _SCHEMA = {
     "manifold": {"family", "n", "m", "r_max", "r_min", "profile_file"},
     "potential": {"kind", "file"},
     "surface": {"kind", "r0", "rho0", "file"},
-    "solver": {"N", "rel_tol", "dt_out", "t_end", "cfl_safety"},
+    "solver": {"N", "rel_tol", "dt_out", "t_end"},
     "analysis": {"eps_mono", "tail_lo", "tail_hi", "deficit_tol",
                  "static_tol", "area_tol"},
     "outputs": {"id", "csv", "json"},
@@ -148,8 +149,8 @@ def _get(parser, sec, key, conv=str, default=None, required=False):
 
 def _existing(base_dir: Path, sec: str, key: str, name: str) -> Path:
     path = base_dir / name
-    if not path.exists():
-        raise ConfigError(f"[{sec}] {key} does not exist: {path}")
+    if not path.is_file():
+        raise ConfigError(f"[{sec}] {key} is not an existing file: {path}")
     return path
 
 
@@ -215,9 +216,8 @@ def parse_config(text: str, *, base_dir: Path | None = None,
     reference = sqrt_potential(spec)
     if pot_kind == "static":
         weight = reference
-    elif pot_kind in ("profile-weight", "profile_weight"):
+    elif pot_kind == "profile-weight":
         weight = profile_weight(spec)
-        pot_kind = "profile-weight"
     elif pot_kind == "file":
         pf = _get(parser, "potential", "file", required=True)
         with _invalid("[potential] invalid: "):
@@ -234,12 +234,8 @@ def parse_config(text: str, *, base_dir: Path | None = None,
         grid = GraphGrid.make(n_grid)
     rel_tol = _get(parser, "solver", "rel_tol", _finite, default=1e-7)
     dt_out = _get(parser, "solver", "dt_out", _finite, default=0.1)
-    # cfl_safety scaled a stability cap the stepper no longer has: it is
-    # validated, so configs keep their exit codes, then dropped
-    cfl_safety = _get(parser, "solver", "cfl_safety", _finite, default=0.5)
     with _invalid("[solver] "):
         require_positive("rel_tol", rel_tol)
-        require_positive("cfl_safety", cfl_safety)
 
     surf_kind = _get(parser, "surface", "kind", required=True).lower()
     with _invalid("[surface] invalid: "):

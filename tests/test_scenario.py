@@ -94,8 +94,6 @@ BAD_VALUES = [
     ([("solver", "dt_out", "nan")], "[solver] dt_out"),
     ([("solver", "rel_tol", "0")], "[solver] rel_tol"),
     ([("solver", "rel_tol", "-1")], "[solver] rel_tol"),
-    ([("solver", "cfl_safety", "0")], "[solver] cfl_safety"),
-    ([("solver", "cfl_safety", "-1")], "[solver] cfl_safety"),
     ([("solver", "t_end", "nan")], "[solver] t_end"),
     ([("surface", "r0", "nan")], "[surface] r0"),
     ([("manifold", "m", "nan")], "[manifold] m"),
@@ -103,6 +101,8 @@ BAD_VALUES = [
     ([("manifold", "r_max", "17.92675628"), ("analysis", "tail_lo", "10")],
      "[solver] t_end"),
     ([("manifold", "n", "2")], "3 <= n <= 7"),
+    # the only spelling is profile-weight
+    ([("potential", "kind", "profile_weight")], "[potential] kind"),
     # a negative tolerance can never hold, so each verdict would be false
     ([("analysis", "static_tol", "-1")], "[analysis] static_tol"),
     ([("analysis", "eps_mono", "-1")], "[analysis] eps_mono"),
@@ -160,9 +160,11 @@ class TestParseConfig:
         cfg = parse_config(text, base_dir=tmp_path)
         assert cfg.eps_mono == pytest.approx(1e-6 / 4.0)
 
-    def test_unknown_key_rejected_by_name(self):
-        with pytest.raises(ConfigError, match="colour"):
-            parse_config(MINIMAL + "\n[outputs]\ncolour = red\n")
+    # cfl_safety scaled a stability cap that the graph stepper no longer has
+    @pytest.mark.parametrize("sec, key", [("outputs", "colour"), ("solver", "cfl_safety")])
+    def test_unknown_key_rejected_by_name(self, sec, key):
+        with pytest.raises(ConfigError, match=rf"unknown key \[{sec}\] {key}"):
+            parse_config(MINIMAL + f"\n[{sec}]\n{key} = 0.5\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="extras"):
@@ -329,18 +331,6 @@ class TestEmitOutputs:
         assert texts[0] == texts[1]
         assert summaries[0] == summaries[1]
 
-    def test_cfl_safety_changes_no_result(self, tmp_path):
-        plain, given = (run_scenario(parse_config(text, base_dir=tmp_path)) for text in (
-            SPHEROID, SPHEROID.replace("[solver]", "[solver]\ncfl_safety = 0.05")))
-        assert render_csv(given) == render_csv(plain)
-        a, b = summary_dict(plain), summary_dict(given)
-        assert b["config"]["solver"]["cfl_safety"] == "0.05"
-        assert "cfl_safety" not in a["config"]["solver"]
-        assert (json.dumps({**a, "config": None}, sort_keys=True)
-                == json.dumps({**b, "config": None}, sort_keys=True))
-        assert sorted(a["tolerances"]) == ["area_tol", "deficit_tol", "eps_mono",
-                                           "rel_tol", "static_tol"]
-
     def test_unwritable_path_reports_path(self, tmp_path):
         cfg = parse_config(MINIMAL, base_dir=tmp_path)
         report = run_scenario(cfg)
@@ -376,7 +366,7 @@ class TestCli:
                                   for e, _n in BAD_VALUES])
     def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, edits, named):
         sections = {"manifold": {"family": "schwarzschild", "n": "3", "m": "1.0"},
-                    "surface": {"kind": "sphere", "r0": "4.0"},
+                    "potential": {}, "surface": {"kind": "sphere", "r0": "4.0"},
                     "solver": {"t_end": "3.0"}, "analysis": {}}
         for sec, key, value in edits:
             sections[sec][key] = value
@@ -511,11 +501,33 @@ class TestCli:
         assert texts[0] == texts[1]
         assert sorted(agg) == ["exit_codes", "failed", "passed", "scenarios"]
 
-    def test_seed_flag_reserved_and_accepted(self, tmp_path):
+    @pytest.mark.parametrize("command, flag", [
+        ("flow", "--seed"), ("sweep", "--seed"),
+        ("static-check", "--seed"), ("static-check", "--out")],
+        ids=["flow-seed", "sweep-seed", "static-check-seed", "static-check-out"])
+    def test_retired_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
         (tmp_path / "s.cfg").write_text(MINIMAL)
-        res = run_cli("flow", "--config", str(tmp_path / "s.cfg"),
-                      "--out", str(tmp_path), "--seed", "7")
-        assert res.returncode == 0
+        config = tmp_path if command == "sweep" else tmp_path / "s.cfg"
+        value = str(tmp_path / "out") if flag == "--out" else "7"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
+
+    @pytest.mark.parametrize("named, text", [
+        ("[manifold] profile_file", "[manifold]\nfamily = custom\nprofile_file = sub\n"
+         "[surface]\nkind = sphere\nr0 = 4.0\n"),
+        ("[potential] file", MINIMAL + "[potential]\nkind = file\nfile = sub\n"),
+        ("[surface] file", MINIMAL.replace("kind = sphere\nr0 = 4.0", "kind = graph\nfile = sub")),
+    ], ids=["profile_file", "potential-file", "surface-file"])
+    def test_data_file_naming_a_directory_exits_two(self, tmp_path, capsys, named, text):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "s.cfg").write_text(text)
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(tmp_path / "s.cfg"), "--out", str(out)]) == 2
+        assert f"{named} is not an existing file" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def _recording_pool(monkeypatch):
@@ -625,6 +637,18 @@ class TestCli:
         assert "'same' is shared by configs a.cfg and b.cfg" in err
         assert "'c' is shared by configs c.cfg and d.cfg" in err
         assert not (out / "sweep_summary.json").exists()
+
+    def test_sweep_rejects_configs_sharing_an_output_file(self, tmp_path, capsys):
+        cfgs = self._two_configs(tmp_path)
+        for name in ("a", "b"):
+            with (cfgs / f"{name}.cfg").open("a") as cfg:
+                cfg.write("csv = same.csv\n")
+        assert main(["sweep", "--config", str(cfgs)]) == 2
+        err = capsys.readouterr().err
+        assert (f"output file {(cfgs / 'same.csv').resolve()} is shared by configs "
+                f"a.cfg and b.cfg") in err
+        assert "a.json" not in err and "b.json" not in err
+        assert not (cfgs / "sweep_summary.json").exists()
 
 
 # Modules that only some runs need; a cold start must not load them.
