@@ -92,6 +92,9 @@ BAD_VALUES = [
     ([("solver", "dt_out", "0")], "[solver] dt_out"),
     ([("solver", "dt_out", "-0.1")], "[solver] dt_out"),
     ([("solver", "dt_out", "nan")], "[solver] dt_out"),
+    # cfl_safety is retired: any value is an unknown key, still named
+    ([("solver", "cfl_safety", "0")], "[solver] cfl_safety"),
+    ([("solver", "cfl_safety", "-1")], "[solver] cfl_safety"),
     ([("solver", "rel_tol", "0")], "[solver] rel_tol"),
     ([("solver", "rel_tol", "-1")], "[solver] rel_tol"),
     ([("solver", "t_end", "nan")], "[solver] t_end"),
