@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``flow``         run one scenario config, write CSV + JSON, exit per contract
-* ``sweep``        run every *.cfg in a directory (distinct ids and outputs)
+* ``sweep``        run every *.cfg in a directory (distinct ids and outputs,
+                   checked before any flow runs)
 * ``static-check`` metric/potential diagnostics only, no flow, no files
 * ``oracle``       print the closed-form Schwarzschild sphere reference chain
 
@@ -15,6 +16,7 @@ violation, 5 deficit violation, 6 strict-mode warning escalation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -25,8 +27,8 @@ from . import __version__
 from .errors import ConfigError, InsideHorizonError, LabError, SolverFailureError
 from .metrics import ManifoldSpec, horizon_radius, sqrt_potential, unit_sphere_area
 from .quantities import limit_target, slice_quantities
-from .scenario import (emit_outputs, exit_code_for, load_config, run_scenario,
-                       static_diagnostics, summary_dict)
+from .scenario import (config_outputs, emit_outputs, exit_code_for, load_config,
+                       run_scenario, static_diagnostics, summary_dict)
 from .surfaces import CoordinateSphere, sphere_geometry
 
 EXIT_OK = 0
@@ -111,14 +113,15 @@ def _failure(exc: LabError | OSError) -> tuple[int, str]:
     return EXIT_UNEXPECTED, f"i/o error: {exc}"
 
 
-def _run_one(job) -> tuple[str, int, dict, float, tuple]:
-    """Sweep worker: run one config, write outputs, return its id, exit
-    code, summary, wall seconds (parse, run and write) and output paths.
+def _run_one(job) -> tuple[int, dict, float]:
+    """Sweep worker: run one config and write its outputs; return its exit
+    code, summary and wall seconds (parse, run and write).
 
-    A config that fails is recorded under its file stem, with no outputs and
-    the exit code and message ``flow`` would give it, so the sweep goes on.
+    A config that fails is recorded under the id the sweep resolved for it,
+    with no outputs and the exit code and message ``flow`` would give it, so
+    the sweep goes on.
     """
-    config_path, out_dir, strict = job
+    config_path, sid, out_dir, strict = job
     start = time.perf_counter()
     try:
         cfg = load_config(Path(config_path),
@@ -127,12 +130,37 @@ def _run_one(job) -> tuple[str, int, dict, float, tuple]:
         emit_outputs(report, cfg.csv_path, cfg.json_path)
     except (LabError, OSError) as exc:
         code, message = _failure(exc)
-        stem = Path(config_path).stem
-        print(f"[{stem}] {message}", file=sys.stderr)
-        return stem, code, {"id": stem, "error": message}, time.perf_counter() - start, ()
-    return (report.scenario_id, exit_code_for(report, strict=strict), summary_dict(report),
-            time.perf_counter() - start,
-            tuple(str(p.resolve()) for p in (cfg.csv_path, cfg.json_path)))
+        print(f"[{sid}] {message}", file=sys.stderr)
+        return code, {"id": sid, "error": message}, time.perf_counter() - start
+    return (exit_code_for(report, strict=strict), summary_dict(report),
+            time.perf_counter() - start)
+
+
+def _sweep_ids(paths: list, out_dir, agg_path: Path) -> list:
+    """Each config's scenario id, read from its ``[outputs]`` before any flow
+    runs (the file stem where that fails, as the worker will fail too).
+
+    Two configs that share an id or an output file, or a config that would
+    write the sweep's own summary file, are a ConfigError naming the configs.
+    """
+    ids, claims, problems = [], {}, []
+    agg = agg_path.resolve()
+    for path in paths:
+        try:
+            sid, *outputs = config_outputs(path, out_dir=out_dir)
+        except ConfigError:
+            sid, outputs = path.stem, []
+        outputs = [o.resolve() for o in outputs]
+        if agg in outputs:
+            problems.append(f"config {path.name} writes {agg}, the sweep's summary file")
+        ids.append(sid)
+        for claim in (f"scenario id {sid!r}", *(f"output file {o}" for o in outputs)):
+            claims.setdefault(claim, []).append(path.name)
+    problems += [f"{claim} is shared by configs {' and '.join(names)}"
+                 for claim, names in sorted(claims.items()) if len(names) > 1]
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return ids
 
 
 def _cmd_sweep(args) -> int:
@@ -142,8 +170,11 @@ def _cmd_sweep(args) -> int:
     paths = sorted(cfg_dir.glob("*.cfg"))
     if not paths:
         raise ConfigError(f"no *.cfg files in {cfg_dir}")
-    jobs = [(str(p), None if args.out is None else str(args.out), args.strict)
-            for p in paths]
+    out_base = Path(args.out) if args.out is not None else cfg_dir
+    agg_path = out_base / "sweep_summary.json"
+    ids = _sweep_ids(paths, args.out, agg_path)
+    jobs = [(str(p), sid, None if args.out is None else str(args.out), args.strict)
+            for p, sid in zip(paths, ids)]
     workers = min(args.jobs, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -151,28 +182,17 @@ def _cmd_sweep(args) -> int:
             results = list(pool.map(_run_one, jobs))
     else:
         results = [_run_one(j) for j in jobs]
-    # ids and output paths are known only once a worker has parsed its config
-    claims: dict = {}
-    for path, (sid, _c, _s, _w, outputs) in zip(paths, results):
-        for claim in (f"scenario id {sid!r}", *(f"output file {o}" for o in outputs)):
-            claims.setdefault(claim, []).append(path.name)
-    shared = [f"{claim} is shared by configs {' and '.join(names)}"
-              for claim, names in sorted(claims.items()) if len(names) > 1]
-    if shared:
-        raise ConfigError("; ".join(shared))
-    results.sort(key=lambda r: r[0])
-    codes = {i: c for (i, c, _s, _w, _o) in results}
+    results = sorted(((sid, *r) for sid, r in zip(ids, results)), key=lambda r: r[0])
+    codes = {i: c for (i, c, _s, _w) in results}
     aggregate = {
-        "scenarios": [s for (_i, _c, s, _w, _o) in results],
+        "scenarios": [s for (_i, _c, s, _w) in results],
         "exit_codes": codes,
         "passed": sum(1 for c in codes.values() if c == 0),
         "failed": sum(1 for c in codes.values() if c != 0),
         # the one key that differs between reruns
-        "volatile": {"runtime_seconds": {i: w for (i, _c, _s, w, _o) in results}},
+        "volatile": {"runtime_seconds": {i: w for (i, _c, _s, w) in results}},
     }
-    out_base = Path(args.out) if args.out is not None else cfg_dir
     out_base.mkdir(parents=True, exist_ok=True)
-    agg_path = out_base / "sweep_summary.json"
     agg_path.write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
     for i in sorted(codes):
         print(f"[{i}] exit {codes[i]}")
@@ -249,5 +269,21 @@ def main(argv=None) -> int:
         return code
 
 
+def run() -> None:
+    """Process entry point (``imcflab``, ``python -m imcflab``): exit with
+    the code of :func:`main`.
+
+    ``gc.freeze()`` moves every tracked object into the permanent
+    generation, which the interpreter's full collections at exit skip; they
+    cost 9-15 ms of a ~0.1 s ``flow`` process.  Refcount teardown, atexit
+    handlers and stdio flushing still run.  ``main`` never freezes: called
+    in-process, as tests do, it would pin the caller's live objects.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,11 +4,11 @@ A scenario is a sectioned key=value text document (INI syntax) with
 sections [manifold], [potential], [surface], [solver], [analysis] and
 [outputs].  Parsing is strict: unknown sections or keys are rejected by
 name, required keys must be present, data-file keys must name files,
-every float key must be finite and every ``[analysis]`` tolerance
-non-negative.  Semantic rules are checked by their owners while the parser
-builds the model objects; it re-raises their errors as a
-:class:`ConfigError` that names the key, so a config that parses never
-fails later on one of them:
+every float key must be finite, every ``[analysis]`` tolerance
+non-negative, and ``[outputs]`` csv and json must name two files.
+Semantic rules are checked by their owners while the parser builds the
+model objects; it re-raises their errors as a :class:`ConfigError` that
+names the key, so a config that parses never fails later on one of them:
 
 * ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, radii in (r_min, r_max]
 * ``AxisymmetricGraph``: graphs need n = 3 and pole regularity
@@ -74,6 +74,7 @@ __all__ = [
     "RunReport",
     "parse_config",
     "load_config",
+    "config_outputs",
     "run_scenario",
     "static_diagnostics",
     "emit_outputs",
@@ -154,6 +155,29 @@ def _existing(base_dir: Path, sec: str, key: str, name: str) -> Path:
     return path
 
 
+def _sections(text: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="__default__")
+    parser.optionxform = str  # keys are case sensitive; keeps N literal
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config syntax error: {exc}") from exc
+    return parser
+
+
+def _outputs(parser, out_base: Path, default_id: str) -> tuple[str, Path, Path]:
+    """The one naming rule of ``[outputs]``: the scenario id (default
+    ``default_id``) and the CSV and JSON paths under ``out_base`` (default
+    ``<id>.csv`` and ``<id>.json``), which must be two files."""
+    scenario_id = _get(parser, "outputs", "id", default=default_id)
+    csv_path = out_base / _get(parser, "outputs", "csv", default=f"{scenario_id}.csv")
+    json_path = out_base / _get(parser, "outputs", "json", default=f"{scenario_id}.json")
+    if csv_path.resolve() == json_path.resolve():
+        raise ConfigError(f"[outputs] csv and [outputs] json name the same file: {csv_path}")
+    return scenario_id, csv_path, json_path
+
+
 @contextmanager
 def _invalid(prefix: str):
     """Re-raise a model's ValueError or LabError as a ConfigError."""
@@ -175,14 +199,7 @@ def parse_config(text: str, *, base_dir: Path | None = None,
     default to the current directory).
     """
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
-    parser = configparser.ConfigParser(interpolation=None,
-                                       default_section="__default__")
-    parser.optionxform = str  # keys are case sensitive; keeps N literal
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from exc
-
+    parser = _sections(text)
     echo: dict = {}
     for sec in parser.sections():
         if sec not in _SCHEMA:
@@ -279,10 +296,8 @@ def parse_config(text: str, *, base_dir: Path | None = None,
     static_tol = _get(parser, "analysis", "static_tol", _nonnegative, default=1e-8)
     area_tol = _get(parser, "analysis", "area_tol", _nonnegative, default=1e-4)
 
-    scenario_id = _get(parser, "outputs", "id", default=default_id)
-    out_base = Path(out_dir) if out_dir is not None else base_dir
-    csv_path = out_base / _get(parser, "outputs", "csv", default=f"{scenario_id}.csv")
-    json_path = out_base / _get(parser, "outputs", "json", default=f"{scenario_id}.json")
+    scenario_id, csv_path, json_path = _outputs(
+        parser, Path(out_dir) if out_dir is not None else base_dir, default_id)
 
     return ScenarioConfig(
         scenario_id=scenario_id, manifold=spec, weight=weight,
@@ -293,15 +308,29 @@ def parse_config(text: str, *, base_dir: Path | None = None,
         csv_path=csv_path, json_path=json_path, echo=echo)
 
 
+def _read_config(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
 def load_config(path, out_dir=None) -> ScenarioConfig:
     """Read a scenario file; relative paths resolve against its directory."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base_dir=path.parent, out_dir=out_dir,
+    return parse_config(_read_config(path), base_dir=path.parent, out_dir=out_dir,
                         default_id=path.stem)
+
+
+def config_outputs(path, out_dir=None) -> tuple[str, Path, Path]:
+    """The scenario id, CSV path and JSON path that ``load_config(path,
+    out_dir)`` would give, read from the file's ``[outputs]`` alone: no data
+    file is read and no model is built.  Raises the ConfigError
+    ``load_config`` would for an unreadable file, a syntax error or an
+    ``[outputs]`` csv and json naming one file."""
+    path = Path(path)
+    return _outputs(_sections(_read_config(path)),
+                    Path(out_dir) if out_dir is not None else path.parent, path.stem)
 
 
 @dataclass

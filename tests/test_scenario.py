@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -168,6 +169,14 @@ class TestParseConfig:
     def test_unknown_key_rejected_by_name(self, sec, key):
         with pytest.raises(ConfigError, match=rf"unknown key \[{sec}\] {key}"):
             parse_config(MINIMAL + f"\n[{sec}]\n{key} = 0.5\n")
+
+    @pytest.mark.parametrize("csv, json_name", [("x.out", "x.out"), ("x.out", "./x.out"),
+                                                ("s.json", None)])
+    def test_csv_and_json_naming_one_file_rejected(self, tmp_path, csv, json_name):
+        keys = f"csv = {csv}\n" + ("" if json_name is None else f"json = {json_name}\n")
+        with pytest.raises(ConfigError, match=r"\[outputs\] csv and \[outputs\] json "
+                                              r"name the same file"):
+            parse_config(MINIMAL + "\n[outputs]\nid = s\n" + keys, base_dir=tmp_path)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="extras"):
@@ -532,6 +541,56 @@ class TestCli:
         assert f"{named} is not an existing file" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_flow_with_csv_and_json_naming_one_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "s.cfg").write_text(MINIMAL + "\n[outputs]\ncsv = x.out\njson = x.out\n")
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(tmp_path / "s.cfg"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "[outputs] csv and [outputs] json name the same file" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_in_process_main_freezes_nothing(self, tmp_path, capsys):
+        (tmp_path / "s.cfg").write_text(MINIMAL)
+        frozen = gc.get_freeze_count()
+        assert main(["flow", "--config", str(tmp_path / "s.cfg"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert main(["oracle"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_process_entry_writes_what_main_writes(self, tmp_path, capsys):
+        (tmp_path / "s.cfg").write_text(MINIMAL)
+        res = run_cli("flow", "--config", str(tmp_path / "s.cfg"),
+                      "--out", str(tmp_path / "child"))
+        assert res.returncode == 0, res.stderr
+        assert main(["flow", "--config", str(tmp_path / "s.cfg"),
+                     "--out", str(tmp_path / "here")]) == 0
+        child, here = tmp_path / "child", tmp_path / "here"
+        assert res.stdout == capsys.readouterr().out.replace(str(here), str(child))
+        assert (child / "s.csv").read_bytes() == (here / "s.csv").read_bytes()
+        summaries = [json.loads((d / "s.json").read_text()) for d in (child, here)]
+        for summary in summaries:
+            summary.pop("volatile")
+        assert summaries[0] == summaries[1]
+
+    def test_run_freezes_before_the_interpreter_exits(self, tmp_path):
+        # atexit handlers run after run() has raised SystemExit
+        probe = ("import atexit, gc, sys\nfrom imcflab import cli\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+                 "sys.argv = ['imcflab', 'oracle', '--n', '2']\ncli.run()\n")
+        res = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True, env=child_env())
+        assert res.returncode == 2
+        assert "3 <= n <= 7" in res.stderr
+        label, count = res.stdout.split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"imcflab": "imcflab.cli:run"}
+
     @staticmethod
     def _recording_pool(monkeypatch):
         """Replace the process pool by one that records its worker count
@@ -652,6 +711,46 @@ class TestCli:
                 f"a.cfg and b.cfg") in err
         assert "a.json" not in err and "b.json" not in err
         assert not (cfgs / "sweep_summary.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rejected_sweep_writes_nothing(self, tmp_path, monkeypatch, capsys, jobs):
+        self._recording_pool(monkeypatch)
+        cfgs = self._two_configs(tmp_path)
+        for name in ("a", "b"):
+            with (cfgs / f"{name}.cfg").open("a") as cfg:
+                cfg.write("csv = same.csv\n")
+        assert main(["sweep", "--config", str(cfgs), "--jobs", jobs]) == 2
+        assert "is shared by configs a.cfg and b.cfg" in capsys.readouterr().err
+        assert sorted(p.name for p in cfgs.iterdir()) == ["a.cfg", "b.cfg"]
+
+    @pytest.mark.parametrize("out", [None, "out"])
+    def test_sweep_reserves_its_summary_file(self, tmp_path, capsys, out):
+        cfgs = self._two_configs(tmp_path)
+        argv = ["sweep", "--config", str(cfgs)]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+            name = f"../{out}/sweep_summary.json"
+        else:
+            name = "sweep_summary.json"
+        with (cfgs / "b.cfg").open("a") as cfg:
+            cfg.write(f"json = {name}\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config b.cfg writes" in err and "the sweep's summary file" in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.cfg", "b.cfg", "cfgs"]
+
+    def test_sweep_records_a_failing_config_under_its_id(self, tmp_path, capsys):
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        (cfgs / "a.cfg").write_text(MINIMAL + "\n[analysis]\nstatic_tol = -1\n"
+                                    "[outputs]\nid = x\n")
+        # no [outputs] can be read from a syntax error, so its stem stands
+        (cfgs / "b.cfg").write_text("not an ini document\n")
+        assert main(["sweep", "--config", str(cfgs)]) == 2
+        agg = json.loads((cfgs / "sweep_summary.json").read_text())
+        assert agg["exit_codes"] == {"b": 2, "x": 2}
+        err = capsys.readouterr().err
+        assert "[x] config error: " in err and "[b] config error: " in err
 
 
 # Modules that only some runs need; a cold start must not load them.
