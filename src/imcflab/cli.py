@@ -4,7 +4,8 @@ Subcommands:
 
 * ``flow``         run one scenario config, write CSV + JSON, exit per contract
 * ``sweep``        run every *.cfg in a directory (distinct ids and outputs,
-                   checked before any flow runs)
+                   checked before any flow runs), ``--jobs`` J on up to J
+                   forked workers
 * ``static-check`` metric/potential diagnostics only, no flow, no files
 * ``oracle``       print the closed-form Schwarzschild sphere reference chain
 
@@ -19,6 +20,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -163,6 +165,106 @@ def _sweep_ids(paths: list, out_dir, agg_path: Path) -> list:
     return ids
 
 
+_RECORD = 4  # bytes per job index in the task pipe
+
+
+def _work(jobs: list, tasks: int, out: int, foreign: list) -> None:
+    """Body of a forked sweep worker; it never returns.
+
+    It closes the pipe ends it does not own (a worker holding the task
+    pipe's write end would never see EOF), runs :func:`_run_one` on each job
+    index it reads from ``tasks`` until EOF, and then writes its
+    ``[index, result]`` list to ``out`` as JSON.  Exit status 0 means the
+    list was sent; an unexpected exception prints its traceback and exits 1,
+    as an interrupt does without one.
+    """
+    code = 1
+    try:
+        for fd in foreign:
+            os.close(fd)
+        done = []
+        # each write to the task pipe is one record, and pipe writes that
+        # small are atomic, so a read of one record gets a whole one or EOF
+        while record := os.read(tasks, _RECORD):
+            index = int.from_bytes(record, "little")
+            done.append((index, _run_one(jobs[index])))
+        with open(out, "w") as fh:
+            json.dump(done, fh)
+        code = 0
+    except Exception:
+        import traceback
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _run_forked(jobs: list, workers: int) -> list:
+    """The :func:`_run_one` result of every job, in job order, from
+    ``workers`` children made by ``os.fork``.
+
+    The workers take job indices one at a time from one shared pipe, so a
+    slow config holds up no other, and each sends its results back on a
+    pipe of its own.  The parent only deals, collects and reaps: every child
+    is waited for before this returns or raises.  A worker that dies or
+    exits non-zero is a LabError naming the configs that got no result.
+    Forked workers start with numpy and the package already imported,
+    which a spawned worker would import again.
+    """
+    # a child would otherwise write the parent's buffered text again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    results, children, failures = {}, [], []
+    tasks, deal = os.pipe()
+    owned = {tasks, deal}  # fds the parent has yet to close
+
+    def close(fd):
+        owned.discard(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(workers):
+            back, out = os.pipe()
+            owned.update((back, out))
+            pid = os.fork()
+            if pid == 0:
+                _work(jobs, tasks, out, [deal, back, *(fd for _, fd in children)])
+            children.append((pid, back))
+            close(out)
+        close(tasks)
+        try:
+            for i in range(len(jobs)):
+                os.write(deal, i.to_bytes(_RECORD, "little"))
+        except BrokenPipeError:
+            pass  # every worker is gone; the jobs left undealt get no result
+        close(deal)
+        for _, back in children:
+            owned.discard(back)
+            with open(back, "rb") as fh:
+                text = fh.read()
+            try:
+                results.update((i, result) for i, result in json.loads(text))
+            except ValueError:
+                pass  # a worker that died while writing sent nothing usable
+    finally:
+        for fd in list(owned):
+            close(fd)
+        for pid, _ in children:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failures.append(f"worker {pid} " + (f"exited with code {code}" if code > 0
+                                                    else f"was killed by signal {-code}"))
+    # a worker exits 0 only once it has sent every job it took
+    if failures:
+        lost = [Path(job[0]).name for i, job in enumerate(jobs) if i not in results]
+        raise LabError(f"sweep failed: {'; '.join(failures)}; "
+                       f"no result for configs: {', '.join(lost) or 'none'}")
+    return [results[i] for i in range(len(jobs))]
+
+
 def _cmd_sweep(args) -> int:
     cfg_dir = Path(args.config)
     if not cfg_dir.is_dir():
@@ -176,10 +278,8 @@ def _cmd_sweep(args) -> int:
     jobs = [(str(p), sid, None if args.out is None else str(args.out), args.strict)
             for p, sid in zip(paths, ids)]
     workers = min(args.jobs, len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        results = _run_forked(jobs, workers)
     else:
         results = [_run_one(j) for j in jobs]
     results = sorted(((sid, *r) for sid, r in zip(ids, results)), key=lambda r: r[0])

@@ -68,7 +68,6 @@ step-size underflow raises a solver failure with diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -103,21 +102,24 @@ def require_positive(key: str, value) -> None:
         raise ValueError(f"{key} must be positive and finite, got {value!r}")
 
 
-@dataclass
 class FlowTrace:
     """Time-indexed slices of one flow, plus room for attached quantities.
 
     ``quantities`` stays None until the monotone-quantities module fills it;
-    everything else is fixed once the flow returns.
+    everything else is fixed once the flow returns.  ``status`` is
+    "completed" or "halted"; ``stats`` holds the solver's counters.
     """
 
-    times: np.ndarray
-    surfaces: list
-    geometries: list
-    status: str                      # "completed" | "halted"
-    halt_reason: Optional[str] = None
-    quantities: Optional[list] = None
-    stats: dict = field(default_factory=dict)
+    def __init__(self, times: np.ndarray, surfaces: list, geometries: list,
+                 status: str, halt_reason: Optional[str] = None,
+                 quantities: Optional[list] = None, stats: Optional[dict] = None):
+        self.times = times
+        self.surfaces = surfaces
+        self.geometries = geometries
+        self.status = status
+        self.halt_reason = halt_reason
+        self.quantities = quantities
+        self.stats = {} if stats is None else stats
 
     @property
     def ambient(self) -> ManifoldSpec:

@@ -22,8 +22,7 @@ Dimension convention: n is the manifold dimension, hypersurfaces are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,13 +46,6 @@ __all__ = [
     "rescale_to_unit",
     "tail_in_domain",
 ]
-
-
-def _derive(record, name: str, piece: Callable):
-    """Attach an exact derived piece (an ``init=False`` field) to a frozen
-    profile or weight; only the constructors of this module call it."""
-    object.__setattr__(record, name, piece)
-    return record
 
 
 def _maybe_item(x):
@@ -143,24 +135,23 @@ def unit_sphere_area(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2) / math.gamma((k + 1) / 2)
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(NamedTuple):
     """A metric profile V(r) with first and second derivatives.
 
-    The closed-form constructors also carry the mass aspect u = 1 - V
-    exactly (see :meth:`mass_aspect`), so sphere functionals never form
-    1 - V by cancellation.
+    The closed-form constructors also set ``aspect``, the mass aspect
+    u = 1 - V in exact form (see :meth:`mass_aspect`), so sphere
+    functionals never form 1 - V by cancellation.
     """
 
     value: Callable
     deriv: Callable
     deriv2: Callable
     support: tuple[float, float] | None = None  # sampled profiles only
-    _aspect: Callable | None = field(default=None, init=False, repr=False)
+    aspect: Callable | None = None              # closed forms only
 
     def mass_aspect(self, r):
         """u = 1 - V(r): exact for the closed forms, 1 - V(r) otherwise."""
-        return 1.0 - self.value(r) if self._aspect is None else self._aspect(r)
+        return 1.0 - self.value(r) if self.aspect is None else self.aspect(r)
 
     @classmethod
     def schwarzschild(cls, n: int, m: float) -> "RadialProfile":
@@ -179,12 +170,12 @@ class RadialProfile:
         def d2v(r):
             return -2.0 * m * (n - 2.0) * (n - 1.0) * r ** (-float(n))
 
-        return _derive(cls(v, dv, d2v), "_aspect", u)
+        return cls(v, dv, d2v, aspect=u)
 
     @classmethod
     def flat(cls) -> "RadialProfile":
-        return _derive(cls(lambda r: r * 0.0 + 1.0, lambda r: r * 0.0,
-                           lambda r: r * 0.0), "_aspect", lambda r: r * 0.0)
+        return cls(lambda r: r * 0.0 + 1.0, lambda r: r * 0.0,
+                   lambda r: r * 0.0, aspect=lambda r: r * 0.0)
 
     @classmethod
     def from_callable(cls, v: Callable, dv: Callable | None = None,
@@ -209,21 +200,25 @@ class RadialProfile:
                    support=(float(spl.x[0]), float(spl.x[-1])))
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
-    """An n-dimensional warped-product manifold V^-1 dr^2 + r^2 dOmega^2.
-
-    ``r_min`` is the horizon radius for positive-mass Schwarzschild and a
-    configured cutoff otherwise; the working domain is (r_min, r_max].
-    """
-
+class _ManifoldFields(NamedTuple):
     n: int
     profile: RadialProfile
     mass_param: float | None
     r_min: float
     r_max: float
 
-    def __post_init__(self):
+
+class ManifoldSpec(_ManifoldFields):
+    """An n-dimensional warped-product manifold V^-1 dr^2 + r^2 dOmega^2.
+
+    ``r_min`` is the horizon radius for positive-mass Schwarzschild and a
+    configured cutoff otherwise; the working domain is (r_min, r_max].
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (3 <= self.n <= 7):
             raise ValueError(f"dimension must satisfy 3 <= n <= 7, got {self.n}")
         if not (0.0 <= self.r_min < self.r_max):
@@ -233,12 +228,13 @@ class ManifoldSpec:
         if not np.all(vals > 0.0):
             bad = probes[~(vals > 0.0)][0]
             raise ValueError(f"profile not positive on domain (V({bad:g}) <= 0)")
+        return self
 
     @classmethod
     def schwarzschild(cls, n: int, m: float, r_max: float = 1000.0,
                       r_min_floor: float = 0.1) -> "ManifoldSpec":
         profile = RadialProfile.schwarzschild(n, m)
-        # n <= 2 has no horizon; __post_init__ rejects it by name
+        # n <= 2 has no horizon; __new__ rejects it by name
         r_min = (2.0 * m) ** (1.0 / (n - 2)) if m > 0 and n > 2 else r_min_floor
         return cls(n=n, profile=profile, mass_param=float(m),
                    r_min=r_min, r_max=float(r_max))
@@ -270,8 +266,7 @@ class ManifoldSpec:
             raise DomainError(f"{what} {hi:g} beyond r_max = {self.r_max:g}")
 
 
-@dataclass(frozen=True)
-class StaticPotential:
+class StaticPotential(NamedTuple):
     """A candidate weight f(r) >= 0 with derivatives.
 
     Only the square root of a Schwarzschild profile actually solves the
@@ -280,22 +275,23 @@ class StaticPotential:
 
     The closed-form constructors below write the weight in terms of the
     profile V of the manifold the slice lives in (sqrt(V), V or a
-    constant), which lets :meth:`excess` form f sqrt(V) - 1 from the mass
-    aspect without cancellation.
+    constant) and set ``aspect_excess``, the weight excess as a function
+    of the mass aspect, which lets :meth:`excess` form f sqrt(V) - 1
+    without cancellation.
     """
 
     value: Callable
     deriv: Callable
     deriv2: Callable
-    _excess: Callable | None = field(default=None, init=False, repr=False)
+    aspect_excess: Callable | None = None  # closed forms only
 
     def excess(self, r: float, profile: RadialProfile) -> float:
         """The weight excess f sqrt(V) - 1 at radius r of ``profile``:
         a function of the mass aspect for the closed forms, plain
         f(r) sqrt(V(r)) - 1 for sampled, rescaled or hand-built weights."""
-        if self._excess is None:
+        if self.aspect_excess is None:
             return self.value(r) * np.sqrt(profile.value(r)) - 1.0
-        return self._excess(profile.mass_aspect(r))
+        return self.aspect_excess(profile.mass_aspect(r))
 
 
 def sqrt_potential(spec: ManifoldSpec) -> StaticPotential:
@@ -317,17 +313,14 @@ def sqrt_potential(spec: ManifoldSpec) -> StaticPotential:
         s = np.sqrt(v)
         return p.deriv2(r) / (2.0 * s) - p.deriv(r) ** 2 / (4.0 * v * s)
 
-    pot = StaticPotential(value=f, deriv=df, deriv2=d2f)
-    return _derive(pot, "_excess", lambda u: -u)
+    return StaticPotential(value=f, deriv=df, deriv2=d2f, aspect_excess=lambda u: -u)
 
 
 def constant_potential(c: float = 1.0) -> StaticPotential:
     """f identically c; the flat-space potential when c = 1."""
-    pot = StaticPotential(value=lambda r: r * 0.0 + c,
-                          deriv=lambda r: r * 0.0,
-                          deriv2=lambda r: r * 0.0)
-    return _derive(pot, "_excess",
-                   lambda u: c * math.expm1(0.5 * math.log1p(-u)) + (c - 1.0))
+    return StaticPotential(
+        value=lambda r: r * 0.0 + c, deriv=lambda r: r * 0.0, deriv2=lambda r: r * 0.0,
+        aspect_excess=lambda u: c * math.expm1(0.5 * math.log1p(-u)) + (c - 1.0))
 
 
 def profile_weight(spec: ManifoldSpec) -> StaticPotential:
@@ -338,8 +331,8 @@ def profile_weight(spec: ManifoldSpec) -> StaticPotential:
     monotonicity negative controls need.
     """
     p = spec.profile
-    pot = StaticPotential(value=p.value, deriv=p.deriv, deriv2=p.deriv2)
-    return _derive(pot, "_excess", lambda u: math.expm1(1.5 * math.log1p(-u)))
+    return StaticPotential(value=p.value, deriv=p.deriv, deriv2=p.deriv2,
+                           aspect_excess=lambda u: math.expm1(1.5 * math.log1p(-u)))
 
 
 def sampled_potential(r: np.ndarray, f: np.ndarray) -> StaticPotential:

@@ -32,8 +32,7 @@ Graph slices use ordinary float64 vector math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -122,8 +121,7 @@ def hawking_mass(geom: SurfaceGeometry) -> float:
     return math.sqrt(geom.area / (16 * math.pi)) * (1.0 - wth2 / (16 * math.pi))
 
 
-@dataclass(frozen=True)
-class SliceQuantities:
+class SliceQuantities(NamedTuple):
     """All per-slice functionals, as one record."""
 
     area: float
@@ -154,8 +152,7 @@ def attach_quantities(trace: FlowTrace, f: StaticPotential,
     return trace
 
 
-@dataclass(frozen=True)
-class MonotonicityVerdict:
+class MonotonicityVerdict(NamedTuple):
     """Monotonicity and limit assessment of Q along one trace."""
 
     monotone: bool

@@ -48,9 +48,9 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ _SCHEMA = {
 }
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A fully validated scenario: built objects plus the raw echo."""
 
     scenario_id: str
@@ -118,7 +117,7 @@ class ScenarioConfig:
     area_tol: float
     csv_path: Path
     json_path: Path
-    echo: dict = field(default_factory=dict)
+    echo: dict = {}                    # shared default, never mutated
 
 
 def _finite(text: str) -> float:
@@ -333,8 +332,7 @@ def config_outputs(path, out_dir=None) -> tuple[str, Path, Path]:
                     Path(out_dir) if out_dir is not None else path.parent, path.stem)
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Everything one scenario run produced."""
 
     scenario_id: str
@@ -421,7 +419,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     area_res = area_law_residual(trace)
     deficit0 = trace.quantities[0].minkowski_deficit
     verdicts = {
-        **asdict(verdict),
+        **verdict._asdict(),
         "deficit_initial": deficit0,
         "deficit_ok": bool(deficit0 >= -cfg.deficit_tol),
         "area_law_residual": area_res,

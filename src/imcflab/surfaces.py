@@ -31,7 +31,6 @@ principal curvatures.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -54,19 +53,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoordinateSphere:
-    """The level set r = radius of the radial coordinate."""
-
+class _SphereFields(NamedTuple):
     radius: float
     ambient: ManifoldSpec
 
-    def __post_init__(self):
+
+class CoordinateSphere(_SphereFields):
+    """The level set r = radius of the radial coordinate."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self.ambient.require_in_domain(self.radius, "sphere radius")
+        return self
 
 
-@dataclass(frozen=True)
-class GraphGrid:
+class GraphGrid(NamedTuple):
     """Precomputed uniform theta grid machinery shared by geometry and flow;
     :meth:`make` owns the grid rules (uniform over [0, pi], N even in [8, MAX_INTERVALS])
     and caches its last few grids, so callers of one N share read-only arrays."""
@@ -159,28 +162,28 @@ def _first_derivative_o4(rho: np.ndarray, dth: float) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
-class AxisymmetricGraph:
+class _GraphFields(NamedTuple):
+    theta: np.ndarray
+    rho: np.ndarray
+    ambient: ManifoldSpec
+
+
+class AxisymmetricGraph(_GraphFields):
     """A radial graph rho(theta) on the uniform grid over [0, pi] (n = 3).
 
     Pole regularity (vanishing one-sided derivative at both poles) is
     required at construction, within a tolerance scaled to the grid, which
-    the graph keeps as ``grid``.
+    the graph reads as ``grid``.
     """
 
-    theta: np.ndarray
-    rho: np.ndarray
-    ambient: ManifoldSpec
-    grid: GraphGrid = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ambient.n != 3:
+    def __new__(cls, theta, rho, ambient):
+        if ambient.n != 3:
             raise UnsupportedDimensionError(
-                f"axisymmetric graphs need n = 3, got n = {self.ambient.n}")
-        theta = np.asarray(self.theta, dtype=float)
-        rho = np.asarray(self.rho, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "rho", rho)
+                f"axisymmetric graphs need n = 3, got n = {ambient.n}")
+        theta = np.asarray(theta, dtype=float)
+        rho = np.asarray(rho, dtype=float)
         if rho.shape != theta.shape:
             raise ValueError("theta and rho must have matching shapes")
         grid = GraphGrid.make(theta.size - 1)
@@ -188,8 +191,7 @@ class AxisymmetricGraph:
         if theta is not grid.theta and not np.allclose(theta, grid.theta,
                                                        atol=1e-12, rtol=0.0):
             raise ValueError("theta must be the uniform grid over [0, pi]")
-        object.__setattr__(self, "grid", grid)
-        self.ambient.require_in_domain(rho, "graph radius")
+        ambient.require_in_domain(rho, "graph radius")
         dth = grid.dtheta
         tol = 5.0 * dth**2 * max(1.0, float(np.abs(rho).max()))
         (r0, r1, r2), (s2, s1, s0) = rho[:3].tolist(), rho[-3:].tolist()
@@ -199,6 +201,11 @@ class AxisymmetricGraph:
             raise ValueError(
                 f"pole regularity violated: one-sided rho' = ({d0:.3e}, {d1:.3e}) "
                 f"exceeds tolerance {tol:.3e}")
+        return super().__new__(cls, theta, rho, ambient)
+
+    @property
+    def grid(self) -> GraphGrid:
+        return GraphGrid.make(self.theta.size - 1)
 
     @property
     def n_intervals(self) -> int:
@@ -217,8 +224,7 @@ class AxisymmetricGraph:
         return cls.from_function(lambda theta: float(radius), ambient, n_intervals)
 
 
-@dataclass(frozen=True)
-class SurfaceGeometry:
+class SurfaceGeometry(NamedTuple):
     """Derived extrinsic geometry of one slice.
 
     Per-node arrays have length 1 for coordinate spheres (every node is

@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +138,14 @@ BAD_VALUES = [
 def run_cli(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "imcflab", *argv],
                           capture_output=True, text=True, cwd=cwd, env=child_env())
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test, no child process is left running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParseConfig:
@@ -497,8 +507,7 @@ class TestCli:
             individual.pop("volatile")
             assert individual in agg["scenarios"]
 
-    def test_sweep_summary_volatile_holds_runtimes_only(self, tmp_path, monkeypatch):
-        self._recording_pool(monkeypatch)
+    def test_sweep_summary_volatile_holds_runtimes_only(self, tmp_path):
         cfgs = self._two_configs(tmp_path)
         (cfgs / "c.cfg").write_text(MINIMAL + "\n[analysis]\nstatic_tol = -1\n")
         texts = []
@@ -592,26 +601,18 @@ class TestCli:
         assert scripts == {"imcflab": "imcflab.cli:run"}
 
     @staticmethod
-    def _recording_pool(monkeypatch):
-        """Replace the process pool by one that records its worker count
-        and maps in-process, so no worker process is started."""
-        started = []
+    def _fork_spy(monkeypatch):
+        """Record the pid of every child ``os.fork`` makes from now on."""
+        forks, real_fork = [], os.fork
 
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                started.append(max_workers)
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-        return started
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
 
     @staticmethod
     def _two_configs(tmp_path):
@@ -625,32 +626,32 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_sweep_jobs_below_one_is_parse_error(self, tmp_path, monkeypatch,
                                                  capsys, jobs):
-        started = self._recording_pool(monkeypatch)
+        forks = self._fork_spy(monkeypatch)
         cfgs = self._two_configs(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", str(cfgs), "--out", str(tmp_path / "out"),
                   "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
-        assert started == []
+        assert forks == []
         assert not (tmp_path / "out").exists()
 
+    # workers: the worker count of each sweep that forks
     @pytest.mark.parametrize("jobs, workers", [("64", [2]), ("2", [2]), ("1", [])])
     def test_sweep_starts_at_most_one_worker_per_config(self, tmp_path, monkeypatch,
                                                         jobs, workers):
-        started = self._recording_pool(monkeypatch)
+        forks = self._fork_spy(monkeypatch)
         cfgs = self._two_configs(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfgs), "--out", str(out),
                      "--jobs", jobs]) == 0
-        assert started == workers
+        assert len(forks) == sum(workers)
         agg = json.loads((out / "sweep_summary.json").read_text())
         assert [s["id"] for s in agg["scenarios"]] == ["a", "b"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_records_failing_configs_and_goes_on(self, tmp_path, monkeypatch,
-                                                       capsys, jobs):
-        self._recording_pool(monkeypatch)
+                                                       capfd, jobs):
         cfgs = tmp_path / "cfgs"
         cfgs.mkdir()
         for name in ("a", "c", "d"):
@@ -673,7 +674,8 @@ class TestCli:
         assert agg["passed"] == 2 and agg["failed"] == 2
         assert [s["id"] for s in agg["scenarios"]] == ["a", "b", "c", "d"]
         assert sorted(p.name for p in out.glob("*.csv")) == ["a.csv", "d.csv"]
-        err = capsys.readouterr().err
+        # forked workers write to fd 2
+        err = capfd.readouterr().err
         assert "[b] config error: " in err and "static_tol" in err
         assert "[c] solver failure: step size underflow" in err
         line = next(x for x in err.splitlines() if x.startswith("[c] "))
@@ -682,7 +684,7 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_rejects_configs_sharing_an_id(self, tmp_path, monkeypatch,
                                                  capsys, jobs):
-        self._recording_pool(monkeypatch)
+        forks = self._fork_spy(monkeypatch)
         cfgs = tmp_path / "cfgs"
         cfgs.mkdir()
         (cfgs / "a.cfg").write_text(MINIMAL + "\n[outputs]\nid = same\n")
@@ -699,6 +701,7 @@ class TestCli:
         assert "'same' is shared by configs a.cfg and b.cfg" in err
         assert "'c' is shared by configs c.cfg and d.cfg" in err
         assert not (out / "sweep_summary.json").exists()
+        assert forks == []
 
     def test_sweep_rejects_configs_sharing_an_output_file(self, tmp_path, capsys):
         cfgs = self._two_configs(tmp_path)
@@ -714,7 +717,7 @@ class TestCli:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_rejected_sweep_writes_nothing(self, tmp_path, monkeypatch, capsys, jobs):
-        self._recording_pool(monkeypatch)
+        forks = self._fork_spy(monkeypatch)
         cfgs = self._two_configs(tmp_path)
         for name in ("a", "b"):
             with (cfgs / f"{name}.cfg").open("a") as cfg:
@@ -722,6 +725,7 @@ class TestCli:
         assert main(["sweep", "--config", str(cfgs), "--jobs", jobs]) == 2
         assert "is shared by configs a.cfg and b.cfg" in capsys.readouterr().err
         assert sorted(p.name for p in cfgs.iterdir()) == ["a.cfg", "b.cfg"]
+        assert forks == []
 
     @pytest.mark.parametrize("out", [None, "out"])
     def test_sweep_reserves_its_summary_file(self, tmp_path, capsys, out):
@@ -752,9 +756,113 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[x] config error: " in err and "[b] config error: " in err
 
+    def _dying_worker(self, monkeypatch, action):
+        """Make the forked worker that runs config b call ``action``."""
+        parent, real_run = os.getpid(), cli.run_scenario
+
+        def run_scenario(cfg):
+            if cfg.scenario_id == "b":
+                assert os.getpid() != parent, "config b ran in the test process"
+                action()
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+
+    @pytest.mark.parametrize("death, reported", [
+        (lambda: os._exit(9), "exited with code 9"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9")],
+        ids=["exit", "kill"])
+    def test_sweep_worker_death_exits_one_naming_its_configs(self, tmp_path, monkeypatch,
+                                                             capfd, death, reported):
+        self._dying_worker(monkeypatch, death)
+        cfgs, out = self._two_configs(tmp_path), tmp_path / "out"
+        assert main(["sweep", "--config", str(cfgs), "--out", str(out),
+                     "--jobs", "2"]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: sweep failed: worker ")
+        assert reported in err and "no result for configs: " in err
+        assert "b.cfg" in err.splitlines()[-1]
+        assert not (out / "sweep_summary.json").exists()
+
+    def test_sweep_without_fork_runs_in_process(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delattr(os, "fork")
+        parent, real_run, pids = os.getpid(), cli.run_scenario, []
+
+        def run_scenario(cfg):
+            pids.append(os.getpid())
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        cfgs, out = self._two_configs(tmp_path), tmp_path / "out"
+        assert main(["sweep", "--config", str(cfgs), "--out", str(out),
+                     "--jobs", "2"]) == 0
+        assert pids == [parent, parent]
+        assert "sweep: 2 passed, 0 failed" in capsys.readouterr().out
+
+    def test_sweep_worker_exception_prints_its_traceback(self, tmp_path, monkeypatch,
+                                                         capfd):
+        def boom():
+            raise RuntimeError("boom")
+
+        self._dying_worker(monkeypatch, boom)
+        cfgs, out = self._two_configs(tmp_path), tmp_path / "out"
+        assert main(["sweep", "--config", str(cfgs), "--out", str(out),
+                     "--jobs", "2"]) == 1
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
+        assert "exited with code 1" in err and "b.cfg" in err.splitlines()[-1]
+        assert not (out / "sweep_summary.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["2", "3", "8"])
+    def test_forked_sweep_runs_each_config_once_as_jobs_one_does(self, tmp_path,
+                                                                 monkeypatch, jobs):
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        texts = {
+            "s4": MINIMAL, "s6": MINIMAL.replace("r0 = 4.0", "r0 = 6.0"),
+            "n5": MINIMAL.replace("n = 3", "n = 5"), "negctl": NEGCTL,
+            "bad": MINIMAL + "\n[analysis]\nstatic_tol = -1\n",
+            "graph": MINIMAL.replace("kind = sphere\nr0 = 4.0",
+                                     "kind = graph\nrho0 = 4 + 0.3*P2(cos(theta))")
+            + "\n[solver]\nN = 40\nt_end = 0.5\n"}
+        for name, text in texts.items():
+            (cfgs / f"{name}.cfg").write_text(text)
+        log, real_run = tmp_path / "ran.log", cli.run_scenario
+
+        def run_scenario(cfg):
+            with open(log, "a") as fh:  # appends of one short line do not interleave
+                fh.write(cfg.scenario_id + "\n")
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        forks = self._fork_spy(monkeypatch)
+        runs = {}
+        for run in ("1", jobs):
+            out = tmp_path / f"jobs{run}"
+            assert main(["sweep", "--config", str(cfgs), "--out", str(out),
+                         "--jobs", run]) == 2
+            runs[run] = out
+            lines = log.read_text().split()
+            log.unlink()
+            # the bad config fails in parsing, before run_scenario
+            assert sorted(lines) == sorted(set(texts) - {"bad"})
+        assert len(forks) == min(int(jobs), len(texts))
+        outputs = sorted(p.name for p in runs["1"].iterdir())
+        assert outputs == sorted(p.name for p in runs[jobs].iterdir())
+        assert len(outputs) == 2 * len(texts) - 1
+        for name in outputs:
+            one, many = (runs[r] / name for r in ("1", jobs))
+            if name.endswith(".csv"):
+                assert one.read_bytes() == many.read_bytes(), name
+            else:
+                summaries = [json.loads(p.read_text()) for p in (one, many)]
+                for summary in summaries:
+                    summary.pop("volatile")
+                assert summaries[0] == summaries[1], name
+
 
 # Modules that only some runs need; a cold start must not load them.
-LAZY_MODULES = ("scipy", "concurrent.futures.process", "mpmath")
+LAZY_MODULES = ("scipy", "concurrent.futures", "multiprocessing", "dataclasses", "mpmath")
 
 
 def cold_start(argv=None) -> dict:
@@ -803,6 +911,14 @@ class TestColdStart:
                            "--out", str(tmp_path / "out")]) == {"loaded": [], "code": 0}
         summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
         assert summary["exit_codes"] == {"c": 0, "p": 0}
+
+    def test_forked_sweep_loads_no_process_pool(self, tmp_path):
+        (tmp_path / "a.cfg").write_text(MINIMAL)
+        (tmp_path / "b.cfg").write_text(NEGCTL)
+        assert cold_start(["sweep", "--config", str(tmp_path), "--jobs", "2",
+                           "--out", str(tmp_path / "out")]) == {"loaded": [], "code": 4}
+        summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        assert summary["exit_codes"] == {"a": 0, "negctl": 4}
 
     def test_static_check_horizon_search_loads_no_scipy(self, tmp_path):
         (tmp_path / "s.cfg").write_text(MINIMAL)
