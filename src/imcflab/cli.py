@@ -30,7 +30,7 @@ from .errors import ConfigError, InsideHorizonError, LabError, SolverFailureErro
 from .metrics import ManifoldSpec, horizon_radius, sqrt_potential, unit_sphere_area
 from .quantities import limit_target, slice_quantities
 from .scenario import (config_outputs, emit_outputs, exit_code_for, load_config,
-                       run_scenario, static_diagnostics, summary_dict)
+                       run_scenario, static_diagnostics, summary_dict, write_new)
 from .surfaces import CoordinateSphere, sphere_geometry
 
 EXIT_OK = 0
@@ -293,7 +293,7 @@ def _cmd_sweep(args) -> int:
         "volatile": {"runtime_seconds": {i: w for (i, _c, _s, w) in results}},
     }
     out_base.mkdir(parents=True, exist_ok=True)
-    agg_path.write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
+    write_new(agg_path, json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
     for i in sorted(codes):
         print(f"[{i}] exit {codes[i]}")
     print(f"sweep: {aggregate['passed']} passed, {aggregate['failed']} failed; "

@@ -39,9 +39,10 @@ IV.7), where J_D enters the W-matrix and nothing else, and the new state
 is the last stage's input plus the last stage (the method is stiffly
 accurate).  The step size is set by accuracy alone, not by a dtheta^2
 stability bound, so a flow takes about the same number of steps at any
-grid size.  Each step factors the tridiagonal I - gamma dt J_D once for
-all four stages: one Python pass for the Thomas pivots, then numpy prefix
-products of the multipliers of its two elimination sweeps.  Each sweep is
+grid size.  A factorization of the tridiagonal I - gamma dt J_D serves all
+four stages of a step, and further steps while it still fits them (below):
+one Python pass for the Thomas pivots, then numpy prefix products of the
+multipliers of its two elimination sweeps.  Each sweep is
 a first-order linear recurrence, so a solve runs it in scan form as a
 prefix sum (Kogge & Stone, IEEE Trans. Comput. C-22, 1973; Blelloch,
 CMU-CS-90-190, 1990), with no per-node Python.  Since J_D has zero row
@@ -53,11 +54,22 @@ The first step is 1% of rho's own time scale |rho| / |W/H| in the error
 norm (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The controller
 scales each step by _SAFETY err^(-1/3), _SAFETY = 0.9, within [0.2, 5].
 Steps land exactly on the requested output times, so emitted slices carry
-no interpolation error; a step lands once the next output is within
-dt / _SAFETY, the step the controller would take before its safety
-factor, so no sliver step is left before an output.  A rejected attempt
-is retried with the controller's shorter step and no such stretch, so
-each retry is strictly shorter than the attempt it repeats.
+no interpolation error: each step splits what is left to the next output
+into the fewest equal steps of at most dt / _SAFETY, the step the
+controller would take before its safety factor, so no sliver step is left
+before an output and the step stays the same from one step to the next.
+A step the split shortened does not shrink the controller's next one.  A
+rejected attempt is split by the controller's shorter step itself, with no
+such stretch, so each retry is strictly shorter than the attempt it repeats.
+
+Since a W-method keeps its order with any W, a factored W-matrix is held,
+as stiff codes hold their LU while the step is unchanged (Hairer & Wanner,
+IV.8), for as long as three things hold: the step equals the one it was
+factored at up to rounding (a step off by rounding only is the W-method
+with J_D scaled by the ratio of the two), the last attempt was accepted,
+and s = gamma dt / (H^2 E dtheta^2) at the current state is within _HOLD
+(10%) of the s it was factored at.  The error estimate cannot see a stale
+W, so the last bound is what keeps a held W accurate.
 
 Smoothness is assumed, not manufactured: each accepted step is tested
 once, and losing mean convexity ("H<=0") or a state at or inside r_min
@@ -94,6 +106,7 @@ MAX_SLICES = 10_000  # cap on t_end / dt_out; every slice stays in memory
 MAX_STEPS = 5_000_000  # cap on accepted plus rejected graph steps
 _ABS_TOL = 1e-12       # absolute part of the graph stepper's error scale
 _SAFETY = 0.9          # the graph step controller's safety factor
+_HOLD = 0.1            # largest drift max|s / s_W - 1| of a held W-matrix
 
 
 def require_positive(key: str, value) -> None:
@@ -329,6 +342,12 @@ def _w_solver(s: np.ndarray):
     return solve
 
 
+def _rate(rho, frame, t, gh):
+    """gamma h G(sigma, t) = gamma h e^(-t/2) (W/H - rho/2), from the
+    frame at rho = e^(t/2) sigma."""
+    return (gh * math.exp(-0.5 * t)) * (frame.w / frame.h - 0.5 * rho)
+
+
 def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
                rel_tol: float = 1e-7) -> FlowTrace:
     """Method-of-lines IMCF for an axisymmetric radial graph, emitting a
@@ -338,8 +357,9 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
     The initial slice must pass :func:`require_mean_convex`.  Each accepted
     state halts the trace with reason "H<=0" if min H <= 0, else "horizon"
     if min rho <= r_min; halts are reported, not raised.  Besides the
-    counters, ``stats`` holds ``landing_steps`` (accepted steps whose length
-    an output time set, shortened or stretched to land on it), the smallest
+    counters (``factorizations`` counts the W-matrices factored, at most
+    one per attempt), ``stats`` holds ``landing_steps`` (accepted steps the
+    split toward an output made shorter than the controller's step), the smallest
     and largest accepted step (``dt_min``, ``dt_max``) and the margins to a
     halt over the initial and every accepted state: ``min_H`` and
     ``min_rho_margin`` (min rho - r_min).  Past ``MAX_STEPS`` attempts it
@@ -360,11 +380,6 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
         x = v / (_ABS_TOL + rel_tol * np.abs(y))
         return math.sqrt((x * x).mean())
 
-    def rate(rho, frame, t, gh):
-        """gamma h G(sigma, t) = gamma h e^(-t/2) (W/H - rho/2), from the
-        frame at rho = e^(t/2) sigma."""
-        return (gh * math.exp(-0.5 * t)) * (frame.w / frame.h - 0.5 * rho)
-
     t = 0.0
     y = rho.copy()                  # sigma = e^(-t/2) rho
     out_surfaces = [graph]
@@ -379,6 +394,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
     # Hairer's starting step: 1% of rho's time scale |rho| / |W/H|
     dt = 0.01 * scaled_rms(rho, rho) / max(scaled_rms(frame.w / frame.h, rho), 1e-300)
     retry = False                   # the last attempt was rejected
+    h_w, s_w = math.nan, None       # the step and s the held W was factored at
 
     while emitted < len(times):
         failure = ("step budget exhausted" if nsteps + nrej > MAX_STEPS else
@@ -388,22 +404,27 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
                 "t": t, "dt": float(dt), "steps": nsteps, "rejected": nrej,
                 "min_H": float(frame.h.min())})
 
-        # land exactly on the next output within dt / _SAFETY (a retry: within
-        # dt, so that it is strictly shorter); dt stays the controller's step
+        # split what is left to the next output into equal steps of at most
+        # dt / _SAFETY (a retry: dt, so that it is strictly shorter); dt stays
+        # the controller's step
         t_next = float(times[emitted])
-        at_output = t + (dt if retry else dt / _SAFETY) >= t_next - 1e-14
-        h = t_next - t if at_output else dt
-
+        splits = math.ceil((t_next - t) / (dt if retry else dt / _SAFETY))
+        h = (t_next - t) / splits
         gh = _GAMMA * h
-        solve = _w_solver((gh / dth**2) / (frame.h**2 * frame.e))
-        nfact += 1
-        us = [solve(rate(rho, frame, t, gh))]
+        s = (gh / dth**2) / (frame.h**2 * frame.e)
+        # factor anew after a rejection, for a step beyond rounding of the
+        # held W's (h_w is nan until the first) or once s drifts past _HOLD
+        if retry or not abs(h - h_w) <= 1e-12 * h or np.abs(s / s_w - 1.0).max() > _HOLD:
+            solve = _w_solver(s)
+            h_w, s_w = h, s
+            nfact += 1
+        us = [solve(_rate(rho, frame, t, gh))]
         for a_row, c_row, alpha in zip(_A_U[1:], _C_U[1:], _STAGE_TIMES[1:]):
             y_stage = y + _combine(a_row, us)
             t_stage = t + alpha * h
             rho_stage = math.exp(0.5 * t_stage) * y_stage
             stage = graph_frame(rho_stage, spec, grid)
-            us.append(solve(rate(rho_stage, stage, t_stage, gh) + _combine(c_row, us)))
+            us.append(solve(_rate(rho_stage, stage, t_stage, gh) + _combine(c_row, us)))
         nevals += 3
         y_new = y_stage + us[3]
         enorm = scaled_rms(_combine(_E_U, us), y_new)
@@ -414,9 +435,9 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
         retry = enorm > 1.0
         if not retry:
             nsteps += 1
-            nland += h != dt            # its length set by an output
+            nland += h < dt             # shortened by the split
             dt_min, dt_max = min(dt_min, h), max(dt_max, h)
-            t = t_next if at_output else t + h
+            t = t_next if splits == 1 else t + h
             y = y_new
             rho = math.exp(0.5 * t) * y
             frame = graph_frame(rho, spec, grid)
@@ -426,14 +447,14 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
             if min_h <= 0.0 or min_rho <= spec.r_min:
                 status, reason = "halted", "H<=0" if min_h <= 0.0 else "horizon"
                 break
-            if at_output:
+            if splits == 1:
                 surf = AxisymmetricGraph(grid.theta, rho, spec)
                 out_surfaces.append(surf)
                 out_geoms.append(graph_geometry(surf, frame))
                 emitted += 1
             grown = h * min(5.0, _SAFETY / max(enorm, 1e-10) ** (1.0 / 3.0))
-            # a step shortened to land on an output does not shrink the next
-            dt = max(dt, grown) if at_output else grown
+            # a step the split shortened does not shrink the next
+            dt = max(dt, grown) if h < dt else grown
         else:
             nrej += 1
             dt = h * max(0.2, _SAFETY / enorm ** (1.0 / 3.0))

@@ -172,6 +172,13 @@ def spheroid_h_at_theta(theta, a=1.0, c=2.0):
     return k1 + k2
 
 
+def offcentre_sphere_rho(theta, t, p, r0):
+    """rho(theta, t) of the flat-space IMCF of the sphere of radius r0
+    centred at p e_z, p < r0: the sphere of radius r0 e^(t/2) about the same
+    centre (area 4 pi r0^2 e^t, as IMCF demands), as a radial graph."""
+    return p * np.cos(theta) + np.sqrt(r0**2 * np.exp(t) - (p * np.sin(theta)) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # linearised decay of a Legendre mode of a flowing graph, n = 3
 # ---------------------------------------------------------------------------

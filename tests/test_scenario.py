@@ -353,6 +353,36 @@ class TestEmitOutputs:
         assert texts[0] == texts[1]
         assert summaries[0] == summaries[1]
 
+    def test_rerun_writes_new_files(self, tmp_path, capsys):
+        # an existing output is unlinked, not truncated in place: a hard
+        # link to the old CSV keeps the old rows, a symlinked JSON is
+        # replaced, not written through, and the sweep summary alike
+        cfg, out = tmp_path / "s.cfg", tmp_path / "out"
+        argv = ["flow", "--config", str(cfg), "--out", str(out)]
+        cfg.write_text(MINIMAL)
+        assert main(argv) == 0
+        old_rows = (out / "s.csv").read_text()
+        os.link(out / "s.csv", tmp_path / "old.csv")
+        (tmp_path / "target.json").write_text("kept\n")
+        (out / "s.json").unlink()
+        (out / "s.json").symlink_to(tmp_path / "target.json")
+        cfg.write_text(MINIMAL.replace("r0 = 4.0", "r0 = 5.0"))
+        assert main(argv) == 0
+        assert (tmp_path / "old.csv").read_text() == old_rows
+        area0 = float((out / "s.csv").read_text().splitlines()[1].split(",")[1])
+        assert area0 == pytest.approx(100.0 * math.pi, rel=1e-15)
+        assert (tmp_path / "target.json").read_text() == "kept\n"
+        assert not (out / "s.json").is_symlink()
+        assert json.loads((out / "s.json").read_text())["verdicts"]["overall_pass"]
+        sweep = ["sweep", "--config", str(tmp_path), "--out", str(out)]
+        assert main(sweep) == 0
+        old_summary = (out / "sweep_summary.json").read_text()
+        os.link(out / "sweep_summary.json", tmp_path / "old_summary.json")
+        assert main(sweep) == 0
+        assert (tmp_path / "old_summary.json").read_text() == old_summary
+        # the same exit codes, new runtimes
+        assert (out / "sweep_summary.json").read_text() != old_summary
+
     def test_unwritable_path_reports_path(self, tmp_path):
         cfg = parse_config(MINIMAL, base_dir=tmp_path)
         report = run_scenario(cfg)
