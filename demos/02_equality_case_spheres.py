@@ -22,10 +22,10 @@ for n in (3, 5, 7):
         target = L.limit_target(n)
         lo = 1.1 * spec.r_min if m > 0 else 0.5
         for r in np.geomspace(lo, 50.0, 3):
-            g = L.sphere_geometry(L.CoordinateSphere(float(r), spec))
-            q = L.monotone_quantity(g, f, m)
-            d = L.minkowski_deficit(g, f, m)
-            print(f"{n:>2} {m:>6.1f} {r:>7.2f}   {q - target:>12.3e}   {d:>12.3e}")
+            sq = L.slice_quantities(
+                L.sphere_geometry(L.CoordinateSphere(float(r), spec)), f, m)
+            print(f"{n:>2} {m:>6.1f} {r:>7.2f}   {sq.q - target:>12.3e}   "
+                  f"{sq.minkowski_deficit:>12.3e}")
 
 print("\nA whole sphere flow keeps Q pinned at the limit:")
 spec = L.ManifoldSpec.schwarzschild(3, 1.0)

@@ -22,19 +22,20 @@ def spheroid(theta):
 
 surface = L.AxisymmetricGraph.from_function(spheroid, flat, 400)
 geom = L.graph_geometry(surface)
+sq = L.slice_quantities(geom, one, 0.0)
 
 print("prolate spheroid, semi-axes (1, 1, 2):")
-print(f"  area                 {geom.area:.10f}")
-print(f"  total mean curvature {L.weighted_total_mean_curvature(geom, one):.10f}")
-print(f"  minkowski deficit    {L.minkowski_deficit(geom, one, 0.0):.10f}  (> 0, strict)")
-print(f"  hawking mass         {L.hawking_mass(geom):.10f}  (< 0 for non-spheres)")
-print(f"  umbilicity deficit   {L.umbilicity_deficit(geom):.6f}  (16/27 at sin^2 u = 2/3)")
+print(f"  area                 {sq.area:.10f}")
+print(f"  total mean curvature {sq.weighted_total_h:.10f}")
+print(f"  minkowski deficit    {sq.minkowski_deficit:.10f}  (> 0, strict)")
+print(f"  hawking mass         {geom.hawking_mass:.10f}  (< 0 for non-spheres)")
+print(f"  umbilicity deficit   {geom.umbilicity_deficit:.6f}  (16/27 at sin^2 u = 2/3)")
 
 print("\nround spheres for comparison (deficit identically zero):")
 for r in (0.5, 1.0, 5.0):
     s = L.sphere_geometry(L.CoordinateSphere(r, flat))
-    print(f"  r = {r:4.1f}: deficit = {L.minkowski_deficit(s, one, 0.0):.3e}, "
-          f"hawking = {L.hawking_mass(s):.3e}")
+    d = L.slice_quantities(s, one, 0.0).minkowski_deficit
+    print(f"  r = {r:4.1f}: deficit = {d:.3e}, hawking = {s.hawking_mass:.3e}")
 
 print("\nflowing the spheroid rounds it off and shrinks the deficit:")
 trace = L.flow_graph(surface, 1.0, dt_out=0.25)

@@ -20,15 +20,12 @@ from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       sqrt_potential, static_residual, unit_sphere_area)
 from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid,
                        SurfaceGeometry, graph_geometry, load_graph,
-                       save_graph, sphere_geometry, surface_integral,
-                       umbilicity_deficit)
+                       save_graph, sphere_geometry, surface_integral)
 from .flow import (FlowTrace, area_law_residual, flow_graph, flow_sphere,
                    require_reach)
 from .quantities import (MonotonicityVerdict, SliceQuantities,
-                         attach_quantities, hawking_mass, limit_target,
-                         minkowski_deficit, monotone_quantity,
-                         monotonicity_verdict, slice_quantities,
-                         weighted_total_mean_curvature)
+                         attach_quantities, limit_target,
+                         monotonicity_verdict, slice_quantities)
 from .scenario import (RunReport, ScenarioConfig, emit_outputs, load_config,
                        parse_config, run_scenario)
 
@@ -47,15 +44,13 @@ __all__ = [
     # surfaces
     "CoordinateSphere", "AxisymmetricGraph", "SurfaceGeometry", "GraphGrid",
     "sphere_geometry", "graph_geometry", "surface_integral",
-    "umbilicity_deficit", "save_graph", "load_graph",
+    "save_graph", "load_graph",
     # flow
     "FlowTrace", "flow_sphere", "flow_graph",
     "require_reach", "area_law_residual",
     # quantities
     "SliceQuantities", "MonotonicityVerdict", "limit_target",
-    "weighted_total_mean_curvature", "monotone_quantity", "minkowski_deficit",
-    "hawking_mass", "slice_quantities", "attach_quantities",
-    "monotonicity_verdict",
+    "slice_quantities", "attach_quantities", "monotonicity_verdict",
     # scenario
     "ScenarioConfig", "RunReport", "parse_config", "load_config",
     "run_scenario", "emit_outputs",

@@ -9,9 +9,7 @@ Subcommands:
 * ``static-check`` metric/potential diagnostics only, no flow, no files
 * ``oracle``       print the closed-form Schwarzschild sphere reference chain
 
-Exit codes: 0 all verdicts pass, 1 unexpected error, 2 parse/validation
-error, 3 solver failure (or halt/area-law trouble), 4 monotonicity
-violation, 5 deficit violation, 6 strict-mode warning escalation.
+Exit codes are the ``EXIT_*`` table of :mod:`imcflab.scenario`.
 """
 
 from __future__ import annotations
@@ -29,15 +27,11 @@ from . import __version__
 from .errors import ConfigError, InsideHorizonError, LabError, SolverFailureError
 from .metrics import ManifoldSpec, horizon_radius, sqrt_potential, unit_sphere_area
 from .quantities import limit_target, slice_quantities
-from .scenario import (config_outputs, emit_outputs, exit_code_for, load_config,
-                       run_scenario, static_diagnostics, summary_dict, write_new)
+from .scenario import (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_STRICT,
+                       EXIT_UNEXPECTED, config_outputs, emit_outputs, exit_code_for,
+                       load_config, run_scenario, static_diagnostics, summary_dict,
+                       write_new)
 from .surfaces import CoordinateSphere, sphere_geometry
-
-EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_PARSE = 2
-EXIT_SOLVER = 3
-EXIT_STRICT = 6
 
 
 def _positive_int(text: str) -> int:
@@ -299,7 +293,7 @@ def _cmd_sweep(args) -> int:
     print(f"sweep: {aggregate['passed']} passed, {aggregate['failed']} failed; "
           f"summary in {agg_path}")
     failing = [codes[i] for i in sorted(codes) if codes[i] != 0]
-    return failing[0] if failing else 0
+    return failing[0] if failing else EXIT_OK
 
 
 def _cmd_static_check(args) -> int:

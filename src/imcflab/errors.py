@@ -20,8 +20,8 @@ class InsideHorizonError(DomainError):
 
 
 class UnsupportedDimensionError(LabError):
-    """Operation requires a specific ambient dimension (e.g. Hawking mass
-    needs n = 3)."""
+    """Operation requires a specific ambient dimension (e.g. axisymmetric
+    graphs need n = 3)."""
 
 
 class FitQualityError(LabError):

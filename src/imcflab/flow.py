@@ -62,14 +62,14 @@ A step the split shortened does not shrink the controller's next one.  A
 rejected attempt is split by the controller's shorter step itself, with no
 such stretch, so each retry is strictly shorter than the attempt it repeats.
 
-Since a W-method keeps its order with any W, a factored W-matrix is held,
-as stiff codes hold their LU while the step is unchanged (Hairer & Wanner,
-IV.8), for as long as three things hold: the step equals the one it was
-factored at up to rounding (a step off by rounding only is the W-method
-with J_D scaled by the ratio of the two), the last attempt was accepted,
-and s = gamma dt / (H^2 E dtheta^2) at the current state is within _HOLD
-(10%) of the s it was factored at.  The error estimate cannot see a stale
-W, so the last bound is what keeps a held W accurate.
+Since a W-method keeps its order with any W, a factored W-matrix is held
+(as stiff codes hold their LU while the step is unchanged: Hairer & Wanner,
+IV.8) as long as the step equals the one it was factored at to rounding (a
+step off by rounding only is the W-method with J_D scaled by the ratio of
+the two; a retry, at least 10% shorter than the attempt it repeats, never
+is) and s = gamma dt / (H^2 E dtheta^2) at the current state is within
+_HOLD (10%) of the s it was factored at.  The error estimate cannot see a
+stale W, so the last bound is what keeps a held W accurate.
 
 Smoothness is assumed, not manufactured: each accepted step is tested
 once, and losing mean convexity ("H<=0") or a state at or inside r_min
@@ -412,9 +412,9 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
         h = (t_next - t) / splits
         gh = _GAMMA * h
         s = (gh / dth**2) / (frame.h**2 * frame.e)
-        # factor anew after a rejection, for a step beyond rounding of the
-        # held W's (h_w is nan until the first) or once s drifts past _HOLD
-        if retry or not abs(h - h_w) <= 1e-12 * h or np.abs(s / s_w - 1.0).max() > _HOLD:
+        # factor anew for a step beyond rounding of the held W's (h_w is nan
+        # until the first; a retry is always shorter) or once s drifts past _HOLD
+        if not abs(h - h_w) <= 1e-12 * h or np.abs(s / s_w - 1.0).max() > _HOLD:
             solve = _w_solver(s)
             h_w, s_w = h, s
             nfact += 1

@@ -9,7 +9,8 @@ is a static potential (constant exactly on totally umbilic foliations)
 and tends to (n-1) omega_{n-1}^{1/(n-1)} as the flow escapes to infinity.
 The Minkowski deficit is the same information arranged as
 LHS - RHS >= 0 of the area/mass lower bound on the weighted curvature
-integral, and the Hawking mass is reported for n = 3 slices.
+integral.  The Hawking mass and the umbilicity deficit need neither f nor
+m, and come with the slice's geometry record.
 
 Numerical note: on coordinate spheres every one of these functionals is a
 closed form in the slice radius, and the equality cases are exact
@@ -21,11 +22,9 @@ slices therefore use the equivalent cancellation-free float64 forms
     deficit = r^{n-2} (f sqrt(V) - 1) + 2m
     int f H = (n-1) omega_{n-1} r^{n-2} (1 + (f sqrt(V) - 1))
     Q       = limit_target(n) (1 + deficit / r^{n-2})
-    Hawking = sqrt(area / 16 pi) (1 - V)                      (n = 3)
 
-where 1 - V is the profile's exact mass aspect and the weight excess
-f sqrt(V) - 1 is formed from it without cancellation
-(:meth:`RadialProfile.mass_aspect`, :meth:`StaticPotential.excess`).
+where the weight excess f sqrt(V) - 1 is formed from the profile's exact
+mass aspect 1 - V without cancellation (:meth:`StaticPotential.excess`).
 Graph slices use ordinary float64 vector math.
 """
 
@@ -36,19 +35,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import DomainError
 from .flow import FlowTrace
 from .metrics import StaticPotential, unit_sphere_area
-from .surfaces import SurfaceGeometry, surface_integral, umbilicity_deficit
+from .surfaces import SurfaceGeometry, surface_integral
 
 __all__ = [
     "SliceQuantities",
     "MonotonicityVerdict",
     "limit_target",
-    "weighted_total_mean_curvature",
-    "monotone_quantity",
-    "minkowski_deficit",
-    "hawking_mass",
     "slice_quantities",
     "attach_quantities",
     "monotonicity_verdict",
@@ -58,67 +53,6 @@ __all__ = [
 def limit_target(n: int) -> float:
     """The flow limit (n-1) * omega_{n-1}^(1/(n-1)) of the Q functional."""
     return (n - 1) * unit_sphere_area(n - 1) ** (1.0 / (n - 1))
-
-
-def _curvature_terms(geom: SurfaceGeometry, f: StaticPotential,
-                     m: float) -> tuple[float, float, float]:
-    """(integral of f H, Q, Minkowski deficit) of one slice, with the
-    integral evaluated once."""
-    n = geom.ambient.n
-    om = unit_sphere_area(n - 1)
-    if geom.kind == "sphere":
-        r = float(geom.radii[0])
-        excess = float(f.excess(r, geom.ambient.profile))
-        if not math.isfinite(excess):
-            raise DomainError("weight not finite on the slice")
-        rk = r ** (n - 2)
-        deficit = rk * excess + 2.0 * m
-        return ((n - 1) * om * rk * (1.0 + excess),
-                limit_target(n) * (1.0 + deficit / rk), deficit)
-    fv = np.asarray(f.value(geom.radii), dtype=float)
-    if not np.isfinite(fv).all():
-        raise DomainError("weight not finite at some node of the slice")
-    wth = surface_integral(geom, fv * geom.mean_curvature)
-    q = geom.area ** (-(n - 2) / (n - 1)) * (2 * (n - 1) * om * m + wth)
-    deficit = wth / ((n - 1) * om) - (geom.area / om) ** ((n - 2) / (n - 1)) + 2 * m
-    return wth, q, deficit
-
-
-def weighted_total_mean_curvature(geom: SurfaceGeometry,
-                                  f: StaticPotential) -> float:
-    """The surface integral of f H over the slice."""
-    return _curvature_terms(geom, f, 0.0)[0]
-
-
-def monotone_quantity(geom: SurfaceGeometry, f: StaticPotential,
-                      m: float) -> float:
-    """Evaluate Q on one slice; depends on the slice only, never on flow time."""
-    return _curvature_terms(geom, f, m)[1]
-
-
-def minkowski_deficit(geom: SurfaceGeometry, f: StaticPotential,
-                      m: float) -> float:
-    """Weighted-curvature lower bound surplus,
-
-        integral(f H) / ((n-1) omega) - (area/omega)^((n-2)/(n-1)) + 2m,
-
-    predicted nonnegative for outer-minimizing slices when f is static,
-    zero exactly on the umbilic (coordinate-sphere) equality case.
-    """
-    return _curvature_terms(geom, f, m)[2]
-
-
-def hawking_mass(geom: SurfaceGeometry) -> float:
-    """sqrt(area/16 pi) (1 - integral(H^2)/16 pi); three dimensions only."""
-    if geom.ambient.n != 3:
-        raise UnsupportedDimensionError(
-            f"Hawking mass is defined for n = 3, got n = {geom.ambient.n}")
-    if geom.kind == "sphere":
-        # integral(H^2)/16 pi is V on a coordinate sphere
-        u = geom.ambient.profile.mass_aspect(float(geom.radii[0]))
-        return math.sqrt(geom.area / (16 * math.pi)) * float(u)
-    wth2 = surface_integral(geom, geom.mean_curvature**2)
-    return math.sqrt(geom.area / (16 * math.pi)) * (1.0 - wth2 / (16 * math.pi))
 
 
 class SliceQuantities(NamedTuple):
@@ -134,15 +68,33 @@ class SliceQuantities(NamedTuple):
 
 def slice_quantities(geom: SurfaceGeometry, f: StaticPotential,
                      m: float) -> SliceQuantities:
-    """Evaluate every slice functional once."""
-    wth, q, deficit = _curvature_terms(geom, f, m)
-    return SliceQuantities(
-        area=geom.area,
-        weighted_total_h=wth,
-        q=q,
-        minkowski_deficit=deficit,
-        hawking_mass=hawking_mass(geom) if geom.ambient.n == 3 else None,
-        umbilicity_deficit=umbilicity_deficit(geom))
+    """Evaluate every slice functional once.  The Minkowski deficit
+
+        integral(f H) / ((n-1) omega) - (area/omega)^((n-2)/(n-1)) + 2m
+
+    is predicted nonnegative for outer-minimizing slices when f is static,
+    zero exactly on the umbilic (coordinate-sphere) equality case.
+    """
+    n = geom.ambient.n
+    om = unit_sphere_area(n - 1)
+    if geom.kind == "sphere":
+        r = float(geom.radii[0])
+        excess = float(f.excess(r, geom.ambient.profile))
+        if not math.isfinite(excess):
+            raise DomainError("weight not finite on the slice")
+        rk = r ** (n - 2)
+        deficit = rk * excess + 2.0 * m
+        wth = (n - 1) * om * rk * (1.0 + excess)
+        q = limit_target(n) * (1.0 + deficit / rk)
+    else:
+        fv = np.asarray(f.value(geom.radii), dtype=float)
+        if not np.isfinite(fv).all():
+            raise DomainError("weight not finite at some node of the slice")
+        wth = surface_integral(geom, fv * geom.mean_curvature)
+        q = geom.area ** (-(n - 2) / (n - 1)) * (2 * (n - 1) * om * m + wth)
+        deficit = wth / ((n - 1) * om) - (geom.area / om) ** ((n - 2) / (n - 1)) + 2 * m
+    return SliceQuantities(geom.area, wth, q, deficit,
+                           geom.hawking_mass, geom.umbilicity_deficit)
 
 
 def attach_quantities(trace: FlowTrace, f: StaticPotential,

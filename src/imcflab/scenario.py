@@ -55,7 +55,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FitQualityError, InsideHorizonError, LabError
+from .errors import (ConfigError, FitQualityError, InsideHorizonError, LabError,
+                     SolverFailureError)
 from .expressions import evaluate_radius_expression
 from .flow import (FlowTrace, area_law_residual, area_residual, flow_graph,
                    flow_sphere, output_times, require_mean_convex, require_reach,
@@ -398,6 +399,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     else:
         trace = flow_graph(cfg.surface, cfg.t_end, cfg.dt_out, cfg.rel_tol)
     if trace.status == "halted":
+        if len(trace.times) < 2:  # one slice leaves no verdict to draw
+            raise SolverFailureError(
+                f"flow halted before its second output: {trace.halt_reason}", trace.stats)
         warnings.append(f"flow halted early: {trace.halt_reason}")
     marks.append(time.perf_counter())
 
@@ -444,24 +448,30 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             ("diagnostics", "mass_fit", "flow", "quantities"), marks, marks[1:])})
 
 
-def exit_code_for(report: RunReport, strict: bool = False) -> int:
-    """Map a report to the CLI exit-code contract.
+# the CLI exit-code contract
+EXIT_OK = 0             # every verdict passes
+EXIT_UNEXPECTED = 1     # an unexpected error
+EXIT_PARSE = 2          # parse/validation error, raised before a report exists
+EXIT_SOLVER = 3         # solver failure, halt under strict, area-law violation
+EXIT_MONOTONE = 4       # monotonicity violation
+EXIT_DEFICIT = 5        # deficit violation
+EXIT_STRICT = 6         # strict-mode warning escalation
 
-    0 pass; 2 parse/validation (raised before a report exists); 3 solver
-    trouble (failure, halt under ``strict``, area-law violation); 4
-    monotonicity violation; 5 deficit violation; 6 strict-mode warnings.
-    """
+
+def exit_code_for(report: RunReport, strict: bool = False) -> int:
+    """Map a report to the CLI exit-code contract (the ``EXIT_*`` codes);
+    a violated verdict outranks the ones after it."""
     if not report.verdicts["monotone"]:
-        return 4
+        return EXIT_MONOTONE
     if not report.verdicts["deficit_ok"]:
-        return 5
+        return EXIT_DEFICIT
     if not report.verdicts["area_law_ok"]:
-        return 3
+        return EXIT_SOLVER
     if report.trace.status != "completed":
-        return 3 if strict else 0
+        return EXIT_SOLVER if strict else EXIT_OK
     if strict and report.warnings:
-        return 6
-    return 0
+        return EXIT_STRICT
+    return EXIT_OK
 
 
 def summary_dict(report: RunReport) -> dict:

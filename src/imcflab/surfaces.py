@@ -25,12 +25,14 @@ The principal-curvature formulas for graphs,
 
 were checked symbolically against a raw Christoffel computation of the
 second fundamental form; the mixed component vanishes, so these are the
-principal curvatures.
+principal curvatures.  A :class:`SurfaceGeometry` also carries the two
+per-slice numbers that need no weight or mass.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +48,6 @@ __all__ = [
     "sphere_geometry",
     "graph_geometry",
     "surface_integral",
-    "umbilicity_deficit",
     "save_graph",
     "load_graph",
     "read_columns",
@@ -239,6 +240,8 @@ class SurfaceGeometry(NamedTuple):
     second_form_norm_sq: np.ndarray
     area: float
     mean_convex: bool
+    hawking_mass: float | None      # sqrt(area/16 pi) (1 - int H^2/16 pi); n = 3 only
+    umbilicity_deficit: float       # max of (n-1)|A|^2 - H^2 (>= 0 by Cauchy-Schwarz)
     theta: np.ndarray | None = None
     area_element: np.ndarray | None = None
     simpson_w: np.ndarray | None = None
@@ -249,7 +252,8 @@ def sphere_geometry(sphere: CoordinateSphere) -> SurfaceGeometry:
 
     H = (n-1) sqrt(V)/r, |A|^2 = H^2/(n-1) and area = omega_{n-1} r^{n-1};
     the slice is exactly umbilic, so the stored |A|^2 uses the H-based form
-    to keep the umbilicity deficit identically zero in floating point.
+    and the umbilicity deficit is 0 without rounding.  For n = 3,
+    int H^2/16 pi = V, so the Hawking mass takes the exact mass aspect 1 - V.
     """
     spec = sphere.ambient
     r = sphere.radius
@@ -258,12 +262,15 @@ def sphere_geometry(sphere: CoordinateSphere) -> SurfaceGeometry:
         raise InsideHorizonError(f"profile nonpositive at sphere radius {r:g}")
     n = spec.n
     h = (n - 1) * np.sqrt(v) / r
-    area = unit_sphere_area(n - 1) * r ** (n - 1)
+    area = float(unit_sphere_area(n - 1) * r ** (n - 1))
+    hawking = (math.sqrt(area / (16 * math.pi)) * float(spec.profile.mass_aspect(float(r)))
+               if n == 3 else None)
     one = np.ones(1)
     return SurfaceGeometry(
         kind="sphere", ambient=spec, radii=np.array([r]),
         mean_curvature=h * one, second_form_norm_sq=(h * h / (n - 1)) * one,
-        area=float(area), mean_convex=bool(h > 0.0))
+        area=area, mean_convex=bool(h > 0.0),
+        hawking_mass=hawking, umbilicity_deficit=0.0)
 
 
 def graph_geometry(graph: AxisymmetricGraph,
@@ -285,10 +292,14 @@ def graph_geometry(graph: AxisymmetricGraph,
     rp4 = _first_derivative_o4(rho, grid.dtheta)
     jac = rho * grid.sin_t * np.sqrt(rho * rho + rp4 * rp4 / frame.v)
     area = 2.0 * np.pi * float(grid.simpson_w.dot(jac))
+    h2 = frame.h**2
+    int_h2 = 2.0 * np.pi * float(grid.simpson_w.dot(h2 * jac))  # as surface_integral
     return SurfaceGeometry(
         kind="graph", ambient=spec, radii=rho,
         mean_curvature=frame.h, second_form_norm_sq=asq,
         area=area, mean_convex=bool(frame.h.min() > 0.0),
+        hawking_mass=math.sqrt(area / (16 * math.pi)) * (1.0 - int_h2 / (16 * math.pi)),
+        umbilicity_deficit=float((2 * asq - h2).max()),
         theta=grid.theta, area_element=jac, simpson_w=grid.simpson_w)
 
 
@@ -310,19 +321,6 @@ def surface_integral(geom: SurfaceGeometry, integrand) -> float:
         raise ValueError(
             f"integrand shape {values.shape} does not match grid {geom.radii.shape}")
     return 2.0 * np.pi * float(geom.simpson_w.dot(values * geom.area_element))
-
-
-def umbilicity_deficit(geom: SurfaceGeometry) -> float:
-    """Max over nodes of (n-1)|A|^2 - H^2, the pointwise umbilicity gap.
-
-    Nonnegative up to discretization noise by Cauchy-Schwarz; identically
-    zero exactly on coordinate spheres, which it returns without rounding.
-    """
-    if geom.kind == "sphere":
-        return 0.0
-    n = geom.ambient.n
-    return float(((n - 1) * geom.second_form_norm_sq
-                  - geom.mean_curvature**2).max())
 
 
 def save_graph(path, graph: AxisymmetricGraph) -> None:

@@ -76,8 +76,8 @@ def test_criterion_01_equality_case():
             target = L.limit_target(n)
             for r in sphere_r_grid(spec, m):
                 geom = L.sphere_geometry(L.CoordinateSphere(float(r), spec))
-                d = L.minkowski_deficit(geom, f, m)
-                q = L.monotone_quantity(geom, f, m)
+                sq = L.slice_quantities(geom, f, m)
+                d, q = sq.minkowski_deficit, sq.q
                 worst_deficit = max(worst_deficit, abs(d))
                 worst_gap = max(worst_gap, abs(q - target))
     elapsed = time.perf_counter() - t0
@@ -150,7 +150,7 @@ def test_criterion_05_mass_extraction():
     for m, spec in spec3.items():
         for r in sphere_r_grid(spec, m, num=8):
             geom = L.sphere_geometry(L.CoordinateSphere(float(r), spec))
-            assert abs(L.hawking_mass(geom) - m) < 1e-10
+            assert abs(geom.hawking_mass - m) < 1e-10
     print("ACCEPTANCE criterion 5: PASS (flux exact to 1e-12, fit within 1%, "
           "Hawking mass of round spheres equals m to 1e-10)")
 
@@ -204,12 +204,13 @@ def test_criterion_08_horizon_vanishing():
 def test_criterion_09_classical_strictness(flat3):
     geom = L.graph_geometry(
         L.AxisymmetricGraph.from_function(spheroid_polar_radius, flat3, 400))
-    d = L.minkowski_deficit(geom, L.constant_potential(1.0), 0.0)
+    d = L.slice_quantities(geom, L.constant_potential(1.0), 0.0).minkowski_deficit
     assert d == pytest.approx(SPHEROID_DEFICIT_ORACLE, abs=5e-5)
     assert d > 0.01  # strictly positive, far above discretization noise
     for r in (0.5, 1.0, 2.0, 10.0):
         s = L.sphere_geometry(L.CoordinateSphere(r, flat3))
-        assert abs(L.minkowski_deficit(s, L.constant_potential(1.0), 0.0)) < 1e-10
+        assert abs(L.slice_quantities(
+            s, L.constant_potential(1.0), 0.0).minkowski_deficit) < 1e-10
     print(f"ACCEPTANCE criterion 9: PASS on strictness (spheroid deficit "
           f"{d:.7f} matches the pinned oracle {SPHEROID_DEFICIT_ORACLE:.7f}; "
           f"flat spheres at zero)")
@@ -227,7 +228,7 @@ def test_criterion_09_literal_threshold_contradicts_oracle(flat3):
     by_quadrature = int_h / (8 * math.pi) - math.sqrt(area / (4 * math.pi))
     geom = L.graph_geometry(
         L.AxisymmetricGraph.from_function(spheroid_polar_radius, flat3, 400))
-    d = L.minkowski_deficit(geom, L.constant_potential(1.0), 0.0)
+    d = L.slice_quantities(geom, L.constant_potential(1.0), 0.0).minkowski_deficit
     numbers = (f"closed form {exact:.10f}, frozen oracle "
                f"{SPHEROID_DEFICIT_ORACLE:.10f}, package N=400 {d:.10f}, "
                f"literal threshold 0.1")

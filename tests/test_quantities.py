@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import imcflab as L
-from imcflab.errors import DomainError, UnsupportedDimensionError
+from imcflab.errors import DomainError
 
 from conftest import p2_graph, suite_grid
 from oracles import (schwarzschild_sphere_mp, spheroid_area_closed,
@@ -44,23 +44,37 @@ def test_spheroid_oracle_is_self_consistent():
         1.5 * SPHEROID_DEFICIT, rel=1e-12)
 
 
+def test_retired_quantity_functions_are_gone():
+    # each now lives as a field: SliceQuantities or SurfaceGeometry
+    from imcflab import quantities, surfaces
+    retired = {quantities: ["weighted_total_mean_curvature", "monotone_quantity",
+                            "minkowski_deficit", "hawking_mass"],
+               surfaces: ["umbilicity_deficit"]}
+    for module, names in retired.items():
+        for name in names:
+            for owner in (L, module):
+                with pytest.raises(AttributeError):
+                    getattr(owner, name)
+            assert name not in L.__all__ and name not in module.__all__
+
+
 class TestWeightedTotalMeanCurvature:
     def test_flat_unit_sphere(self, flat3):
         s = L.sphere_geometry(L.CoordinateSphere(1.0, flat3))
-        val = L.weighted_total_mean_curvature(s, L.constant_potential(1.0))
+        val = L.slice_quantities(s, L.constant_potential(1.0), 0.0).weighted_total_h
         assert val == pytest.approx(8 * math.pi, rel=1e-14)
 
     def test_schwarzschild_closed_form(self, schw3m1):
         # integral of f H over the r = 4 sphere is 8 pi (r - 2m) = 16 pi
         s = L.sphere_geometry(L.CoordinateSphere(4.0, schw3m1))
-        val = L.weighted_total_mean_curvature(s, L.sqrt_potential(schw3m1))
+        val = L.slice_quantities(s, L.sqrt_potential(schw3m1), 0.0).weighted_total_h
         assert val == pytest.approx(16 * math.pi, rel=1e-13)
 
     def test_higher_dimension_closed_form(self):
         # (n-1) omega V r^(n-2) at n=5, m=1/2, r=2: 4 * (8 pi^2/3) * 7/8 * 8
         spec = L.ManifoldSpec.schwarzschild(5, 0.5)
         s = L.sphere_geometry(L.CoordinateSphere(2.0, spec))
-        val = L.weighted_total_mean_curvature(s, L.sqrt_potential(spec))
+        val = L.slice_quantities(s, L.sqrt_potential(spec), 0.0).weighted_total_h
         assert val == pytest.approx(736.9304619480054, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["graph", "sphere"])
@@ -76,7 +90,7 @@ class TestWeightedTotalMeanCurvature:
                                 deriv2=lambda r: -0.25 * (r - 2.0) ** -1.5)
         with pytest.raises(DomainError):
             with np.errstate(invalid="ignore"):
-                L.weighted_total_mean_curvature(g, bad)
+                L.slice_quantities(g, bad, 0.0)
 
 
 class TestSphereChainOracle:
@@ -113,12 +127,12 @@ class TestMonotoneQuantity:
         f = L.sqrt_potential(schw3m1)
         for r in (2.05, 4.0, 17.3, 300.0):
             s = L.sphere_geometry(L.CoordinateSphere(r, schw3m1))
-            assert L.monotone_quantity(s, f, 1.0) == pytest.approx(
+            assert L.slice_quantities(s, f, 1.0).q == pytest.approx(
                 FOUR_SQRT_PI, abs=1e-12)
 
     def test_flat_unit_sphere_classical_value(self, flat3):
         s = L.sphere_geometry(L.CoordinateSphere(1.0, flat3))
-        assert L.monotone_quantity(s, L.constant_potential(1.0), 0.0) \
+        assert L.slice_quantities(s, L.constant_potential(1.0), 0.0).q \
             == pytest.approx(FOUR_SQRT_PI, abs=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -129,11 +143,11 @@ class TestMonotoneQuantity:
         lo = 1.1 * spec.r_min if m > 0 else 0.5
         r = lo + x * (50.0 - lo)
         s = L.sphere_geometry(L.CoordinateSphere(r, spec))
-        q = L.monotone_quantity(s, L.sqrt_potential(spec), m)
+        q = L.slice_quantities(s, L.sqrt_potential(spec), m).q
         assert q == pytest.approx(L.limit_target(n), abs=1e-10)
 
     def test_spheroid_exceeds_limit(self, spheroid_geom):
-        q = L.monotone_quantity(spheroid_geom, L.constant_potential(1.0), 0.0)
+        q = L.slice_quantities(spheroid_geom, L.constant_potential(1.0), 0.0).q
         assert q == pytest.approx(SPHEROID_INT_H / math.sqrt(SPHEROID_AREA),
                                   rel=1e-4)
         assert q > FOUR_SQRT_PI + 0.3
@@ -141,22 +155,24 @@ class TestMonotoneQuantity:
     def test_bit_identical_reevaluation(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
         s = L.sphere_geometry(L.CoordinateSphere(4.0, schw3m1))
-        assert L.monotone_quantity(s, f, 1.0) == L.monotone_quantity(s, f, 1.0)
+        assert L.slice_quantities(s, f, 1.0).q == L.slice_quantities(s, f, 1.0).q
 
 
 class TestMinkowskiDeficit:
     def test_equality_on_schwarzschild_spheres(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
         s = L.sphere_geometry(L.CoordinateSphere(4.0, schw3m1))
-        assert abs(L.minkowski_deficit(s, f, 1.0)) < 1e-12
+        assert abs(L.slice_quantities(s, f, 1.0).minkowski_deficit) < 1e-12
 
     def test_equality_with_negative_mass(self):
         spec = L.ManifoldSpec.schwarzschild(3, -0.5)
         s = L.sphere_geometry(L.CoordinateSphere(3.0, spec))
-        assert abs(L.minkowski_deficit(s, L.sqrt_potential(spec), -0.5)) < 1e-12
+        sq = L.slice_quantities(s, L.sqrt_potential(spec), -0.5)
+        assert abs(sq.minkowski_deficit) < 1e-12
 
     def test_spheroid_strictly_positive(self, spheroid_geom):
-        d = L.minkowski_deficit(spheroid_geom, L.constant_potential(1.0), 0.0)
+        d = L.slice_quantities(spheroid_geom, L.constant_potential(1.0),
+                               0.0).minkowski_deficit
         assert d == pytest.approx(SPHEROID_DEFICIT, abs=5e-5)
         assert d > 0.05
 
@@ -164,29 +180,31 @@ class TestMinkowskiDeficit:
 class TestHawkingMass:
     def test_flat_unit_sphere_zero(self, flat3):
         s = L.sphere_geometry(L.CoordinateSphere(1.0, flat3))
-        assert abs(L.hawking_mass(s)) < 1e-14
+        assert abs(s.hawking_mass) < 1e-14
 
     def test_schwarzschild_spheres_give_mass(self, schw3m1):
         for r in (2.2, 4.0, 50.0, 900.0):
             s = L.sphere_geometry(L.CoordinateSphere(r, schw3m1))
-            assert L.hawking_mass(s) == pytest.approx(1.0, abs=1e-12)
+            assert s.hawking_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_spheroid_negative(self, spheroid_geom):
-        hk = L.hawking_mass(spheroid_geom)
+        hk = spheroid_geom.hawking_mass
         assert hk == pytest.approx(SPHEROID_HAWKING, abs=1e-4)
         assert hk < 0.0
 
     def test_dimension_guard(self):
-        spec = L.ManifoldSpec.schwarzschild(4, 1.0)
-        s = L.sphere_geometry(L.CoordinateSphere(4.0, spec))
-        with pytest.raises(UnsupportedDimensionError):
-            L.hawking_mass(s)
+        # the Hawking mass is defined for n = 3 only
+        for n in range(4, 8):
+            spec = L.ManifoldSpec.schwarzschild(n, 1.0)
+            s = L.sphere_geometry(L.CoordinateSphere(4.0, spec))
+            assert s.hawking_mass is None
+            assert L.slice_quantities(s, L.sqrt_potential(spec), 1.0).hawking_mass is None
 
     def test_consistent_with_flux_mass(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
         for r in (3.0, 10.0, 400.0):
             s = L.sphere_geometry(L.CoordinateSphere(r, schw3m1))
-            assert abs(L.hawking_mass(s)
+            assert abs(s.hawking_mass
                        - L.adm_mass_flux(schw3m1, f, r)) < 1e-10
 
 

@@ -64,6 +64,12 @@ r0 = 4.0
 id = negctl
 """
 
+# a round m = 1 graph; with negative_h_beyond(monkeypatch, 4 e^0.01) its flow
+# halts with H <= 0 before the first output time 0.1
+HALTS_AT_ONCE = MINIMAL.replace(
+    "kind = sphere\nr0 = 4.0", "kind = graph\nrho0 = 4.0\n[solver]\nN = 100\nt_end = 1.0")
+HALT_MESSAGE = "solver failure: flow halted before its second output: H<=0 "
+
 
 def custom_profile_config(tmp_path) -> str:
     """Write a tabulated m=1 Schwarzschild profile to tmp_path/prof.txt and
@@ -306,6 +312,15 @@ class TestRunScenario:
         assert summary_dict(report)["status"] == "halted"
         assert exit_code_for(report) == 0
         assert exit_code_for(report, strict=True) == 3
+
+    def test_halt_before_the_second_output_is_a_solver_failure(self, tmp_path,
+                                                                monkeypatch):
+        negative_h_beyond(monkeypatch, 4.0 * math.exp(0.01))
+        with pytest.raises(SolverFailureError,
+                           match="halted before its second output: H<=0") as exc:
+            run_scenario(parse_config(HALTS_AT_ONCE, base_dir=tmp_path))
+        stats = exc.value.diagnostics
+        assert stats["steps"] >= 1 and stats["min_H"] <= 0.0
 
 
 class TestEmitOutputs:
@@ -772,6 +787,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config b.cfg writes" in err and "the sweep's summary file" in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.cfg", "b.cfg", "cfgs"]
+
+    def test_flow_halting_before_its_second_output_exits_three(self, tmp_path,
+                                                               monkeypatch, capsys):
+        negative_h_beyond(monkeypatch, 4.0 * math.exp(0.01))
+        (tmp_path / "halt.cfg").write_text(HALTS_AT_ONCE)
+        out = tmp_path / "out"
+        assert main(["flow", "--config", str(tmp_path / "halt.cfg"),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(HALT_MESSAGE)
+        stats = json.loads(err[len(HALT_MESSAGE):])
+        assert stats["steps"] >= 1 and stats["min_H"] <= 0.0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_records_a_flow_halting_before_its_second_output(
+            self, tmp_path, monkeypatch, capfd, jobs):
+        negative_h_beyond(monkeypatch, 4.0 * math.exp(0.01))
+        cfgs = self._two_configs(tmp_path)
+        (cfgs / "a_halt.cfg").write_text(HALTS_AT_ONCE)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfgs), "--out", str(out),
+                     "--jobs", jobs]) == 3
+        agg = json.loads((out / "sweep_summary.json").read_text())
+        assert agg["exit_codes"] == {"a": 0, "a_halt": 3, "b": 0}
+        assert sorted(p.name for p in out.glob("*.csv")) == ["a.csv", "b.csv"]
+        assert f"[a_halt] {HALT_MESSAGE}" in capfd.readouterr().err
 
     def test_sweep_records_a_failing_config_under_its_id(self, tmp_path, capsys):
         cfgs = tmp_path / "cfgs"

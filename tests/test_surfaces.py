@@ -162,17 +162,44 @@ class TestSurfaceIntegral:
 class TestUmbilicity:
     def test_spheres_exactly_umbilic(self, schw3m1):
         s = L.sphere_geometry(L.CoordinateSphere(7.0, schw3m1))
-        assert L.umbilicity_deficit(s) == 0.0
+        assert s.umbilicity_deficit == 0.0
 
     def test_constant_graph_umbilic(self, schw3m1):
         g = L.graph_geometry(L.AxisymmetricGraph.constant(4.0, schw3m1, 200))
-        assert L.umbilicity_deficit(g) < 1e-8
+        assert g.umbilicity_deficit < 1e-8
 
     def test_spheroid_strictly_non_umbilic(self, flat3):
         # max of (k1 - k2)^2 over the spheroid is 16/27, at sin^2 u = 2/3
         g = L.graph_geometry(spheroid_graph(flat3, 400))
-        assert L.umbilicity_deficit(g) == pytest.approx(16.0 / 27.0, abs=1e-3)
-        assert L.umbilicity_deficit(g) > 0.5
+        assert g.umbilicity_deficit == pytest.approx(16.0 / 27.0, abs=1e-3)
+        assert g.umbilicity_deficit > 0.5
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_graph_records_carry_their_formulas_bit_for_bit(schw3m1, a):
+    # the geometry-only numbers equal, to the bit, the formulas written on
+    # the record's own arrays: the Hawking mass over surface_integral(H^2)
+    # and the max of the pointwise gap 2|A|^2 - H^2
+    g = L.graph_geometry(L.AxisymmetricGraph.from_function(
+        lambda th: 4 + a * (1.5 * np.cos(th) ** 2 - 0.5), schw3m1, 200))
+    int_h2 = L.surface_integral(g, g.mean_curvature**2)
+    assert g.hawking_mass == math.sqrt(g.area / (16 * math.pi)) * (
+        1.0 - int_h2 / (16 * math.pi))
+    assert g.umbilicity_deficit == float(
+        (2 * g.second_form_norm_sq - g.mean_curvature**2).max())
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_sphere_records_carry_their_closed_forms(n):
+    spec = L.ManifoldSpec.schwarzschild(n, 0.5)
+    s = L.sphere_geometry(L.CoordinateSphere(3.0, spec))
+    assert s.umbilicity_deficit == 0.0
+    if n == 3:
+        # integral(H^2)/16 pi is V, so 1 - it is the exact mass aspect
+        assert s.hawking_mass == math.sqrt(s.area / (16 * math.pi)) * float(
+            spec.profile.mass_aspect(3.0))
+    else:
+        assert s.hawking_mass is None
 
 
 class TestCauchySchwarz:
