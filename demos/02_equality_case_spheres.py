@@ -31,9 +31,9 @@ print("\nA whole sphere flow keeps Q pinned at the limit:")
 spec = L.ManifoldSpec.schwarzschild(3, 1.0)
 f = L.sqrt_potential(spec)
 trace = L.flow_sphere(L.CoordinateSphere(4.0, spec), 3.0)
-L.attach_quantities(trace, f, 1.0)
-verdict = L.monotonicity_verdict(trace, f, 1.0)
+quantities = L.attach_quantities(trace, f, 1.0)
+verdict = L.monotonicity_verdict(trace, quantities)
 print(f"  worst increase of Q:  {verdict.worst_increase:.3e}")
 print(f"  gap to the limit:     {verdict.limit_gap:.3e}")
 print(f"  area law residual:    {L.area_law_residual(trace):.3e}")
-print(f"  Hawking mass at t=0:  {trace.quantities[0].hawking_mass:.12f}")
+print(f"  Hawking mass at t=0:  {quantities[0].hawking_mass:.12f}")

@@ -39,7 +39,6 @@ for r in (0.5, 1.0, 5.0):
 
 print("\nflowing the spheroid rounds it off and shrinks the deficit:")
 trace = L.flow_graph(surface, 1.0, dt_out=0.25)
-L.attach_quantities(trace, one, 0.0)
-for t, sq in zip(trace.times, trace.quantities):
+for t, sq in zip(trace.times, L.attach_quantities(trace, one, 0.0)):
     print(f"  t = {t:4.2f}: deficit = {sq.minkowski_deficit:.6f}, "
           f"umbilicity = {sq.umbilicity_deficit:.3e}")

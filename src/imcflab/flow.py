@@ -75,12 +75,15 @@ Smoothness is assumed, not manufactured: each accepted step is tested
 once, and losing mean convexity ("H<=0") or a state at or inside r_min
 ("horizon") halts the trace with that reason instead of regularizing;
 step-size underflow raises a solver failure with diagnostics.
+
+Both flows return an immutable :class:`FlowTrace` of the output times and
+one geometry per emitted slice, which depend on no weight or mass.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -115,28 +118,20 @@ def require_positive(key: str, value) -> None:
         raise ValueError(f"{key} must be positive and finite, got {value!r}")
 
 
-class FlowTrace:
-    """Time-indexed slices of one flow, plus room for attached quantities.
+class FlowTrace(NamedTuple):
+    """Output times and one geometry per emitted slice of a flow, with no
+    weight or mass.  ``status`` is "completed" or "halted" (``halt_reason``
+    says why); ``stats`` holds the solver's counters."""
 
-    ``quantities`` stays None until the monotone-quantities module fills it;
-    everything else is fixed once the flow returns.  ``status`` is
-    "completed" or "halted"; ``stats`` holds the solver's counters.
-    """
-
-    def __init__(self, times: np.ndarray, surfaces: list, geometries: list,
-                 status: str, halt_reason: Optional[str] = None,
-                 quantities: Optional[list] = None, stats: Optional[dict] = None):
-        self.times = times
-        self.surfaces = surfaces
-        self.geometries = geometries
-        self.status = status
-        self.halt_reason = halt_reason
-        self.quantities = quantities
-        self.stats = {} if stats is None else stats
+    times: np.ndarray
+    geometries: list
+    status: str
+    halt_reason: Optional[str]
+    stats: dict
 
     @property
     def ambient(self) -> ManifoldSpec:
-        return self.surfaces[0].ambient
+        return self.geometries[0].ambient
 
     @property
     def initial_area(self) -> float:
@@ -185,16 +180,10 @@ def flow_sphere(sphere: CoordinateSphere, t_end: float,
     n = spec.n
     require_reach(spec, sphere.radius, t_end)
     times = output_times(t_end, dt_out)
-    surfaces = []
-    geometries = []
-    for t in times:
-        s = CoordinateSphere(sphere.radius * math.exp(t / (n - 1)), spec)
-        surfaces.append(s)
-        geometries.append(sphere_geometry(s))
-    return FlowTrace(times=times, surfaces=surfaces, geometries=geometries,
-                     status="completed",
-                     stats={"steps": 0, "rejected": 0, "rhs_evals": 0,
-                            "factorizations": 0})
+    geometries = [sphere_geometry(CoordinateSphere(sphere.radius * math.exp(t / (n - 1)), spec))
+                  for t in times]
+    return FlowTrace(times, geometries, "completed", None,
+                     {"steps": 0, "rejected": 0, "rhs_evals": 0, "factorizations": 0})
 
 
 def require_mean_convex(graph: AxisymmetricGraph,
@@ -382,7 +371,6 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
 
     t = 0.0
     y = rho.copy()                  # sigma = e^(-t/2) rho
-    out_surfaces = [graph]
     out_geoms = [geom0]
     emitted = 1
     status, reason = "completed", None
@@ -448,9 +436,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
                 status, reason = "halted", "H<=0" if min_h <= 0.0 else "horizon"
                 break
             if splits == 1:
-                surf = AxisymmetricGraph(grid.theta, rho, spec)
-                out_surfaces.append(surf)
-                out_geoms.append(graph_geometry(surf, frame))
+                out_geoms.append(graph_geometry(AxisymmetricGraph(grid.theta, rho, spec), frame))
                 emitted += 1
             grown = h * min(5.0, _SAFETY / max(enorm, 1e-10) ** (1.0 / 3.0))
             # a step the split shortened does not shrink the next
@@ -459,13 +445,12 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
             nrej += 1
             dt = h * max(0.2, _SAFETY / enorm ** (1.0 / 3.0))
 
-    return FlowTrace(times=times[:emitted].copy(), surfaces=out_surfaces,
-                     geometries=out_geoms, status=status, halt_reason=reason,
-                     stats={"steps": nsteps, "rejected": nrej,
-                            "rhs_evals": nevals, "factorizations": nfact,
-                            "landing_steps": nland, "dt_min": dt_min, "dt_max": dt_max,
-                            "min_H": min_h_seen,
-                            "min_rho_margin": min_rho_seen - spec.r_min})
+    return FlowTrace(times[:emitted].copy(), out_geoms, status, reason,
+                     {"steps": nsteps, "rejected": nrej,
+                      "rhs_evals": nevals, "factorizations": nfact,
+                      "landing_steps": nland, "dt_min": dt_min, "dt_max": dt_max,
+                      "min_H": min_h_seen,
+                      "min_rho_margin": min_rho_seen - spec.r_min})
 
 
 def area_residual(t: float, area: float, area0: float) -> float:

@@ -26,6 +26,9 @@ slices therefore use the equivalent cancellation-free float64 forms
 where the weight excess f sqrt(V) - 1 is formed from the profile's exact
 mass aspect 1 - V without cancellation (:meth:`StaticPotential.excess`).
 Graph slices use ordinary float64 vector math.
+
+A trace holds geometry only: :func:`attach_quantities` returns the records
+of one weight and mass, and :func:`monotonicity_verdict` reads that list.
 """
 
 from __future__ import annotations
@@ -98,10 +101,10 @@ def slice_quantities(geom: SurfaceGeometry, f: StaticPotential,
 
 
 def attach_quantities(trace: FlowTrace, f: StaticPotential,
-                      m: float) -> FlowTrace:
-    """Fill ``trace.quantities`` with one record per emitted slice."""
-    trace.quantities = [slice_quantities(g, f, m) for g in trace.geometries]
-    return trace
+                      m: float) -> list[SliceQuantities]:
+    """One :func:`slice_quantities` record per emitted slice of ``trace``,
+    for weight ``f`` and mass ``m``; the trace itself is left as it was."""
+    return [slice_quantities(g, f, m) for g in trace.geometries]
 
 
 class MonotonicityVerdict(NamedTuple):
@@ -126,25 +129,24 @@ def _extrapolate_q(times: np.ndarray, qs: np.ndarray, n: int) -> float:
     return float((qs[-1] * h[-2] - qs[-2] * h[-1]) / (h[-2] - h[-1]))
 
 
-def monotonicity_verdict(trace: FlowTrace, f: StaticPotential, m: float,
+def monotonicity_verdict(trace: FlowTrace, quantities: list[SliceQuantities],
                          eps_mono: float = 1e-6) -> MonotonicityVerdict:
-    """Assess Q along the emitted slices of a trace.
+    """Assess Q along the emitted slices of a trace, from ``quantities``,
+    the :func:`attach_quantities` list of one weight and mass on it.
 
     ``worst_increase`` is the largest jump between consecutive outputs
     (negative when Q strictly decreases everywhere); the trace is monotone
     when it does not exceed ``eps_mono``.  ``limit_gap`` is Q at the final
-    slice minus the exact flow limit.  Q comes from ``f`` and ``m`` alone:
-    attached quantities that do not reproduce it on slice 0 raise ValueError.
+    slice minus the exact flow limit.  ValueError unless ``quantities``
+    holds one record per slice, and at least two.
     """
-    if trace.quantities is None:
-        attach_quantities(trace, f, m)
-    elif not np.array_equal(slice_quantities(trace.geometries[0], f, m).q,
-                            trace.quantities[0].q, equal_nan=True):
-        raise ValueError("attached quantities were computed for another weight or mass")
-    if len(trace.quantities) < 2:
+    if len(quantities) != len(trace.times):
+        raise ValueError(f"{len(quantities)} quantity records for "
+                         f"{len(trace.times)} slices: need one per slice")
+    if len(quantities) < 2:
         raise ValueError("insufficient data: need at least 2 slices with quantities")
     n = trace.ambient.n
-    qs = np.array([sq.q for sq in trace.quantities])
+    qs = np.array([sq.q for sq in quantities])
     worst = float(np.max(np.diff(qs)))
     return MonotonicityVerdict(
         monotone=bool(worst <= eps_mono),

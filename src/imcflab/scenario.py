@@ -405,10 +405,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         warnings.append(f"flow halted early: {trace.halt_reason}")
     marks.append(time.perf_counter())
 
-    attach_quantities(trace, cfg.weight, mass)
-    verdict = monotonicity_verdict(trace, cfg.weight, mass, cfg.eps_mono)
+    quantities = attach_quantities(trace, cfg.weight, mass)
+    verdict = monotonicity_verdict(trace, quantities, cfg.eps_mono)
     rows = []
-    for t, sq in zip(trace.times, trace.quantities):
+    for t, sq in zip(trace.times, quantities):
         rows.append({
             "t": float(t),
             "area": sq.area,
@@ -421,7 +421,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         })
 
     area_res = area_law_residual(trace)
-    deficit0 = trace.quantities[0].minkowski_deficit
+    deficit0 = quantities[0].minkowski_deficit
     verdicts = {
         **verdict._asdict(),
         "deficit_initial": deficit0,

@@ -242,7 +242,6 @@ class SurfaceGeometry(NamedTuple):
     mean_convex: bool
     hawking_mass: float | None      # sqrt(area/16 pi) (1 - int H^2/16 pi); n = 3 only
     umbilicity_deficit: float       # max of (n-1)|A|^2 - H^2 (>= 0 by Cauchy-Schwarz)
-    theta: np.ndarray | None = None
     area_element: np.ndarray | None = None
     simpson_w: np.ndarray | None = None
 
@@ -300,7 +299,7 @@ def graph_geometry(graph: AxisymmetricGraph,
         area=area, mean_convex=bool(frame.h.min() > 0.0),
         hawking_mass=math.sqrt(area / (16 * math.pi)) * (1.0 - int_h2 / (16 * math.pi)),
         umbilicity_deficit=float((2 * asq - h2).max()),
-        theta=grid.theta, area_element=jac, simpson_w=grid.simpson_w)
+        area_element=jac, simpson_w=grid.simpson_w)
 
 
 def surface_integral(geom: SurfaceGeometry, integrand) -> float:

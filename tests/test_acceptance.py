@@ -42,15 +42,16 @@ def sphere_r_grid(spec, m, num=12):
 
 @pytest.fixture(scope="module")
 def perturbed_traces(schw3m1):
-    """Criterion 2's flows at N = 200 and N = 800, shared with 3 and 4."""
+    """Criterion 2's flows at N = 200 and N = 800 and their quantities,
+    shared with 3 and 4."""
     f = L.sqrt_potential(schw3m1)
     m = float(L.adm_mass_flux(schw3m1, f, schw3m1.r_max))
-    out = {"f": f, "m": m, "seconds": {}}
+    out = {"seconds": {}, "quantities": {}}
     t0 = time.perf_counter()
     for n_int in (200, 800):
         t1 = time.perf_counter()
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, n_int), 3.0)
-        L.attach_quantities(tr, f, m)
+        out["quantities"][n_int] = L.attach_quantities(tr, f, m)
         out[n_int] = tr
         out["seconds"][n_int] = time.perf_counter() - t1
     out["elapsed"] = time.perf_counter() - t0
@@ -59,11 +60,9 @@ def perturbed_traces(schw3m1):
 
 @pytest.fixture(scope="module")
 def spheroid_trace(flat3):
-    tr = L.flow_graph(
+    return L.flow_graph(
         L.AxisymmetricGraph.from_function(spheroid_polar_radius, flat3, 200),
         1.0)
-    L.attach_quantities(tr, L.constant_potential(1.0), 0.0)
-    return tr
 
 
 def test_criterion_01_equality_case():
@@ -89,14 +88,13 @@ def test_criterion_01_equality_case():
 
 
 def test_criterion_02_q_monotonicity_along_flow(perturbed_traces, schw3m1):
-    f, m = perturbed_traces["f"], perturbed_traces["m"]
-    tr200, tr800 = perturbed_traces[200], perturbed_traces[800]
-    v200 = L.monotonicity_verdict(tr200, f, m, eps_mono=1e-6)
-    v800 = L.monotonicity_verdict(tr800, f, m, eps_mono=1e-8)
-    qs = [sq.q for sq in tr200.quantities]
+    q200, q800 = perturbed_traces["quantities"][200], perturbed_traces["quantities"][800]
+    v200 = L.monotonicity_verdict(perturbed_traces[200], q200, eps_mono=1e-6)
+    v800 = L.monotonicity_verdict(perturbed_traces[800], q800, eps_mono=1e-8)
+    qs = [sq.q for sq in q200]
     assert v200.worst_increase <= 1e-6
     assert qs[0] - qs[-1] > 1e-4           # strict decrease over the run
-    assert tr200.quantities[0].umbilicity_deficit > 1e-3
+    assert q200[0].umbilicity_deficit > 1e-3
     assert v800.worst_increase <= 1e-8     # refinement tightens the bound
     per_n = "; ".join(
         f"N={n}: {perturbed_traces['seconds'][n]:.2f}s, "
@@ -110,8 +108,7 @@ def test_criterion_02_q_monotonicity_along_flow(perturbed_traces, schw3m1):
 
 
 def test_criterion_03_limit_of_q(perturbed_traces, schw3m1):
-    f, m = perturbed_traces["f"], perturbed_traces["m"]
-    v = L.monotonicity_verdict(perturbed_traces[200], f, m)
+    v = L.monotonicity_verdict(perturbed_traces[200], perturbed_traces["quantities"][200])
     assert abs(v.q_extrapolated / FOUR_SQRT_PI - 1.0) < 0.01
     print(f"ACCEPTANCE criterion 3: PASS (extrapolated Q = {v.q_extrapolated:.7f}, "
           f"target {FOUR_SQRT_PI:.7f})")
@@ -177,7 +174,7 @@ def test_criterion_07_negative_control_monotonicity(schw3m1):
     w = L.profile_weight(schw3m1)
     m = 1.0
     tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0)
-    v = L.monotonicity_verdict(tr, w, m, eps_mono=1e-6)
+    v = L.monotonicity_verdict(tr, L.attach_quantities(tr, w, m), eps_mono=1e-6)
     assert not v.monotone
     assert v.worst_increase > 1e-6
     print(f"ACCEPTANCE criterion 7: PASS (non-static weight drives Q up, "

@@ -63,19 +63,19 @@ def retries(attempts):
 class TestSphereFlow:
     def test_exact_radius_law(self, schw3m1):
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 2.0)
-        assert tr.surfaces[-1].radius == pytest.approx(4 * math.e, rel=1e-15)
-        assert tr.surfaces[0].radius == 4.0
+        assert tr.geometries[-1].radii[0] == pytest.approx(4 * math.e, rel=1e-15)
+        assert tr.geometries[0].radii[0] == 4.0
         assert tr.status == "completed"
 
     def test_identity_at_t_zero(self, flat3):
         tr = L.flow_sphere(L.CoordinateSphere(2.5, flat3), 0.3)
         assert tr.times[0] == 0.0
-        assert tr.surfaces[0].radius == 2.5
+        assert tr.geometries[0].radii[0] == 2.5
 
     def test_higher_dimension_area_ratio(self):
         spec = L.ManifoldSpec.schwarzschild(5, 0.0, r_min_floor=0.05)
         tr = L.flow_sphere(L.CoordinateSphere(1.0, spec), 4.0)
-        assert tr.surfaces[-1].radius == pytest.approx(math.e, rel=1e-14)
+        assert tr.geometries[-1].radii[0] == pytest.approx(math.e, rel=1e-14)
         ratio = tr.geometries[-1].area / tr.geometries[0].area
         assert ratio == pytest.approx(math.exp(4.0), rel=1e-12)
 
@@ -91,13 +91,13 @@ class TestSphereFlow:
 class TestGraphFlow:
     def test_constant_graph_tracks_exact_sphere_law(self, schw3m1):
         tr = L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 2.0)
-        rho_end = tr.surfaces[-1].rho
+        rho_end = tr.geometries[-1].radii
         assert np.max(np.abs(rho_end / (4 * math.e) - 1.0)) < 1e-6
         assert np.max(rho_end) - np.min(rho_end) == 0.0  # stays exactly uniform
 
     def test_flat_constant_graph(self, flat3):
         tr = L.flow_graph(L.AxisymmetricGraph.constant(1.0, flat3, 100), 1.0)
-        assert np.max(np.abs(tr.surfaces[-1].rho / math.exp(0.5) - 1.0)) < 1e-6
+        assert np.max(np.abs(tr.geometries[-1].radii / math.exp(0.5) - 1.0)) < 1e-6
 
     def test_matches_sphere_trace_at_every_output(self, schw3m1):
         tr_g = L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 1.0)
@@ -116,8 +116,8 @@ class TestGraphFlow:
 
     def test_perturbation_decay_in_flat_space(self, flat3):
         tr = L.flow_graph(p2_graph(flat3, 1.0, 0.05, 100), 1.0)
-        amp = [(np.max(s.rho) - np.min(s.rho)) / np.mean(s.rho)
-               for s in tr.surfaces]
+        amp = [(np.max(g.radii) - np.min(g.radii)) / np.mean(g.radii)
+               for g in tr.geometries]
         assert all(a2 <= a1 + 1e-15 for a1, a2 in zip(amp, amp[1:]))
         assert amp[-1] < 0.5 * amp[0]
 
@@ -154,8 +154,7 @@ class TestGraphFlow:
         q_end = []
         for tol in ({}, {"rel_tol": 1e-10}):   # the default, then a tight one
             tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 3.0, **tol)
-            L.attach_quantities(tr, f, 1.0)
-            q_end.append(tr.quantities[-1].q)
+            q_end.append(L.attach_quantities(tr, f, 1.0)[-1].q)
         default, tight = q_end
         assert abs(default - tight) <= 1e-10
 
@@ -295,7 +294,7 @@ class TestGraphFlow:
         for a in (grid.theta, grid.sin_t, grid.cot_t, grid.simpson_w):
             assert not a.flags.writeable
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 0.5)
-        assert all(s.grid is grid for s in tr.surfaces)
+        assert all(g.simpson_w is grid.simpson_w for g in tr.geometries)
 
     def test_solver_margins(self, schw3m1):
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 0.5)
@@ -303,7 +302,7 @@ class TestGraphFlow:
         assert 0.0 < st["dt_min"] <= st["dt_max"] <= 0.1 + 1e-14
         # the margins cover every accepted state, the emitted ones included
         assert 0.0 < st["min_H"] <= min(np.min(g.mean_curvature) for g in tr.geometries)
-        assert 0.0 < st["min_rho_margin"] == np.min(tr.surfaces[0].rho) - schw3m1.r_min
+        assert 0.0 < st["min_rho_margin"] == np.min(tr.geometries[0].radii) - schw3m1.r_min
 
     def test_each_state_frame_evaluated_once(self, schw3m1, monkeypatch):
         # the t = 0 frame feeds the mean-convexity test and the first slice
@@ -331,7 +330,8 @@ class TestGraphFlow:
         g = p2_graph(schw3m1, 4.0, 0.3, 100)
         ref, tr = (L.flow_graph(g, 3.0, **tol) for tol in ({"rel_tol": 1e-12}, {}))
         rel_tol = 1e-7                  # flow_graph's default
-        assert np.max(np.abs(tr.surfaces[-1].rho / ref.surfaces[-1].rho - 1.0)) <= 3 * rel_tol
+        rho, rho_ref = tr.geometries[-1].radii, ref.geometries[-1].radii
+        assert np.max(np.abs(rho / rho_ref - 1.0)) <= 3 * rel_tol
         assert abs(tr.geometries[-1].area / ref.geometries[-1].area - 1.0) <= 3 * rel_tol
 
     def test_round_graph_is_a_fixed_point(self, schw3m1):
@@ -339,7 +339,7 @@ class TestGraphFlow:
         # takes one step per output interval, plus at most one more
         # (across held W-matrices too)
         tr = L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 3.0)
-        assert all(np.ptp(s.rho) == 0.0 for s in tr.surfaces)
+        assert all(np.ptp(g.radii) == 0.0 for g in tr.geometries)
         assert tr.stats["factorizations"] < tr.stats["steps"]
         assert L.area_law_residual(tr) <= 1e-14
         assert tr.stats["steps"] <= len(tr.times)
@@ -359,7 +359,7 @@ class TestGraphFlow:
         tr = L.flow_graph(g, 0.5)
         assert tr.status == "completed" and tr.halt_reason is None
         assert tr.times.tolist() == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-        assert len(tr.surfaces) == len(tr.geometries) == 6
+        assert len(tr.geometries) == 6
 
     def test_loss_of_mean_convexity_halts(self, schw3m1, monkeypatch):
         # rho = 4 e^(t/2) passes rho_lim at t = 0.25, between two outputs
@@ -369,9 +369,9 @@ class TestGraphFlow:
         assert tr.status == "halted" and tr.halt_reason == "H<=0"
         assert flipped and tr.stats["min_H"] < 0.0
         assert tr.times.tolist() == pytest.approx([0.0, 0.1, 0.2])
-        assert len(tr.surfaces) == len(tr.geometries) == 3
+        assert len(tr.geometries) == 3
         assert all(g.mean_convex for g in tr.geometries)
-        assert max(np.max(s.rho) for s in tr.surfaces) < rho_lim
+        assert max(np.max(g.radii) for g in tr.geometries) < rho_lim
 
     def test_flow_then_measure_consistent_with_interpolation(self, schw3m1):
         # the area law makes log(area) linear in t, so the area of a direct
@@ -531,15 +531,14 @@ class TestDenseReferenceFlows:
         monkeypatch.setattr(L.flow, "_w_solver", lambda s: functools.partial(
             np.linalg.solve, w_matrix(s)))
         traces.append(L.flow_graph(graph, t_end))
-        for tr in traces:
-            assert tr.status == "completed"
-            L.attach_quantities(tr, f, mass)
+        assert all(tr.status == "completed" for tr in traces)
         fast, dense = traces
         for key in ("steps", "rejected", "rhs_evals"):
             assert fast.stats[key] == dense.stats[key]
-        q_fast, q_dense = ([sq.q for sq in tr.quantities] for tr in traces)
+        quantities = [L.attach_quantities(tr, f, mass) for tr in traces]
+        q_fast, q_dense = ([sq.q for sq in qs] for qs in quantities)
         np.testing.assert_allclose(q_fast, q_dense, rtol=1e-12, atol=0.0)
-        verdict = L.monotonicity_verdict(fast, f, mass, 4e-6)
+        verdict = L.monotonicity_verdict(fast, quantities[0], 4e-6)
         assert verdict.monotone, verdict.worst_increase
 
 
@@ -559,13 +558,13 @@ class TestOffCentreSphere:
         for n_int in (50, 100, 200):
             g = L.AxisymmetricGraph.from_function(
                 lambda th: offcentre_sphere_rho(th, 0.0, p, r0), spec, n_int)
-            tr = L.attach_quantities(L.flow_graph(g, 3.0), f, 0.0)
+            tr = L.flow_graph(g, 3.0)
             assert tr.status == "completed"
-            rho_err = max(np.max(np.abs(s.rho / offcentre_sphere_rho(g.theta, t, p, r0) - 1.0))
-                          for t, s in zip(tr.times, tr.surfaces))
+            rho_err = max(np.max(np.abs(s.radii / offcentre_sphere_rho(g.theta, t, p, r0) - 1.0))
+                          for t, s in zip(tr.times, tr.geometries))
             worst.append([rho_err] + [max(abs(x) for x in col) for col in zip(
                 *((sq.q - 4.0 * math.sqrt(math.pi), sq.minkowski_deficit, sq.umbilicity_deficit)
-                  for sq in tr.quantities))])
+                  for sq in L.attach_quantities(tr, f, 0.0)))])
         rho_err, q_err, deficit, umbilicity = worst[-1]
         assert max(rho_err, q_err) <= 1e-5 * p**2
         ratios = np.array(worst[:-1]) / np.array(worst[1:])
@@ -577,11 +576,12 @@ def p2_decay_error(spec, eps, n_int, r0=4.0, t_end=3.0):
     """a2(t) / (a2(0) legendre_mode_decay(t)) - 1 at each output of the flow
     of r0 (1 + eps P2(cos theta)) at rel_tol = 1e-10, with a2 the Simpson
     projection of rho / (r0 e^(t/2)) - 1 onto P2."""
-    tr = L.flow_graph(p2_graph(spec, r0, r0 * eps, n_int), t_end, rel_tol=1e-10)
-    theta = tr.surfaces[0].theta
+    graph = p2_graph(spec, r0, r0 * eps, n_int)
+    tr = L.flow_graph(graph, t_end, rel_tol=1e-10)
+    theta = graph.theta
     p2 = 1.5 * np.cos(theta) ** 2 - 0.5
-    a2 = np.array([2.5 * simpson((s.rho / (r0 * math.exp(0.5 * t)) - 1.0) * p2 * np.sin(theta),
-                                 x=theta) for t, s in zip(tr.times, tr.surfaces)])
+    a2 = np.array([2.5 * simpson((s.radii / (r0 * math.exp(0.5 * t)) - 1.0) * p2 * np.sin(theta),
+                                 x=theta) for t, s in zip(tr.times, tr.geometries)])
     return a2 / (a2[0] * legendre_mode_decay(tr.times, 2, spec.mass_param, r0)) - 1.0
 
 
@@ -618,7 +618,7 @@ class TestOutputTimes:
     def test_t_end_below_snap_tolerance_keeps_t_zero(self, schw3m1):
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1e-12)
         assert tr.times.tolist() == [0.0, 1e-12]
-        assert tr.surfaces[0].radius == 4.0
+        assert tr.geometries[0].radii[0] == 4.0
 
     def test_graph_trace_metadata(self, schw3m1):
         tr = L.flow_graph(L.AxisymmetricGraph.constant(4.0, schw3m1, 100), 0.2)
@@ -628,7 +628,7 @@ class TestOutputTimes:
         sphere = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 0.2)
         assert sphere.stats == {"steps": 0, "rejected": 0, "rhs_evals": 0,
                                 "factorizations": 0}
-        assert len(tr.surfaces) == len(tr.geometries) == len(tr.times)
+        assert len(tr.geometries) == len(tr.times)
 
 
 class TestValidation:

@@ -212,7 +212,7 @@ class TestVerdicts:
     def test_sphere_trace_constant_q(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0)
-        v = L.monotonicity_verdict(tr, f, 1.0)
+        v = L.monotonicity_verdict(tr, L.attach_quantities(tr, f, 1.0))
         assert v.monotone
         assert abs(v.worst_increase) < 1e-13
         assert abs(v.limit_gap) < 1e-12
@@ -221,52 +221,55 @@ class TestVerdicts:
     def test_quantities_attached_once(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1.0)
-        L.attach_quantities(tr, f, 1.0)
-        assert len(tr.quantities) == len(tr.times)
-        sq = tr.quantities[0]
+        quantities = L.attach_quantities(tr, f, 1.0)
+        assert len(quantities) == len(tr.times)
+        sq = quantities[0]
         assert sq.area == pytest.approx(64 * math.pi, rel=1e-13)
         assert sq.hawking_mass == pytest.approx(1.0, abs=1e-12)
         assert sq.umbilicity_deficit == 0.0
 
-    def test_verdict_answers_for_its_own_weight_and_mass(self, schw3m1):
-        f = L.sqrt_potential(schw3m1)
-        fresh = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1.0)
-        assert not L.monotonicity_verdict(fresh, f, 0.0).monotone
-        tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1.0)
-        L.attach_quantities(tr, f, 1.0)
-        with pytest.raises(ValueError, match="another weight or mass"):
-            L.monotonicity_verdict(tr, f, 0.0)
-        assert L.monotonicity_verdict(tr, f, 1.0).monotone
+    def test_one_trace_serves_two_weights_and_holds_no_state(self, schw3m1):
+        tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0)
+        static = L.attach_quantities(tr, L.sqrt_potential(schw3m1), 1.0)
+        assert L.monotonicity_verdict(tr, static).monotone
+        control = L.attach_quantities(tr, L.profile_weight(schw3m1), 1.0)
+        assert not L.monotonicity_verdict(tr, control).monotone
+        with pytest.raises(AttributeError):
+            tr.times = tr.times[:1]
 
     def test_perturbed_graph_strictly_decreasing(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 1.0)
-        v = L.monotonicity_verdict(tr, f, 1.0)
+        quantities = L.attach_quantities(tr, f, 1.0)
+        v = L.monotonicity_verdict(tr, quantities)
         assert v.monotone
         assert v.worst_increase < 0.0   # every step strictly decreases
-        qs = [sq.q for sq in tr.quantities]
+        qs = [sq.q for sq in quantities]
         assert qs[0] - qs[-1] > 1e-4
-        assert tr.quantities[0].umbilicity_deficit > 1e-3
+        assert quantities[0].umbilicity_deficit > 1e-3
 
     def test_negative_control_weight_breaks_monotonicity(self, schw3m1):
         w = L.profile_weight(schw3m1)
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0)
-        v = L.monotonicity_verdict(tr, w, 1.0)
+        v = L.monotonicity_verdict(tr, L.attach_quantities(tr, w, 1.0))
         assert not v.monotone
         assert v.worst_increase > 1e-2
         tr_g = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 1.0)
-        v_g = L.monotonicity_verdict(tr_g, w, 1.0)
+        v_g = L.monotonicity_verdict(tr_g, L.attach_quantities(tr_g, w, 1.0))
         assert not v_g.monotone
         assert v_g.worst_increase > 1e-3
 
     def test_insufficient_slices_rejected(self, schw3m1):
-        tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1.0)
-        tr.times = tr.times[:1]
-        tr.surfaces = tr.surfaces[:1]
-        tr.geometries = tr.geometries[:1]
-        tr.quantities = None
+        full = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1.0)
+        quantities = L.attach_quantities(full, L.sqrt_potential(schw3m1), 1.0)
+        tr = full._replace(times=full.times[:1], geometries=full.geometries[:1])
         with pytest.raises(ValueError, match="insufficient"):
-            L.monotonicity_verdict(tr, L.sqrt_potential(schw3m1), 1.0)
+            L.monotonicity_verdict(tr, quantities[:1])
+        # a list that is not one record per slice
+        with pytest.raises(ValueError, match="one per slice"):
+            L.monotonicity_verdict(full, quantities[:-1])
+        with pytest.raises(ValueError, match="one per slice"):
+            L.monotonicity_verdict(tr, quantities)
 
     def test_limit_target_values(self):
         assert L.limit_target(3) == pytest.approx(FOUR_SQRT_PI, rel=1e-15)

@@ -65,16 +65,18 @@ class TestGraphGeometry:
         assert abs(g.area / spheroid_area_closed() - 1.0) < 1e-6
 
     def test_spheroid_mean_curvature_matches_oracle(self, flat3):
-        g = L.graph_geometry(spheroid_graph(flat3, 400))
+        graph = spheroid_graph(flat3, 400)
+        g = L.graph_geometry(graph)
         assert np.max(np.abs(g.mean_curvature
-                             - spheroid_h_at_theta(g.theta))) < 2e-3
+                             - spheroid_h_at_theta(graph.theta))) < 2e-3
 
     def test_mean_curvature_convergence_order(self, flat3):
         errs = []
         for n_int in (100, 200, 400):
-            g = L.graph_geometry(spheroid_graph(flat3, n_int))
+            graph = spheroid_graph(flat3, n_int)
+            g = L.graph_geometry(graph)
             errs.append(np.max(np.abs(g.mean_curvature
-                                      - spheroid_h_at_theta(g.theta))))
+                                      - spheroid_h_at_theta(graph.theta))))
         assert math.log2(errs[0] / errs[1]) > 1.9
         assert math.log2(errs[1] / errs[2]) > 1.9
 
@@ -144,8 +146,9 @@ class TestSurfaceIntegral:
 
     def test_low_degree_integrands_near_exact(self, flat3):
         # composite Simpson floor at N=200 is ~4e-8 worst case (h^4/180 rule)
-        g = L.graph_geometry(L.AxisymmetricGraph.constant(1.0, flat3, 200))
-        th = g.theta
+        graph = L.AxisymmetricGraph.constant(1.0, flat3, 200)
+        g = L.graph_geometry(graph)
+        th = graph.theta
         assert abs(L.surface_integral(g, np.ones_like(th)) - FOUR_PI) < 1e-8
         assert abs(L.surface_integral(g, np.cos(th))) < 1e-12
         assert abs(L.surface_integral(g, 1.5 * np.cos(th) ** 2 - 0.5)) < 1e-7
