@@ -37,15 +37,20 @@ shift as it leaves out the lower-order terms.  The
 stages are taken in transformed form (Hairer & Wanner, Solving ODEs II,
 IV.7), where J_D enters the W-matrix and nothing else, and the new state
 is the last stage's input plus the last stage (the method is stiffly
-accurate).  The step size is set by accuracy alone, not by a dtheta^2
-stability bound, so a flow takes about the same number of steps at any
-grid size.  A factorization of the tridiagonal I - gamma dt J_D serves all
-four stages of a step, and further steps while it still fits them (below):
-one Python pass for the Thomas pivots, then numpy prefix products of the
-multipliers of its two elimination sweeps.  Each sweep is
-a first-order linear recurrence, so a solve runs it in scan form as a
-prefix sum (Kogge & Stone, IEEE Trans. Comput. C-22, 1973; Blelloch,
-CMU-CS-90-190, 1990), with no per-node Python.  Since J_D has zero row
+accurate).  The state and the stages are the rows of one stage matrix, so
+each stage input, each stage's coupling to the stages before it and the
+error estimate is one product of a coefficient row with that matrix.  The
+step size is set by accuracy alone, not by a dtheta^2 stability bound, so
+a flow takes about the same number of steps at any grid size.  A
+factorization of the tridiagonal I - gamma dt J_D serves all four stages
+of a step, and further steps while it still fits them (below): one Python
+pass for the Thomas pivots, then numpy prefix products of the multipliers
+of its two elimination sweeps.  Each sweep is a first-order linear
+recurrence, so a solve runs it in scan form as a prefix sum (Kogge &
+Stone, IEEE Trans. Comput. C-22, 1973; Blelloch, CMU-CS-90-190, 1990),
+with no per-node Python; the forward sweep's prefix product is folded
+into the backward sweep's weights once per factorization, so a solve is
+two prefix sums and five elementwise operations.  Since J_D has zero row
 sums, every solve is split as x = b[0] + z with z solving for b - b[0]: a
 round graph gives the same G at every node, a constant right-hand side
 gives z = 0 exactly, and so round graphs stay exactly round.
@@ -233,12 +238,13 @@ _E_U = _times_g_inv([b - b_hat for b, b_hat in zip(_B, _B_HAT)])
 _STAGE_TIMES = tuple(sum(row) for row in _ALPHA)  # stage i runs at t + alpha_i dt
 
 
-def _combine(coeffs, vectors):
-    """sum_j coeffs[j] * vectors[j], added left to right into a new array."""
-    out = coeffs[0] * vectors[0]
-    for c, v in zip(coeffs[1:], vectors[1:]):
-        out += c * v
-    return out
+# The stepper keeps y and the four stages as the rows of one stage matrix
+# (y, u_1, ..., u_4).  _STAGE_ROWS holds, for each of stages 2 to 4, a row
+# for its input (1, A_U) and one for its coupling (0, C_U) over the rows
+# before it, and _E_ROW is the error estimate's row (0, E_U).  A stage
+# reads only the rows its attempt has written, never a stale one.
+_STAGE_ROWS = tuple(np.array([(1.0, *a), (0.0, *c)]) for a, c in zip(_A_U[1:], _C_U[1:]))
+_E_ROW = np.array((0.0, *_E_U))
 
 
 _FLOOR = 1e-200  # smallest prefix product of a sweep; keeps 1/r and w/r finite
@@ -279,18 +285,16 @@ def _prefix_runs(m: np.ndarray):
 
 
 def _sweep(u: np.ndarray, m: np.ndarray, starts, r, weights) -> np.ndarray:
-    """z_i = w_i + m_i z_(i-1), z_0 = w_0, as one prefix sum per run of
-    :func:`_prefix_runs`, where w / r = u weights: ``weights`` is 1 / r,
-    or q / r for w = q u."""
-    if len(starts) == 1:
-        return r * (u * weights).cumsum()
-    z = np.empty_like(u)
+    """z / r for the recurrence z_i = w_i + m_i z_(i-1), z_0 = w_0, as one
+    prefix sum per run of :func:`_prefix_runs`, where w / r = u weights.
+    r enters only the carry m_a z_(a-1) = m_a r_(a-1) (z / r)_(a-1) that
+    starts each run after the first."""
+    y = u * weights
     for a, e in zip(starts, starts[1:] + [u.size]):
-        seg = u[a:e] * weights[a:e]
         if a:
-            seg[0] += m[a] * z[a - 1]
-        z[a:e] = r[a:e] * seg.cumsum()
-    return z
+            y[a] += m[a] * r[a - 1] * y[a - 1]
+        np.add.accumulate(y[a:e], out=y[a:e])
+    return y
 
 
 def _w_solver(s: np.ndarray):
@@ -298,15 +302,23 @@ def _w_solver(s: np.ndarray):
     s = gamma dt / (H^2 E dtheta^2), and return its solve x = b[0] + z.
 
     Row i is -s_i, 1 + 2 s_i, -s_i, with the outer entry doubled in the
-    reflecting pole rows.  The matrix is diagonally dominant, so the Thomas
-    factorization needs no pivoting and its pivots are at least 1.  With
-    the inverse pivots q, the elimination is two first-order recurrences
-    on z = q (b - b[0]): z_i += f_i z_(i-1) forward and z_i += c_i z_(i+1)
-    backward, where f_i and c_i are s_i q_i, doubled at the poles.  Their
-    prefix products are taken here, once per factorization, so each solve
-    is a prefix sum per direction (:func:`_sweep`).  The rows sum to one,
-    so a constant b gives z = 0 exactly.
+    reflecting pole rows.  Where 1 + 2 s_i rounds to 1 at every node, W is
+    the identity to rounding and the solve returns a copy of b.  Otherwise
+    the matrix is diagonally dominant, so the Thomas factorization needs
+    no pivoting and its pivots are at least 1.  With the inverse pivots q,
+    the elimination is two first-order recurrences on z = q (b - b[0]):
+    z_i += f_i z_(i-1) forward and z_i += c_i z_(i+1) backward, where f_i
+    and c_i are s_i q_i, doubled at the poles.  Their prefix products r_f
+    and r_c are taken here, once per factorization, so each solve is a
+    prefix sum per direction.  The forward sweep yields z / r_f, which the
+    backward one weights by r_f / r_c, both folded into one array here, so
+    z itself is never formed.  Where neither product restarts, the solve
+    runs both prefix sums inline; otherwise each sweep runs per run
+    (:func:`_sweep`).  The rows sum to one, so a constant b gives z = 0
+    exactly.
     """
+    if 1.0 + 2.0 * s.max() == 1.0:
+        return np.copy
     n = s.size
     couple = np.zeros_like(s)        # sub- times superdiagonal, none in row 0
     np.multiply(s[1:], s[:-1], out=couple[1:])
@@ -321,12 +333,19 @@ def _w_solver(s: np.ndarray):
     c = sq[::-1].copy()              # backward order
     c[-1] *= 2.0
     f_starts, f_r, f_r_inv = _prefix_runs(f)
-    fwd = (f, f_starts, f_r, q * f_r_inv)   # w = q (b - b[0])
-    back = (c, *_prefix_runs(c))
+    c_starts, c_r, c_r_inv = _prefix_runs(c)
+    w_f = q * f_r_inv                # w = q (b - b[0]), over r_f
+    w_c = f_r[::-1] * c_r_inv        # w = z = r_f (z / r_f), over r_c
+    r_c = c_r[::-1].copy()           # forward order
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        z = _sweep(b - b[0], *fwd)
-        return b[0] + _sweep(z[::-1], *back)[::-1]
+    if len(f_starts) == len(c_starts) == 1:     # the flow's regime
+        def solve(b: np.ndarray) -> np.ndarray:
+            y = np.add.accumulate((b - b[0]) * w_f)
+            return b[0] + r_c * np.add.accumulate(y[::-1] * w_c)[::-1]
+    else:
+        def solve(b: np.ndarray) -> np.ndarray:
+            y = _sweep(b - b[0], f, f_starts, f_r, w_f)
+            return b[0] + r_c * _sweep(y[::-1], c, c_starts, c_r, w_c)[::-1]
 
     return solve
 
@@ -367,10 +386,11 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
 
     def scaled_rms(v, y):
         x = v / (_ABS_TOL + rel_tol * np.abs(y))
-        return math.sqrt((x * x).mean())
+        return math.sqrt(x.dot(x) / x.size)
 
     t = 0.0
-    y = rho.copy()                  # sigma = e^(-t/2) rho
+    stages = np.empty((5, rho.size))   # the stage matrix (y, u_1, ..., u_4)
+    stages[0] = rho                 # y = sigma = e^(-t/2) rho
     out_geoms = [geom0]
     emitted = 1
     status, reason = "completed", None
@@ -406,16 +426,17 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
             solve = _w_solver(s)
             h_w, s_w = h, s
             nfact += 1
-        us = [solve(_rate(rho, frame, t, gh))]
-        for a_row, c_row, alpha in zip(_A_U[1:], _C_U[1:], _STAGE_TIMES[1:]):
-            y_stage = y + _combine(a_row, us)
+        stages[1] = solve(_rate(rho, frame, t, gh))
+        for i, (rows, alpha) in enumerate(zip(_STAGE_ROWS, _STAGE_TIMES[1:]), 2):
+            inputs = rows.dot(stages[:i])     # stage input, then coupling
+            y_stage = inputs[0]
             t_stage = t + alpha * h
             rho_stage = math.exp(0.5 * t_stage) * y_stage
             stage = graph_frame(rho_stage, spec, grid)
-            us.append(solve(_rate(rho_stage, stage, t_stage, gh) + _combine(c_row, us)))
+            stages[i] = solve(_rate(rho_stage, stage, t_stage, gh) + inputs[1])
         nevals += 3
-        y_new = y_stage + us[3]
-        enorm = scaled_rms(_combine(_E_U, us), y_new)
+        y_new = y_stage + stages[4]
+        enorm = scaled_rms(_E_ROW.dot(stages), y_new)
         if not (np.isfinite(y_new).all() and math.isfinite(enorm)):
             nrej += 1
             dt, retry = 0.25 * h, True
@@ -426,8 +447,8 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
             nland += h < dt             # shortened by the split
             dt_min, dt_max = min(dt_min, h), max(dt_max, h)
             t = t_next if splits == 1 else t + h
-            y = y_new
-            rho = math.exp(0.5 * t) * y
+            stages[0] = y_new
+            rho = math.exp(0.5 * t) * y_new
             frame = graph_frame(rho, spec, grid)
             nevals += 1
             min_h, min_rho = float(frame.h.min()), float(rho.min())
@@ -436,7 +457,10 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
                 status, reason = "halted", "H<=0" if min_h <= 0.0 else "horizon"
                 break
             if splits == 1:
-                out_geoms.append(graph_geometry(AxisymmetricGraph(grid.theta, rho, spec), frame))
+                # no AxisymmetricGraph checks: the halt tests above and
+                # require_reach cover its domain rule
+                out_geoms.append(graph_geometry(
+                    AxisymmetricGraph._make((grid.theta, rho, spec)), frame))
                 emitted += 1
             grown = h * min(5.0, _SAFETY / max(enorm, 1e-10) ** (1.0 / 3.0))
             # a step the split shortened does not shrink the next

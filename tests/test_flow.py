@@ -295,6 +295,12 @@ class TestGraphFlow:
             assert not a.flags.writeable
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 0.5)
         assert all(g.simpson_w is grid.simpson_w for g in tr.geometries)
+        # each emitted slice skips the graph constructor's checks: it would
+        # pass them, and its geometry is the one built through them, bit for bit
+        for got in tr.geometries:
+            want = L.graph_geometry(L.AxisymmetricGraph(grid.theta, got.radii, schw3m1))
+            for name, a, b in zip(want._fields, got, want):
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
 
     def test_solver_margins(self, schw3m1):
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 0.5)
@@ -407,6 +413,8 @@ def oracle_s(kind, n_int, rng, spec):
         return 10.0 ** rng.uniform(-2.0, 3.0, n_int + 1)
     if kind == "tiny":      # every prefix product underflows: one run per node
         return 10.0 ** rng.uniform(-300.0, -290.0, n_int + 1)
+    if kind == "mixed":     # runs of every length, from 1 to hundreds
+        return 10.0 ** rng.uniform(-40.0, 1.0, n_int + 1)
     # the s of a real frame, built as flow_graph builds it for a step h
     graph = p2_graph(spec, 4.0, 0.3, n_int)
     frame = L.surfaces.graph_frame(graph.rho, spec, graph.grid)
@@ -439,7 +447,7 @@ def forward_multipliers(s):
 
 class TestWSolver:
     @pytest.mark.parametrize("n_int", [8, 100, 200, 3200])
-    @pytest.mark.parametrize("kind", ["wide", "zero", "positive", "frame", "tiny"])
+    @pytest.mark.parametrize("kind", ["wide", "zero", "positive", "frame", "tiny", "mixed"])
     def test_matches_dense_oracle(self, n_int, kind, schw3m1):
         rng = np.random.default_rng(n_int)
         s = oracle_s(kind, n_int, rng, schw3m1)
@@ -452,14 +460,26 @@ class TestWSolver:
         const = np.full(n_int + 1, 3.7)
         assert np.array_equal(L.flow._w_solver(s)(const), const)
 
+    def test_identity_to_rounding_runs_no_sweep(self, schw3m1, monkeypatch):
+        # every prefix product of a tiny s underflows, which would take one
+        # run per node; W is then the identity to rounding
+        rng = np.random.default_rng(3200)
+        s = oracle_s("tiny", 3200, rng, schw3m1)
+        calls = []
+        for name in ("_prefix_runs", "_sweep"):
+            def spy(*args, _real=getattr(L.flow, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(L.flow, name, spy)
+        b = rng.standard_normal(s.size)
+        x = L.flow._w_solver(s)(b)
+        assert calls == [] and np.array_equal(x, b) and x is not b
+
     @pytest.mark.parametrize("kind", ["tiny", "mixed", "frame"])
     def test_prefix_runs_match_reference_in_linear_scans(self, kind, schw3m1, monkeypatch):
         n_int = 3200
         rng = np.random.default_rng(7)
-        if kind == "mixed":   # runs of every length, from 1 to hundreds
-            s = 10.0 ** rng.uniform(-40.0, 1.0, n_int + 1)
-        else:
-            s = oracle_s(kind, n_int, rng, schw3m1)
+        s = oracle_s(kind, n_int, rng, schw3m1)
         m = forward_multipliers(s)
         scanned = []
         real = np.cumprod
@@ -490,6 +510,12 @@ class TestWSolver:
         np.testing.assert_allclose(c_u, -F._GAMMA * np.tril(g_inv, -1), rtol=0, atol=1e-14)
         # stiffly accurate: the update y + sum M_U u is the last stage input plus u_4
         np.testing.assert_allclose(m_u - a_u[3], [0.0, 0.0, 0.0, 1.0], rtol=0, atol=1e-14)
+        # the stage matrix (y, u_1, ..., u_4): stage i + 1 reads its input
+        # (a leading 1 for y) and its coupling off the rows before it
+        assert len(F._STAGE_ROWS) == 3
+        for i, rows in enumerate(F._STAGE_ROWS, 1):
+            np.testing.assert_array_equal(rows, [[1.0, *a_u[i, :i]], [0.0, *c_u[i, :i]]])
+        np.testing.assert_array_equal(F._E_ROW, [0.0, *e_u])
 
 
 def p4(x):
