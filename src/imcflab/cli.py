@@ -24,7 +24,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, InsideHorizonError, LabError, SolverFailureError
+from .errors import (ConfigError, DomainError, InsideHorizonError, LabError,
+                     SolverFailureError)
 from .metrics import ManifoldSpec, horizon_radius, sqrt_potential, unit_sphere_area
 from .quantities import limit_target, slice_quantities
 from .scenario import (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_STRICT,
@@ -324,14 +325,18 @@ def _cmd_oracle(args) -> int:
         spec = ManifoldSpec.schwarzschild(n, m, r_max=max(r, 1000.0),
                                           r_min_floor=0.5 * r)
         geom = sphere_geometry(CoordinateSphere(r, spec))
+        f = sqrt_potential(spec)
+        sq = slice_quantities(geom, f, m)
     except InsideHorizonError as exc:
         raise ConfigError(f"oracle radius {r:g} is inside the horizon "
                           f"r_h = {spec.r_min:g}") from exc
-    except ValueError as exc:
-        # the spec rejects n outside 3..7, and a horizon beyond max(r, 1000)
+    except (ValueError, DomainError) as exc:
+        # n outside 3..7, a horizon beyond max(r, 1000), an r^(n-1) that
+        # underflows, or a weight that is not finite on the sphere
         raise ConfigError(f"oracle: {exc}") from exc
-    f = sqrt_potential(spec)
-    sq = slice_quantities(geom, f, m)
+    except OverflowError as exc:
+        raise ConfigError(f"oracle: the sphere of radius r = {r:g} has an area "
+                          f"r^{n - 1} beyond the float64 range") from exc
     out = {
         "n": n, "m": m, "r": r,
         "horizon_radius": spec.r_min if m > 0 else None,

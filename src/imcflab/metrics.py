@@ -22,6 +22,7 @@ Dimension convention: n is the manifold dimension, hypersurfaces are
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -256,7 +257,8 @@ class ManifoldSpec(_ManifoldFields):
     def require_in_domain(self, r, what: str = "radius") -> None:
         """The domain rule r_min < r <= r_max for a radius or every radius in
         an array r: raises InsideHorizonError at or inside r_min,
-        DomainError beyond r_max or NaN."""
+        DomainError beyond r_max or NaN, or where r^(n-1), the scale of a
+        slice's area, is below the normal float64 range."""
         lo, hi = (r.min(), r.max()) if isinstance(r, np.ndarray) else (r, r)
         if lo <= self.r_min:
             raise InsideHorizonError(
@@ -264,6 +266,9 @@ class ManifoldSpec(_ManifoldFields):
                 f"r_min = {self.r_min:g}")
         if not hi <= self.r_max:
             raise DomainError(f"{what} {hi:g} beyond r_max = {self.r_max:g}")
+        if lo ** (self.n - 1) < sys.float_info.min:
+            raise DomainError(f"{what} {lo:g} is so small that r^{self.n - 1} "
+                              f"is below the normal float64 range")
 
 
 class StaticPotential(NamedTuple):

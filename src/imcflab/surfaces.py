@@ -26,7 +26,8 @@ The principal-curvature formulas for graphs,
 were checked symbolically against a raw Christoffel computation of the
 second fundamental form; the mixed component vanishes, so these are the
 principal curvatures.  A :class:`SurfaceGeometry` also carries the two
-per-slice numbers that need no weight or mass.
+per-slice numbers that need no weight or mass, and the per-node area
+weights w that integrate any g over the slice as w . g.
 """
 
 from __future__ import annotations
@@ -238,12 +239,10 @@ class SurfaceGeometry(NamedTuple):
     radii: np.ndarray
     mean_curvature: np.ndarray
     second_form_norm_sq: np.ndarray
+    area_weights: np.ndarray        # integral of g over the slice = area_weights . g
     area: float
-    mean_convex: bool
     hawking_mass: float | None      # sqrt(area/16 pi) (1 - int H^2/16 pi); n = 3 only
     umbilicity_deficit: float       # max of (n-1)|A|^2 - H^2 (>= 0 by Cauchy-Schwarz)
-    area_element: np.ndarray | None = None
-    simpson_w: np.ndarray | None = None
 
 
 def sphere_geometry(sphere: CoordinateSphere) -> SurfaceGeometry:
@@ -268,7 +267,7 @@ def sphere_geometry(sphere: CoordinateSphere) -> SurfaceGeometry:
     return SurfaceGeometry(
         kind="sphere", ambient=spec, radii=np.array([r]),
         mean_curvature=h * one, second_form_norm_sq=(h * h / (n - 1)) * one,
-        area=area, mean_convex=bool(h > 0.0),
+        area_weights=np.array([area]), area=area,
         hawking_mass=hawking, umbilicity_deficit=0.0)
 
 
@@ -277,10 +276,11 @@ def graph_geometry(graph: AxisymmetricGraph,
     """Discrete geometry of an axisymmetric radial graph.
 
     ``frame`` is the graph's :func:`graph_frame`, evaluated here when not
-    given.  Mean-convexity loss (H <= 0 somewhere) is reported through the
-    ``mean_convex`` flag rather than raised; a profile that is not
-    positive at some node raises :class:`InsideHorizonError` (the graph's
-    radii were checked against the domain when it was built).
+    given.  Mean-convexity loss (H <= 0 somewhere) is not raised; a
+    profile that is not positive at some node raises
+    :class:`InsideHorizonError` (the graph's radii were checked against the
+    domain when it was built).  The area weights are 2 pi times the Simpson
+    weights times the area element.
     """
     spec, grid, rho = graph.ambient, graph.grid, graph.rho
     if frame is None:
@@ -291,35 +291,29 @@ def graph_geometry(graph: AxisymmetricGraph,
     rp4 = _first_derivative_o4(rho, grid.dtheta)
     jac = rho * grid.sin_t * np.sqrt(rho * rho + rp4 * rp4 / frame.v)
     area = 2.0 * np.pi * float(grid.simpson_w.dot(jac))
+    weights = 2.0 * np.pi * grid.simpson_w * jac
     h2 = frame.h**2
-    int_h2 = 2.0 * np.pi * float(grid.simpson_w.dot(h2 * jac))  # as surface_integral
     return SurfaceGeometry(
         kind="graph", ambient=spec, radii=rho,
         mean_curvature=frame.h, second_form_norm_sq=asq,
-        area=area, mean_convex=bool(frame.h.min() > 0.0),
-        hawking_mass=math.sqrt(area / (16 * math.pi)) * (1.0 - int_h2 / (16 * math.pi)),
-        umbilicity_deficit=float((2 * asq - h2).max()),
-        area_element=jac, simpson_w=grid.simpson_w)
+        area_weights=weights, area=area,
+        hawking_mass=(math.sqrt(area / (16 * math.pi))
+                      * (1.0 - float(weights.dot(h2)) / (16 * math.pi))),
+        umbilicity_deficit=float((2 * asq - h2).max()))
 
 
 def surface_integral(geom: SurfaceGeometry, integrand) -> float:
-    """Integrate per-node values over the slice.
+    """Integrate per-node values over the slice: ``area_weights . values``.
 
-    For spheres the integrand is a single value (the integrand is constant
-    on the slice) and the result is value * area; for graphs it is sampled
-    on the grid and integrated with composite Simpson against the area
-    element, including the 2 pi azimuthal factor.
+    A sphere has one node, so its integrand is a single value (constant on
+    the slice) and the result is value * area; a graph's is sampled on the
+    grid.
     """
     values = np.atleast_1d(np.asarray(integrand, dtype=float))
-    if geom.kind == "sphere":
-        if values.size != 1:
-            raise ValueError(
-                f"sphere integrand must be a single value, got shape {values.shape}")
-        return float(values[0] * geom.area)
-    if values.shape != geom.radii.shape:
-        raise ValueError(
-            f"integrand shape {values.shape} does not match grid {geom.radii.shape}")
-    return 2.0 * np.pi * float(geom.simpson_w.dot(values * geom.area_element))
+    if values.shape != geom.area_weights.shape:
+        raise ValueError(f"integrand shape {values.shape} does not match "
+                         f"the slice's nodes {geom.area_weights.shape}")
+    return float(geom.area_weights.dot(values))
 
 
 def save_graph(path, graph: AxisymmetricGraph) -> None:

@@ -294,7 +294,6 @@ class TestGraphFlow:
         for a in (grid.theta, grid.sin_t, grid.cot_t, grid.simpson_w):
             assert not a.flags.writeable
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 0.5)
-        assert all(g.simpson_w is grid.simpson_w for g in tr.geometries)
         # each emitted slice skips the graph constructor's checks: it would
         # pass them, and its geometry is the one built through them, bit for bit
         for got in tr.geometries:
@@ -376,7 +375,7 @@ class TestGraphFlow:
         assert flipped and tr.stats["min_H"] < 0.0
         assert tr.times.tolist() == pytest.approx([0.0, 0.1, 0.2])
         assert len(tr.geometries) == 3
-        assert all(g.mean_convex for g in tr.geometries)
+        assert all(g.mean_curvature.min() > 0 for g in tr.geometries)
         assert max(np.max(g.radii) for g in tr.geometries) < rho_lim
 
     def test_flow_then_measure_consistent_with_interpolation(self, schw3m1):

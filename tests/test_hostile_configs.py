@@ -7,7 +7,7 @@ import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imcflab.cli import main
 from imcflab.scenario import _SCHEMA
@@ -26,6 +26,29 @@ SPHERE = {"manifold": {"family": "schwarzschild", "n": "3", "m": "1"},
 GRAPH = {"manifold": {"family": "schwarzschild", "n": "3", "m": "1"},
          "surface": {"kind": "graph", "rho0": "4 + 0.3*P2(cos(theta))"},
          "solver": {"N": "40", "t_end": "0.5", "dt_out": "0.25"}}
+
+# radii whose area r^2 is below the normal float64 range, each three
+# coordinated edits away from a base, which the fuzz does not reach: the
+# area underflows to 0 or to a subnormal, or the profile's 1/r overflows
+TINY_RADII = [
+    *[(SPHERE, [(("manifold", "m"), m), (("manifold", "r_min"), r_min),
+                (("surface", "r0"), r0)])
+      for m in ("0", "-1") for r_min, r0 in (("0", "1e-300"), ("5e-324", "1e-300"),
+                                            ("0", "5e-324"))],
+    *[(GRAPH, [(("manifold", "m"), m), (("manifold", "r_min"), "0"),
+               (("surface", "rho0"), "1e-300 + 0*theta")]) for m in ("0", "-1")],
+    (SPHERE, [(("manifold", "family"), "flat"), (("manifold", "r_min"), "0"),
+              (("surface", "r0"), "1e-170")]),
+    (SPHERE, [(("manifold", "m"), "-1"), (("manifold", "r_min"), "1e-320"),
+              (("surface", "r0"), "1e-160")]),
+]
+
+
+def with_tiny_radii(test):
+    for base, changes in TINY_RADII:
+        test = example(base=base, changes=changes)(test)
+    return test
+
 
 edits = st.lists(st.tuples(st.sampled_from(KEYS), st.sampled_from(POOL)),
                  min_size=1, max_size=3, unique_by=lambda e: e[0])
@@ -50,6 +73,7 @@ def run(*argv) -> tuple[int, str]:
 
 @settings(hostile, max_examples=300)
 @given(base=st.sampled_from([SPHERE, GRAPH]), changes=edits)
+@with_tiny_radii
 def test_flow_exits_with_a_documented_code(base, changes):
     text = render(base, changes)
     with tempfile.TemporaryDirectory() as tmp:

@@ -138,6 +138,18 @@ BAD_VALUES = [
      "[manifold] r_max"),
     ([("manifold", "n", "5"), ("manifold", "m", "-1"), ("manifold", "r_max", "1e100")],
      "[manifold] r_max"),
+    # radii whose area scale r^2 is below the normal float64 range: the area
+    # underflows to 0 or to a subnormal, or the profile's 1/r overflows
+    *[([("manifold", "m", m), ("manifold", "r_min", r_min), ("surface", "r0", r0)],
+       f"[surface] invalid: sphere radius {float(r0):g} is so small")
+      for m, r_min, r0 in (("0", "0", "1e-300"), ("-1", "5e-324", "1e-300"),
+                           ("0", "0", "5e-324"), ("-1", "1e-320", "1e-160"))],
+    ([("manifold", "m", "-1"), ("manifold", "r_min", "0"), ("surface", "kind", "graph"),
+      ("surface", "rho0", "1e-300 + 0*theta")],
+     "[surface] invalid: graph radius 1e-300 is so small"),
+    ([("manifold", "family", "flat"), ("manifold", "r_min", "0"),
+      ("surface", "r0", "1e-170")],
+     "[surface] invalid: sphere radius 1e-170 is so small"),
 ]
 
 
@@ -512,6 +524,12 @@ class TestCli:
         (["--n", "5", "--m", "2.0", "--r", "1.5"], "inside the horizon"),
         (["--n", "4", "--m", "-1.0", "--r", "-1.0"], "positive finite r"),
         (["--n", "3", "--m", "nan"], "finite m"),
+        # spheres whose area r^(n-1) leaves the float64 range
+        (["--n", "3", "--m", "1", "--r", "1e308"], "r^2 beyond the float64 range"),
+        (["--n", "7", "--m", "1e300", "--r", "1e100"], "r^6 beyond the float64 range"),
+        (["--n", "3", "--m", "0", "--r", "5e-324"], "r^2 is below the normal float64"),
+        (["--n", "3", "--m", "-1", "--r", "1e-300"], "r^2 is below the normal float64"),
+        (["--n", "3", "--m=-1e300", "--r", "1e-100"], "weight not finite"),
     ])
     def test_oracle_rejections_exit_two(self, argv, message):
         res = run_cli("oracle", *argv)

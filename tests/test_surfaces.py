@@ -30,7 +30,7 @@ class TestSphereGeometry:
         assert g.mean_curvature[0] == pytest.approx(2 * math.sqrt(0.5) / 4, rel=1e-15)
         assert g.area == pytest.approx(64 * math.pi, rel=1e-15)
         assert g.second_form_norm_sq[0] == pytest.approx(2 * 0.5 / 16, rel=1e-14)
-        assert g.mean_convex
+        assert g.mean_curvature.min() > 0
 
     def test_higher_dimension(self):
         spec = L.ManifoldSpec.schwarzschild(5, 0.5)
@@ -95,7 +95,7 @@ class TestGraphGeometry:
         theta = np.linspace(0.0, np.pi, 201)
         rho = 1.0 + 0.7 * (1.5 * np.cos(theta) ** 2 - 0.5)
         g = L.graph_geometry(L.AxisymmetricGraph(theta, rho, flat3))
-        assert not g.mean_convex
+        assert not g.mean_curvature.min() > 0
         assert np.min(g.mean_curvature) < 0.0
 
     def test_graphs_need_dimension_three(self):
@@ -155,11 +155,25 @@ class TestSurfaceIntegral:
 
     def test_shape_mismatch_rejected(self, flat3):
         g = L.graph_geometry(L.AxisymmetricGraph.constant(1.0, flat3, 200))
-        with pytest.raises(ValueError, match="shape"):
+        nodes = r"shape \({},\) does not match the slice's nodes \({},\)"
+        with pytest.raises(ValueError, match=nodes.format(100, 201)):
             L.surface_integral(g, np.ones(100))
         s = L.sphere_geometry(L.CoordinateSphere(1.0, flat3))
-        with pytest.raises(ValueError, match="single value"):
+        with pytest.raises(ValueError, match=nodes.format(5, 1)):
             L.surface_integral(s, np.ones(5))
+
+    def test_area_weights_are_the_one_quadrature(self, schw3m1):
+        # a sphere's one node weighs its area, so its integral is value * area
+        # bit for bit; a graph's weights sum to its area
+        s = L.sphere_geometry(L.CoordinateSphere(4.0, schw3m1))
+        assert s.area_weights.tolist() == [s.area]
+        for v in (1.0, 0.3, math.pi, -2.5e-7, 1e100):
+            assert L.surface_integral(s, v) == v * s.area
+        g = L.graph_geometry(L.AxisymmetricGraph.from_function(
+            lambda th: 4 + 0.3 * (1.5 * np.cos(th) ** 2 - 0.5), schw3m1, 200))
+        assert L.surface_integral(g, np.ones(201)) == pytest.approx(g.area, rel=1e-15, abs=0)
+        # no field of the record is optional
+        assert L.SurfaceGeometry._field_defaults == {}
 
 
 class TestUmbilicity:
