@@ -25,11 +25,7 @@ class UnsupportedDimensionError(LabError):
 
 
 class FitQualityError(LabError):
-    """Asymptotic tail fit rejected; carries a residual report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = dict(report or {})
+    """Asymptotic tail fit rejected; the message gives the numbers why."""
 
 
 class MeanConvexityError(LabError):

@@ -270,6 +270,19 @@ class ManifoldSpec(_ManifoldFields):
             raise DomainError(f"{what} {lo:g} is so small that r^{self.n - 1} "
                               f"is below the normal float64 range")
 
+    def require_resolved(self, r, what: str = "radius") -> None:
+        """DomainError unless |1 - V| <= 2^26 at r (a radius or an array):
+        Q on a slice cancels terms about |1 - V| times its size, so at the
+        bound its rounding error limit_target eps |1 - V| leaves 8 digits."""
+        u = abs(self.profile.mass_aspect(r))
+        if isinstance(r, np.ndarray):
+            i = int(np.argmax(u))
+            r, u = r[i], u[i]
+        if u > 2.0**26:
+            raise DomainError(f"{what} {r:g} has |1 - V| = {u:.3g} beyond 2^26, "
+                              f"where Q would lose more than half its digits "
+                              f"to cancellation")
+
 
 class StaticPotential(NamedTuple):
     """A candidate weight f(r) >= 0 with derivatives.
@@ -435,25 +448,25 @@ def adm_mass_fit(spec: ManifoldSpec, f: StaticPotential,
 
     The fit samples 64 log-spaced radii of a tail inside the domain, and f
     must already be close to 1 there (rescale first if it is not);
-    otherwise a :class:`FitQualityError` with a residual report is raised.
+    otherwise a :class:`FitQualityError` whose message gives the numbers
+    that rejected the fit is raised.
     """
     rs, fv = _tail_sample(spec, f, tail)
     tail = (float(rs[0]), float(rs[-1]))
     dev = np.abs(fv - 1.0)
     if dev.max() > 0.5:
         raise FitQualityError(
-            "potential is not near 1 on the tail; rescale before fitting",
-            report={"max_abs_dev": float(dev.max()), "tail": tail})
+            f"potential is not near 1 on the tail [{tail[0]:g}, {tail[1]:g}] "
+            f"(max |f - 1| = {dev.max():.6g}); rescale before fitting")
     basis = rs ** (2.0 - spec.n)
     m_hat = float(np.dot(1.0 - fv, basis) / np.dot(basis, basis))
     resid = (1.0 - fv) - m_hat * basis
     signal = np.linalg.norm(1.0 - fv)
     if signal > 1e-13 and np.linalg.norm(resid) > 0.1 * signal:
         raise FitQualityError(
-            "tail fit residual too large for the 1 - m r^(2-n) model",
-            report={"m_hat": m_hat,
-                    "relative_residual": float(np.linalg.norm(resid) / signal),
-                    "tail": tail})
+            f"tail fit residual too large for the 1 - m r^(2-n) model on the "
+            f"tail [{tail[0]:g}, {tail[1]:g}] (relative residual "
+            f"{np.linalg.norm(resid) / signal:.6g}, m_hat = {m_hat:.6g})")
     return m_hat
 
 
@@ -469,8 +482,8 @@ def rescale_to_unit(spec: ManifoldSpec, f: StaticPotential,
     A = np.column_stack([np.ones_like(rs), rs ** (2.0 - spec.n)])
     (c, _b), *_ = np.linalg.lstsq(A, fv, rcond=None)
     if not np.isfinite(c) or abs(c) < 1e-12:
-        raise FitQualityError("cannot rescale: fitted asymptotic constant is ~0",
-                              report={"constant": float(c)})
+        raise FitQualityError(f"cannot rescale: fitted asymptotic constant "
+                              f"c = {c:.6g} is ~0 or not finite")
     c = float(c)
     return StaticPotential(value=lambda r: f.value(r) / c,
                            deriv=lambda r: f.deriv(r) / c,

@@ -11,7 +11,7 @@ model objects; it re-raises their errors as a :class:`ConfigError` that
 names the key, so a config that parses never fails later on one of them:
 
 * ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, radii in (r_min, r_max]
-  with r^(n-1) a normal float
+  with r^(n-1) a normal float, and |1 - V| <= 2^26 on the initial slice
 * ``AxisymmetricGraph``: graphs need n = 3 and pole regularity
 * ``GraphGrid.make``: ``[solver] N`` even, 8 to 10,000 (every surface kind)
 * ``flow.require_positive``: rel_tol positive and finite

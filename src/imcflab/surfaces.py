@@ -68,6 +68,7 @@ class CoordinateSphere(_SphereFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         self.ambient.require_in_domain(self.radius, "sphere radius")
+        self.ambient.require_resolved(self.radius, "sphere radius")
         return self
 
 
@@ -194,6 +195,7 @@ class AxisymmetricGraph(_GraphFields):
                                                        atol=1e-12, rtol=0.0):
             raise ValueError("theta must be the uniform grid over [0, pi]")
         ambient.require_in_domain(rho, "graph radius")
+        ambient.require_resolved(rho, "graph radius")
         dth = grid.dtheta
         tol = 5.0 * dth**2 * max(1.0, float(np.abs(rho).max()))
         (r0, r1, r2), (s2, s1, s0) = rho[:3].tolist(), rho[-3:].tolist()

@@ -280,6 +280,24 @@ class TestGraphFlow:
         assert tr.stats["rejected"] == len(retries(attempts)) == 1
         assert tr.times[-1] == t_end and tr.stats["steps"] == 2
 
+    def test_non_finite_attempt_is_retried_at_a_fifth(self, monkeypatch):
+        # the first attempt spans the whole first output interval; a state
+        # that is not finite has an infinite error norm, the shortest ratio
+        g = p2_graph(L.ManifoldSpec.schwarzschild(3, -1.0), 4.0, 0.3, 100)
+        steps, real_rate = [], L.flow._rate
+
+        def rate(rho, frame, t, gh):
+            steps.append(gh / L.flow._GAMMA)
+            return real_rate(rho, frame, t, gh) * (math.nan if len(steps) == 1 else 1.0)
+
+        monkeypatch.setattr(L.flow, "_rate", rate)
+        tr = L.flow_graph(g, 0.002, dt_out=0.001)
+        st = tr.stats
+        assert tr.status == "completed" and st["rejected"] == 1
+        assert steps[0] == pytest.approx(0.001, rel=1e-14)
+        assert steps[4] == pytest.approx(steps[0] / 5, rel=1e-14)
+        assert st["rhs_evals"] == 1 + 4 * st["steps"] + 3 * st["rejected"]
+
     @pytest.mark.parametrize("mass", [-1.0, None])
     def test_gentle_flows_reject_no_attempt(self, mass):
         # the starting step on rho's time scale is short enough for the
@@ -565,6 +583,31 @@ class TestDenseReferenceFlows:
         np.testing.assert_allclose(q_fast, q_dense, rtol=1e-12, atol=0.0)
         verdict = L.monotonicity_verdict(fast, quantities[0], 4e-6)
         assert verdict.monotone, verdict.worst_increase
+
+
+    def test_restarting_products_match_a_dense_w_solve(self, schw3m1, monkeypatch):
+        # steps of 1e-5 make every sweep's prefix product underflow past
+        # _FLOOR once, so each solve of the flow runs per run (_sweep)
+        graph = p2_graph(schw3m1, 4.0, 0.3, 100)
+        runs = []
+
+        def prefix_runs(m, _real=L.flow._prefix_runs):
+            starts, r, r_inv = _real(m)
+            runs.append(len(starts))
+            return starts, r, r_inv
+
+        monkeypatch.setattr(L.flow, "_prefix_runs", prefix_runs)
+        fast = L.flow_graph(graph, 1e-3, dt_out=1e-5)
+        assert runs == [2] * (2 * fast.stats["factorizations"])
+        monkeypatch.setattr(L.flow, "_w_solver", lambda s: functools.partial(
+            np.linalg.solve, w_matrix(s)))
+        dense = L.flow_graph(graph, 1e-3, dt_out=1e-5)
+        for key in ("steps", "rejected", "rhs_evals"):
+            assert fast.stats[key] == dense.stats[key]
+        f = L.sqrt_potential(schw3m1)
+        q_fast, q_dense = ([sq.q for sq in L.attach_quantities(tr, f, 1.0)]
+                           for tr in (fast, dense))
+        np.testing.assert_allclose(q_fast, q_dense, rtol=1e-12, atol=0.0)
 
 
 class TestOffCentreSphere:

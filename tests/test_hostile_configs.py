@@ -44,8 +44,19 @@ TINY_RADII = [
 ]
 
 
-def with_tiny_radii(test):
-    for base, changes in TINY_RADII:
+# slices where r^(n-2) << |m|, so |1 - V| is beyond 2^26 and Q is mostly
+# rounding: the sphere exited 4 on a rounding jump, the graphs 0
+DEEP_MASS = [
+    (SPHERE, [(("manifold", "m"), "-1"), (("manifold", "r_min"), "0"),
+              (("surface", "r0"), "1e-20")]),
+    *[(GRAPH, [(("manifold", "m"), "-1"), (("manifold", "r_min"), "0"),
+               (("surface", "rho0"), f"{scale}*(1 + 0.1*P2(cos(theta)))")])
+      for scale in ("1e-30", "1e-150")],
+]
+
+
+def with_edge_examples(test):
+    for base, changes in TINY_RADII + DEEP_MASS:
         test = example(base=base, changes=changes)(test)
     return test
 
@@ -73,7 +84,7 @@ def run(*argv) -> tuple[int, str]:
 
 @settings(hostile, max_examples=300)
 @given(base=st.sampled_from([SPHERE, GRAPH]), changes=edits)
-@with_tiny_radii
+@with_edge_examples
 def test_flow_exits_with_a_documented_code(base, changes):
     text = render(base, changes)
     with tempfile.TemporaryDirectory() as tmp:

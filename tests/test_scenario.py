@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -150,6 +151,17 @@ BAD_VALUES = [
     ([("manifold", "family", "flat"), ("manifold", "r_min", "0"),
       ("surface", "r0", "1e-170")],
      "[surface] invalid: sphere radius 1e-170 is so small"),
+    # slices where r^(n-2) << |m|: Q cancels terms about |1 - V| times its
+    # size, and past |1 - V| = 2^26 (r0 = 2.9e-8 is just past it) Q would
+    # keep fewer than 8 digits; at 1e-20 its rounding read as a violation
+    *[([("manifold", "m", "-1"), ("manifold", "r_min", "0"), ("surface", "r0", r0),
+        ("solver", "t_end", "1"), ("solver", "dt_out", "0.25")],
+       f"[surface] invalid: sphere radius {r0} has |1 - V| = {2 / float(r0):.3g} beyond 2^26")
+      for r0 in ("1e-20", "2.9e-08")],
+    *[([("manifold", "m", "-1"), ("manifold", "r_min", "0"), ("surface", "kind", "graph"),
+        ("surface", "rho0", f"{scale}*(1 + 0.1*P2(cos(theta)))")],
+       f"[surface] invalid: graph radius {0.95 * float(scale):g} has |1 - V|")
+      for scale in ("1e-30", "1e-150")],
 ]
 
 
@@ -312,6 +324,19 @@ class TestRunScenario:
         assert exit_code_for(report) == 5
         report.verdicts["monotone"] = False
         assert exit_code_for(report) == 4  # monotonicity outranks deficit
+
+    def test_rejected_tail_fit_warning_names_its_residual(self, tmp_path):
+        # a sampled weight 1 + 1/r^3 rescales to 1 on the tail, but its
+        # tail is no 1 - m/r: the fit leaves 23% of the signal unexplained
+        text = sampled_potential_config(tmp_path)
+        r = np.geomspace(1.0, 4000.0, 3000)
+        np.savetxt(tmp_path / "pot.txt", np.column_stack([r, 1 + 1 / r**3]))
+        report = run_scenario(parse_config(text, base_dir=tmp_path))
+        assert report.verdicts["mass_fit"] is None
+        [warning] = [w for w in report.warnings if w.startswith("tail mass fit rejected")]
+        residual = re.search(r"relative residual (\S+),", warning)
+        assert float(residual.group(1)) == pytest.approx(0.227409, rel=1e-5)
+        assert "m_hat = " in warning and "tail [100, 1000]" in warning
 
     def test_halt_on_lost_mean_convexity_warns(self, tmp_path, monkeypatch):
         negative_h_beyond(monkeypatch, 4.0 * math.exp(0.125))
@@ -529,7 +554,9 @@ class TestCli:
         (["--n", "7", "--m", "1e300", "--r", "1e100"], "r^6 beyond the float64 range"),
         (["--n", "3", "--m", "0", "--r", "5e-324"], "r^2 is below the normal float64"),
         (["--n", "3", "--m", "-1", "--r", "1e-300"], "r^2 is below the normal float64"),
-        (["--n", "3", "--m=-1e300", "--r", "1e-100"], "weight not finite"),
+        # |1 - V| = 2e300 and inf at the sphere, beyond 2^26
+        (["--n", "3", "--m=-1e200", "--r", "1e-100"], "oracle: sphere radius 1e-100 has"),
+        (["--n", "3", "--m=-1e300", "--r", "1e-100"], "oracle: sphere radius 1e-100 has"),
     ])
     def test_oracle_rejections_exit_two(self, argv, message):
         res = run_cli("oracle", *argv)
