@@ -332,7 +332,7 @@ def _cmd_oracle(args) -> int:
                           f"r_h = {spec.r_min:g}") from exc
     except (ValueError, DomainError) as exc:
         # n outside 3..7, a horizon beyond max(r, 1000), an r^(n-1) that
-        # underflows, a |1 - V| beyond 2^26 or a weight not finite there
+        # underflows or a |1 - V| beyond 2^26 there
         raise ConfigError(f"oracle: {exc}") from exc
     except OverflowError as exc:
         raise ConfigError(f"oracle: the sphere of radius r = {r:g} has an area "

@@ -554,9 +554,9 @@ class TestCli:
         (["--n", "7", "--m", "1e300", "--r", "1e100"], "r^6 beyond the float64 range"),
         (["--n", "3", "--m", "0", "--r", "5e-324"], "r^2 is below the normal float64"),
         (["--n", "3", "--m", "-1", "--r", "1e-300"], "r^2 is below the normal float64"),
-        # |1 - V| = 2e300 and inf at the sphere, beyond 2^26
-        (["--n", "3", "--m=-1e200", "--r", "1e-100"], "oracle: sphere radius 1e-100 has"),
+        # |1 - V| = inf and 2e300 at the sphere, beyond 2^26
         (["--n", "3", "--m=-1e300", "--r", "1e-100"], "oracle: sphere radius 1e-100 has"),
+        (["--n", "3", "--m=-1e200", "--r", "1e-100"], "oracle: sphere radius 1e-100 has"),
     ])
     def test_oracle_rejections_exit_two(self, argv, message):
         res = run_cli("oracle", *argv)
