@@ -87,13 +87,13 @@ def _cmd_flow(args) -> int:
     csv_path, json_path = emit_outputs(report, cfg.csv_path, cfg.json_path)
     code = exit_code_for(report, strict=args.strict)
     v = report.verdicts
-    print(f"[{report.scenario_id}] status={report.trace.status} "
+    print(f"[{cfg.scenario_id}] status={report.trace.status} "
           f"monotone={v['monotone']} worst_increase={v['worst_increase']:.3e} "
           f"deficit0={v['deficit_initial']:.3e} "
           f"area_residual={v['area_law_residual']:.3e}")
     for w in report.warnings:
-        print(f"[{report.scenario_id}] warning: {w}")
-    print(f"[{report.scenario_id}] wrote {csv_path} and {json_path} "
+        print(f"[{cfg.scenario_id}] warning: {w}")
+    print(f"[{cfg.scenario_id}] wrote {csv_path} and {json_path} "
           f"(exit {code})")
     return code
 

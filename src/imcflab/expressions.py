@@ -35,7 +35,11 @@ def _eval(node, names):
         return _eval(node.body, names)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-            return float(node.value)
+            try:
+                return float(node.value)
+            except OverflowError:
+                raise ConfigError("[surface] rho0: an integer literal is beyond "
+                                  "the float64 range") from None
         raise ConfigError(f"only numeric constants allowed, got {node.value!r}")
     if isinstance(node, ast.Name):
         if node.id in names:

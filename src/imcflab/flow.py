@@ -179,14 +179,17 @@ def flow_sphere(sphere: CoordinateSphere, t_end: float,
     """Flow a coordinate sphere by the exact law r(t) = r0 exp(t/(n-1)).
 
     Spheres stay round and mean convex forever, so the only failure mode is
-    outgrowing the working domain, which is rejected up front.
+    outgrowing the working domain, which is rejected up front.  The slices
+    grow from a valid sphere and ``require_reach`` bounds the last, so
+    they obey the domain rule; |1 - V| is checked once over all of them.
     """
     spec = sphere.ambient
     n = spec.n
     require_reach(spec, sphere.radius, t_end)
     times = output_times(t_end, dt_out)
-    geometries = [sphere_geometry(CoordinateSphere(sphere.radius * math.exp(t / (n - 1)), spec))
-                  for t in times]
+    radii = [sphere.radius * math.exp(t / (n - 1)) for t in times]
+    spec.require_resolved(np.array(radii), "sphere radius")
+    geometries = [sphere_geometry(CoordinateSphere._make((r, spec))) for r in radii]
     return FlowTrace(times, geometries, "completed", None,
                      {"steps": 0, "rejected": 0, "rhs_evals": 0, "factorizations": 0})
 

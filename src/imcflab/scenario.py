@@ -34,11 +34,11 @@ Example
     [solver]
     t_end = 3.0
 
-Running a scenario produces a :class:`RunReport` holding the per-slice
-quantity table and named verdicts; :func:`emit_outputs` renders it as a
-CSV table plus a JSON summary.  Identical configs produce byte-identical
-CSV, and JSON identical except for the single "volatile" key that holds
-the timestamp, the runtime and its per-phase timings.
+Running a scenario produces a :class:`RunReport` holding its config, the
+per-slice quantity records and named verdicts; :func:`emit_outputs`
+renders it as a CSV table plus a JSON summary.  Identical configs produce
+byte-identical CSV, and JSON identical except for the single "volatile"
+key that holds the timestamp, the runtime and its per-phase timings.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ class ScenarioConfig(NamedTuple):
     reference_potential: StaticPotential  # defines the manifold mass
     potential_kind: str
     surface: object                    # CoordinateSphere | AxisymmetricGraph
-    surface_kind: str
     t_end: float
     dt_out: float
     rel_tol: float
@@ -288,8 +287,8 @@ def parse_config(text: str, *, base_dir: Path | None = None,
 
     eps_default = 1e-6 * (200.0 / n_grid) ** 2  # matches the O(dtheta^2) scheme
     eps_mono = _get(parser, "analysis", "eps_mono", _nonnegative, default=eps_default)
-    tail_lo = _get(parser, "analysis", "tail_lo", _finite,
-                   default=max(100.0, 1.1 * spec.r_min))
+    tail_lo = _get(parser, "analysis", "tail_lo", _finite, default=min(
+        max(100.0, 1.1 * spec.r_min), (spec.r_min + spec.r_max) / 2))
     tail_hi = _get(parser, "analysis", "tail_hi", _finite, default=spec.r_max)
     with _invalid("[analysis] "):
         tail = tail_in_domain(spec, (tail_lo, tail_hi))
@@ -303,7 +302,7 @@ def parse_config(text: str, *, base_dir: Path | None = None,
     return ScenarioConfig(
         scenario_id=scenario_id, manifold=spec, weight=weight,
         reference_potential=reference, potential_kind=pot_kind,
-        surface=surface, surface_kind=surf_kind, t_end=t_end, dt_out=dt_out,
+        surface=surface, t_end=t_end, dt_out=dt_out,
         rel_tol=rel_tol, eps_mono=eps_mono, tail=tail, deficit_tol=deficit_tol,
         static_tol=static_tol, area_tol=area_tol,
         csv_path=csv_path, json_path=json_path, echo=echo)
@@ -311,8 +310,8 @@ def parse_config(text: str, *, base_dir: Path | None = None,
 
 def _read_config(path: Path) -> str:
     try:
-        return path.read_text()
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -335,15 +334,13 @@ def config_outputs(path, out_dir=None) -> tuple[str, Path, Path]:
 
 
 class RunReport(NamedTuple):
-    """Everything one scenario run produced."""
+    """Everything one scenario run produced, with the config it ran."""
 
-    scenario_id: str
-    rows: list                      # per output time, dicts keyed like the CSV
-    verdicts: dict
-    tolerances: dict
-    echo: dict
-    warnings: list
+    cfg: ScenarioConfig
     trace: FlowTrace
+    quantities: list                # a SliceQuantities per output time
+    verdicts: dict
+    warnings: list
     runtime_seconds: float
     timings: dict                   # wall seconds per phase of run_scenario
 
@@ -395,7 +392,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         warnings.append(f"tail mass fit rejected: {exc}")
     marks.append(time.perf_counter())
 
-    if cfg.surface_kind == "sphere":
+    if isinstance(cfg.surface, CoordinateSphere):
         trace = flow_sphere(cfg.surface, cfg.t_end, cfg.dt_out)
     else:
         trace = flow_graph(cfg.surface, cfg.t_end, cfg.dt_out, cfg.rel_tol)
@@ -408,19 +405,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
     quantities = attach_quantities(trace, cfg.weight, mass)
     verdict = monotonicity_verdict(trace, quantities, cfg.eps_mono)
-    rows = []
-    for t, sq in zip(trace.times, quantities):
-        rows.append({
-            "t": float(t),
-            "area": sq.area,
-            "int_fH": sq.weighted_total_h,
-            "Q": sq.q,
-            "deficit": sq.minkowski_deficit,
-            "hawking": sq.hawking_mass if sq.hawking_mass is not None else float("nan"),
-            "umb_deficit": sq.umbilicity_deficit,
-            "area_residual": area_residual(t, sq.area, trace.initial_area),
-        })
-
     area_res = area_law_residual(trace)
     deficit0 = quantities[0].minkowski_deficit
     verdicts = {
@@ -437,14 +421,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         and verdicts["area_law_ok"] and trace.status == "completed")
     marks.append(time.perf_counter())
 
-    tolerances = {
-        "eps_mono": cfg.eps_mono, "deficit_tol": cfg.deficit_tol,
-        "static_tol": cfg.static_tol, "area_tol": cfg.area_tol, "rel_tol": cfg.rel_tol,
-    }
     return RunReport(
-        scenario_id=cfg.scenario_id, rows=rows, verdicts=verdicts,
-        tolerances=tolerances, echo=cfg.echo, warnings=warnings, trace=trace,
-        runtime_seconds=time.perf_counter() - marks[0],
+        cfg=cfg, trace=trace, quantities=quantities, verdicts=verdicts,
+        warnings=warnings, runtime_seconds=time.perf_counter() - marks[0],
         timings={phase: end - start for phase, start, end in zip(
             ("diagnostics", "mass_fit", "flow", "quantities"), marks, marks[1:])})
 
@@ -477,28 +456,34 @@ def exit_code_for(report: RunReport, strict: bool = False) -> int:
 
 def summary_dict(report: RunReport) -> dict:
     """The deterministic part of the JSON summary."""
-    n = report.trace.ambient.n
+    cfg = report.cfg
     return {
-        "id": report.scenario_id,
+        "id": cfg.scenario_id,
         "version": __version__,
         "status": report.trace.status,
         "halt_reason": report.trace.halt_reason,
-        "limit_target": limit_target(n),
+        "limit_target": limit_target(cfg.manifold.n),
         "verdicts": report.verdicts,
-        "tolerances": report.tolerances,
+        "tolerances": {"eps_mono": cfg.eps_mono, "deficit_tol": cfg.deficit_tol,
+                       "static_tol": cfg.static_tol, "area_tol": cfg.area_tol,
+                       "rel_tol": cfg.rel_tol},
         "warnings": list(report.warnings),
-        "config": report.echo,
+        "config": cfg.echo,
         "solver_stats": dict(report.trace.stats),
     }
 
 
 def render_csv(report: RunReport) -> str:
-    """Full-precision CSV text for the per-slice table."""
+    """Full-precision CSV text for the per-slice table, one row per output
+    time in the column order of ``CSV_HEADER``."""
+    trace = report.trace
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    cols = CSV_HEADER.split(",")
-    for row in report.rows:
-        buf.write(",".join(repr(float(row[c])) for c in cols) + "\n")
+    for t, sq in zip(trace.times, report.quantities):
+        row = (t, sq.area, sq.weighted_total_h, sq.q, sq.minkowski_deficit,
+               math.nan if sq.hawking_mass is None else sq.hawking_mass,
+               sq.umbilicity_deficit, area_residual(t, sq.area, trace.initial_area))
+        buf.write(",".join(repr(float(x)) for x in row) + "\n")
     return buf.getvalue()
 
 

@@ -87,6 +87,29 @@ class TestSphereFlow:
         with pytest.raises(DomainError, match="r_max"):
             L.flow_sphere(L.CoordinateSphere(900.0, schw3m1), 3.0)
 
+    @pytest.mark.parametrize("n, m, r0", [(3, 1.0, 4.0), (5, -0.7, 1.3), (7, 0.0, 0.9)])
+    def test_slices_equal_validated_spheres(self, n, m, r0):
+        spec = L.ManifoldSpec.schwarzschild(n, m, r_min_floor=0.05)
+        tr = L.flow_sphere(L.CoordinateSphere(r0, spec), 2.0, dt_out=0.05)
+        for t, geom in zip(tr.times, tr.geometries):
+            want = L.sphere_geometry(L.CoordinateSphere(r0 * math.exp(t / (n - 1)), spec))
+            assert geom.radii.tobytes() == want.radii.tobytes()
+            for field in ("area", "hawking_mass", "umbilicity_deficit"):
+                assert getattr(geom, field) == getattr(want, field), field
+            for field in ("mean_curvature", "second_form_norm_sq", "area_weights"):
+                assert getattr(geom, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_unresolved_slice_inside_the_reach_is_rejected(self):
+        # V = 1 + (r/4)^30: |1 - V| is 1 on the initial sphere and passes
+        # 2^26 near r = 7.3, inside the reach 4 e^1.5 = 17.9 < r_max
+        profile = L.RadialProfile(lambda r: 1.0 + (r / 4.0) ** 30,
+                                  lambda r: 7.5 * (r / 4.0) ** 29,
+                                  lambda r: 54.375 * (r / 4.0) ** 28)
+        spec = L.ManifoldSpec.custom(profile, 3, r_min=1.0, r_max=20.0)
+        sphere = L.CoordinateSphere(4.0, spec)
+        with pytest.raises(DomainError, match="2\\^26"):
+            L.flow_sphere(sphere, 3.0)
+
 
 class TestGraphFlow:
     def test_constant_graph_tracks_exact_sphere_law(self, schw3m1):

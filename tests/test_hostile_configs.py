@@ -55,8 +55,12 @@ DEEP_MASS = [
 ]
 
 
+# an integer literal of 309 to 4,300 digits parses but overflows float()
+HUGE_LITERAL = [(GRAPH, [(("surface", "rho0"), "4 + 0*1" + "0" * 400)])]
+
+
 def with_edge_examples(test):
-    for base, changes in TINY_RADII + DEEP_MASS:
+    for base, changes in TINY_RADII + DEEP_MASS + HUGE_LITERAL:
         test = example(base=base, changes=changes)(test)
     return test
 

@@ -17,6 +17,7 @@ from imcflab.cli import main
 from imcflab.errors import ConfigError, SolverFailureError
 from imcflab.scenario import (_SCHEMA, CSV_HEADER, exit_code_for, parse_config,
                               render_csv, run_scenario, summary_dict)
+from imcflab.surfaces import CoordinateSphere
 
 from conftest import child_env, negative_h_beyond
 
@@ -187,7 +188,7 @@ class TestParseConfig:
         assert cfg.dt_out == 0.1
         assert cfg.eps_mono == 1e-6
         assert cfg.t_end == 3.0
-        assert cfg.surface_kind == "sphere"
+        assert isinstance(cfg.surface, CoordinateSphere)
         assert cfg.potential_kind == "static"
 
     def test_readme_example_lists_every_key_and_parses(self):
@@ -195,9 +196,10 @@ class TestParseConfig:
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         assert parse_config(example).scenario_id == "demo"
         blocks = dict(block.split("]\n", 1) for block in example.split("[")[1:])
-        for sec, keys in _SCHEMA.items():
-            for key in keys:
-                assert f"{key} = " in blocks[sec], f"[{sec}] {key}"
+        # a commented "; key = value" line lists its key too
+        listed = {sec: set(re.findall(r"^(?:; )?(\w+) = ", body, re.M))
+                  for sec, body in blocks.items()}
+        assert listed == _SCHEMA
 
     def test_eps_mono_scales_with_grid(self, tmp_path):
         text = MINIMAL + "\n[solver]\nN = 400\n"
@@ -294,8 +296,8 @@ class TestRunScenario:
         assert v["mass_flux"] == pytest.approx(1.0, abs=1e-13)
         assert v["mass_fit"] == pytest.approx(1.0, abs=1e-2)
         assert v["weight_is_static"]
-        assert len(report.rows) == 31
-        qs = [row["Q"] for row in report.rows]
+        assert len(report.quantities) == 31
+        qs = [sq.q for sq in report.quantities]
         assert max(qs) - min(qs) < 1e-12
         assert qs[0] == pytest.approx(4 * math.sqrt(math.pi), abs=1e-12)
         assert exit_code_for(report) == 0
@@ -338,13 +340,22 @@ class TestRunScenario:
         assert float(residual.group(1)) == pytest.approx(0.227409, rel=1e-5)
         assert "m_hat = " in warning and "tail [100, 1000]" in warning
 
+    def test_default_tail_lies_inside_a_narrow_domain(self, tmp_path):
+        cfg = parse_config(MINIMAL.replace("m = 1.0", "m = 1.0\nr_max = 80"),
+                           base_dir=tmp_path)
+        assert cfg.tail == ((2.0 + 80.0) / 2, 80.0)
+        report = run_scenario(cfg)
+        assert report.verdicts["mass_fit"] == pytest.approx(1.0098, abs=1e-4)
+        assert report.warnings == []
+        assert exit_code_for(report) == 0
+
     def test_halt_on_lost_mean_convexity_warns(self, tmp_path, monkeypatch):
         negative_h_beyond(monkeypatch, 4.0 * math.exp(0.125))
         text = MINIMAL.replace("kind = sphere\nr0 = 4.0",
                                "kind = graph\nrho0 = 4.0\n[solver]\nN = 100\nt_end = 1.0")
         report = run_scenario(parse_config(text, base_dir=tmp_path))
         assert report.trace.halt_reason == "H<=0"
-        assert [row["t"] for row in report.rows] == pytest.approx([0.0, 0.1, 0.2])
+        assert list(report.trace.times) == pytest.approx([0.0, 0.1, 0.2])
         assert "flow halted early: H<=0" in report.warnings
         assert summary_dict(report)["status"] == "halted"
         assert exit_code_for(report) == 0
@@ -458,6 +469,20 @@ class TestCli:
         res = run_cli("flow", "--config", str(tmp_path / "bad.cfg"))
         assert res.returncode == 2
         assert "colour" in res.stderr
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        (tmp_path / "u.cfg").write_bytes(MINIMAL.encode() + b"; caf\xff\n")
+        for command in ("flow", "static-check"):
+            assert main([command, "--config", str(tmp_path / "u.cfg")]) == 2
+            err = capsys.readouterr().err
+            assert f"cannot read config {tmp_path / 'u.cfg'}" in err
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_integer_literal_beyond_float64_exits_two(self, tmp_path, capsys):
+        (tmp_path / "g.cfg").write_text(MINIMAL.replace(
+            "kind = sphere\nr0 = 4.0", "kind = graph\nrho0 = 4 + 0*1" + "0" * 400))
+        assert main(["flow", "--config", str(tmp_path / "g.cfg")]) == 2
+        assert "[surface] rho0" in capsys.readouterr().err
 
     def test_inside_horizon_exit_two(self, tmp_path):
         (tmp_path / "h.cfg").write_text(MINIMAL.replace("r0 = 4.0", "r0 = 1.5"))
@@ -872,6 +897,17 @@ class TestCli:
         assert agg["exit_codes"] == {"b": 2, "x": 2}
         err = capsys.readouterr().err
         assert "[x] config error: " in err and "[b] config error: " in err
+
+    def test_sweep_records_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfgs, out = tmp_path / "cfgs", tmp_path / "out"
+        cfgs.mkdir()
+        (cfgs / "a.cfg").write_text(MINIMAL)
+        (cfgs / "b.cfg").write_bytes(MINIMAL.encode() + b"; caf\xff\n")
+        assert main(["sweep", "--config", str(cfgs), "--out", str(out)]) == 2
+        agg = json.loads((out / "sweep_summary.json").read_text())
+        assert agg["exit_codes"] == {"a": 0, "b": 2}
+        assert "cannot read config" in agg["scenarios"][1]["error"]
+        assert sorted(p.name for p in out.glob("*.csv")) == ["a.csv"]
 
     def _dying_worker(self, monkeypatch, action):
         """Make the forked worker that runs config b call ``action``."""
