@@ -306,7 +306,7 @@ def _cmd_static_check(args) -> int:
         "harmonic_residual_max": diag["harmonic_residual_max"],
         "static_tol": cfg.static_tol,
         "mass_flux_at_r_max": diag["mass_flux"],
-        "horizon_radius": horizon_radius(cfg.manifold),
+        "horizon_radius": horizon_radius(cfg.surface.ambient),
         "potential_kind": cfg.potential_kind,
         "is_static": diag["weight_is_static"],
     }
@@ -332,11 +332,8 @@ def _cmd_oracle(args) -> int:
                           f"r_h = {spec.r_min:g}") from exc
     except (ValueError, DomainError) as exc:
         # n outside 3..7, a horizon beyond max(r, 1000), an r^(n-1) that
-        # underflows or a |1 - V| beyond 2^26 there
+        # underflows or overflows, or a |1 - V| beyond 2^26 there
         raise ConfigError(f"oracle: {exc}") from exc
-    except OverflowError as exc:
-        raise ConfigError(f"oracle: the sphere of radius r = {r:g} has an area "
-                          f"r^{n - 1} beyond the float64 range") from exc
     out = {
         "n": n, "m": m, "r": r,
         "horizon_radius": spec.r_min if m > 0 else None,

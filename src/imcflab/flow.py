@@ -197,13 +197,13 @@ def flow_sphere(sphere: CoordinateSphere, t_end: float,
 def require_mean_convex(graph: AxisymmetricGraph,
                         frame: GraphFrame | None = None) -> SurfaceGeometry:
     """The geometry of a graph that may start a flow, built on ``frame``
-    (its :func:`graph_frame`, evaluated when not given):
-    MeanConvexityError unless it is strictly mean convex (min H > 1e-6)."""
+    (its :func:`graph_frame`, evaluated when not given): MeanConvexityError
+    unless it is strictly mean convex in the scale-free sense min H * max rho > 1e-6."""
     geom = graph_geometry(graph, frame)
-    min_h = float(np.min(geom.mean_curvature))
-    if min_h <= 1e-6:
-        raise MeanConvexityError(
-            f"initial slice is not strictly mean convex (min H = {min_h:.3e})")
+    min_h, max_rho = float(np.min(geom.mean_curvature)), float(np.max(geom.radii))
+    if min_h * max_rho <= 1e-6:
+        raise MeanConvexityError(f"initial slice is not strictly mean convex "
+                                 f"(min H = {min_h:.3e}, max rho = {max_rho:.3e})")
     return geom
 
 

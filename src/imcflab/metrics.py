@@ -204,7 +204,6 @@ class RadialProfile(NamedTuple):
 class _ManifoldFields(NamedTuple):
     n: int
     profile: RadialProfile
-    mass_param: float | None
     r_min: float
     r_max: float
 
@@ -213,7 +212,9 @@ class ManifoldSpec(_ManifoldFields):
     """An n-dimensional warped-product manifold V^-1 dr^2 + r^2 dOmega^2.
 
     ``r_min`` is the horizon radius for positive-mass Schwarzschild and a
-    configured cutoff otherwise; the working domain is (r_min, r_max].
+    configured cutoff otherwise; the working domain is (r_min, r_max], and
+    at r_max the sphere area omega_{n-1} r_max^(n-1) is a finite float, so
+    no radius in the domain overflows r^(n-1).
     """
 
     __slots__ = ()
@@ -225,7 +226,12 @@ class ManifoldSpec(_ManifoldFields):
         if not (0.0 <= self.r_min < self.r_max):
             raise ValueError(f"need 0 <= r_min < r_max, got [{self.r_min}, {self.r_max}]")
         probes = np.geomspace(self.r_min * 1.0001 + 1e-12, self.r_max, 8)
-        vals = np.asarray(self.profile.value(probes), dtype=float)
+        with np.errstate(over="ignore"):  # an inf area is rejected, an inf V is positive
+            area = unit_sphere_area(self.n - 1) * np.float64(self.r_max) ** (self.n - 1)
+            vals = np.asarray(self.profile.value(probes), dtype=float)
+        if not np.isfinite(area):
+            raise ValueError(f"r_max = {self.r_max:g} gives an area scale "
+                             f"r^{self.n - 1} beyond the float64 range")
         if not np.all(vals > 0.0):
             bad = probes[~(vals > 0.0)][0]
             raise ValueError(f"profile not positive on domain (V({bad:g}) <= 0)")
@@ -237,13 +243,11 @@ class ManifoldSpec(_ManifoldFields):
         profile = RadialProfile.schwarzschild(n, m)
         # n <= 2 has no horizon; __new__ rejects it by name
         r_min = (2.0 * m) ** (1.0 / (n - 2)) if m > 0 and n > 2 else r_min_floor
-        return cls(n=n, profile=profile, mass_param=float(m),
-                   r_min=r_min, r_max=float(r_max))
+        return cls(n=n, profile=profile, r_min=r_min, r_max=float(r_max))
 
     @classmethod
     def flat(cls, n: int = 3, r_max: float = 1000.0, r_min: float = 0.1) -> "ManifoldSpec":
-        return cls(n=n, profile=RadialProfile.flat(), mass_param=0.0,
-                   r_min=float(r_min), r_max=float(r_max))
+        return cls(n=n, profile=RadialProfile.flat(), r_min=float(r_min), r_max=float(r_max))
 
     @classmethod
     def custom(cls, profile: RadialProfile, n: int, r_min: float = 0.1,
@@ -251,8 +255,7 @@ class ManifoldSpec(_ManifoldFields):
         if profile.support is not None:
             lo, hi = profile.support
             r_min, r_max = max(r_min, lo), min(r_max, hi)
-        return cls(n=n, profile=profile, mass_param=None,
-                   r_min=float(r_min), r_max=float(r_max))
+        return cls(n=n, profile=profile, r_min=float(r_min), r_max=float(r_max))
 
     def require_in_domain(self, r, what: str = "radius") -> None:
         """The domain rule r_min < r <= r_max for a radius or every radius in

@@ -10,14 +10,16 @@ Semantic rules are checked by their owners while the parser builds the
 model objects; it re-raises their errors as a :class:`ConfigError` that
 names the key, so a config that parses never fails later on one of them:
 
-* ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, radii in (r_min, r_max]
-  with r^(n-1) a normal float, and |1 - V| <= 2^26 on the initial slice
+* ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, a finite sphere area
+  at r_max, radii in (r_min, r_max] with r^(n-1) a normal float, and
+  |1 - V| <= 2^26 on the initial slice
 * ``AxisymmetricGraph``: graphs need n = 3 and pole regularity
 * ``GraphGrid.make``: ``[solver] N`` even, 8 to 10,000 (every surface kind)
 * ``flow.require_positive``: rel_tol positive and finite
 * ``flow.require_reach``: t_end > 0 and the flow inside the domain
 * ``flow.output_times``: dt_out positive and finite, at most 10,000 slices
-* ``flow.require_mean_convex``: a strictly mean convex initial graph
+* ``flow.require_mean_convex``: min H * max rho > 1e-6 on the initial graph
+* ``expressions.evaluate_radius_expression``: a finite ``[surface] rho0``
 * ``metrics.tail_in_domain``: the mass-fit tail inside the domain
 
 Example
@@ -56,17 +58,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, FitQualityError, InsideHorizonError, LabError,
-                     SolverFailureError)
+from .errors import ConfigError, FitQualityError, LabError, SolverFailureError
 from .expressions import evaluate_radius_expression
 from .flow import (FlowTrace, area_law_residual, area_residual, flow_graph,
                    flow_sphere, output_times, require_mean_convex, require_reach,
                    require_positive)
 from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       adm_mass_flux, adm_mass_fit, harmonicity_residual,
-                      horizon_radius, profile_weight, rescale_to_unit,
-                      sampled_potential, sqrt_potential, static_residual,
-                      tail_in_domain)
+                      profile_weight, rescale_to_unit, sampled_potential,
+                      sqrt_potential, static_residual, tail_in_domain)
 from .quantities import attach_quantities, limit_target, monotonicity_verdict
 from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid, load_graph,
                        read_columns)
@@ -103,11 +103,10 @@ class ScenarioConfig(NamedTuple):
     """A fully validated scenario: built objects plus the raw echo."""
 
     scenario_id: str
-    manifold: ManifoldSpec
     weight: StaticPotential            # goes into the integral of f H
     reference_potential: StaticPotential  # defines the manifold mass
     potential_kind: str
-    surface: object                    # CoordinateSphere | AxisymmetricGraph
+    surface: object                    # CoordinateSphere | AxisymmetricGraph, on .ambient
     t_end: float
     dt_out: float
     rel_tol: float
@@ -213,7 +212,7 @@ def parse_config(text: str, *, base_dir: Path | None = None,
     n = _get(parser, "manifold", "n", int, default=3)
     r_max = _get(parser, "manifold", "r_max", _finite, default=1000.0)
     r_min = _get(parser, "manifold", "r_min", _finite, default=0.1)
-    with _invalid("[manifold] invalid: "):
+    with _invalid("[manifold] "):
         if family == "schwarzschild":
             m_param = _get(parser, "manifold", "m", _finite, required=True)
             spec = ManifoldSpec.schwarzschild(n, m_param, r_max=r_max,
@@ -256,31 +255,27 @@ def parse_config(text: str, *, base_dir: Path | None = None,
 
     surf_kind = _get(parser, "surface", "kind", required=True).lower()
     with _invalid("[surface] invalid: "):
-        try:
-            if surf_kind == "sphere":
-                r0 = _get(parser, "surface", "r0", _finite, required=True)
-                surface = CoordinateSphere(r0, spec)
-                r_outer = r0
-            elif surf_kind == "graph":
-                expr = _get(parser, "surface", "rho0")
-                fpath = _get(parser, "surface", "file")
-                if (expr is None) == (fpath is None):
-                    raise ConfigError(
-                        "[surface] graph needs exactly one of rho0 (expression) or file")
-                if expr is not None:
-                    rho0 = evaluate_radius_expression(expr, grid.theta)
-                    surface = AxisymmetricGraph(grid.theta, rho0, spec)
-                else:
-                    surface = load_graph(_existing(base_dir, "surface", "file", fpath), spec)
-                require_mean_convex(surface)
-                r_outer = float(np.max(surface.rho))
-            else:
+        if surf_kind == "sphere":
+            r0 = _get(parser, "surface", "r0", _finite, required=True)
+            surface = CoordinateSphere(r0, spec)
+            r_outer = r0
+        elif surf_kind == "graph":
+            expr = _get(parser, "surface", "rho0")
+            fpath = _get(parser, "surface", "file")
+            if (expr is None) == (fpath is None):
                 raise ConfigError(
-                    f"[surface] kind must be sphere or graph, got {surf_kind!r}")
-        except InsideHorizonError as exc:
-            rh = horizon_radius(spec)
-            where = f" (r_h={rh:g})" if rh is not None else ""
-            raise ConfigError(f"[surface] surface inside horizon{where}: {exc}") from exc
+                    "[surface] graph needs exactly one of rho0 (expression) or file")
+            if expr is not None:
+                with _invalid("[surface] rho0: "):
+                    rho0 = evaluate_radius_expression(expr, grid.theta)
+                surface = AxisymmetricGraph(grid.theta, rho0, spec)
+            else:
+                surface = load_graph(_existing(base_dir, "surface", "file", fpath), spec)
+            require_mean_convex(surface)
+            r_outer = float(np.max(surface.rho))
+        else:
+            raise ConfigError(
+                f"[surface] kind must be sphere or graph, got {surf_kind!r}")
     with _invalid("[solver] "):
         require_reach(spec, r_outer, t_end)
         output_times(t_end, dt_out)
@@ -300,7 +295,7 @@ def parse_config(text: str, *, base_dir: Path | None = None,
         parser, Path(out_dir) if out_dir is not None else base_dir, default_id)
 
     return ScenarioConfig(
-        scenario_id=scenario_id, manifold=spec, weight=weight,
+        scenario_id=scenario_id, weight=weight,
         reference_potential=reference, potential_kind=pot_kind,
         surface=surface, t_end=t_end, dt_out=dt_out,
         rel_tol=rel_tol, eps_mono=eps_mono, tail=tail, deficit_tol=deficit_tol,
@@ -351,11 +346,11 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     log grid, ``weight_is_static`` (both below static_tol), the mass flux at
     r_max, and the non-static warning (None if static or profile-weight).
     A non-finite mass flux is a ConfigError naming ``[manifold] r_max``."""
-    spec = cfg.manifold
+    spec = cfg.surface.ambient
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
     # a domain narrower than that start collapses the grid onto r_max
     grid = np.geomspace(min(max(lo, 1e-6), spec.r_max), spec.r_max, 200)
-    # at huge r_max these overflow; a non-finite flux is rejected below
+    # a sampled weight's extrapolation can overflow; a non-finite flux is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         s_rr, s_tt = static_residual(spec, cfg.weight, grid)
         harm = harmonicity_residual(spec, cfg.weight, grid)
@@ -376,7 +371,7 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute one scenario: diagnostics, mass, flow, quantities, verdicts."""
     marks = [time.perf_counter()]   # phase boundaries
-    spec = cfg.manifold
+    spec = cfg.surface.ambient
     diag, warning = static_diagnostics(cfg)
     warnings = [warning] if warning else []
     marks.append(time.perf_counter())
@@ -462,7 +457,7 @@ def summary_dict(report: RunReport) -> dict:
         "version": __version__,
         "status": report.trace.status,
         "halt_reason": report.trace.halt_reason,
-        "limit_target": limit_target(cfg.manifold.n),
+        "limit_target": limit_target(cfg.surface.ambient.n),
         "verdicts": report.verdicts,
         "tolerances": {"eps_mono": cfg.eps_mono, "deficit_tol": cfg.deficit_tol,
                        "static_tol": cfg.static_tol, "area_tol": cfg.area_tol,

@@ -24,7 +24,9 @@ def child_env() -> dict:
 
 def suite_grid(spec, num=40, r_hi=None):
     """Log-spaced radii safely inside the working domain."""
-    lo = 1.1 * spec.r_min if spec.mass_param and spec.mass_param > 0 else 0.5
+    # 1.1 r_min is beyond the horizon of every positive mass of SUITE_NM,
+    # and 0.5 clears the 0.1 cutoff of the others
+    lo = max(1.1 * spec.r_min, 0.5)
     hi = r_hi if r_hi is not None else spec.r_max
     return np.geomspace(lo, hi, num)
 

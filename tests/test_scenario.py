@@ -163,12 +163,17 @@ BAD_VALUES = [
         ("surface", "rho0", f"{scale}*(1 + 0.1*P2(cos(theta)))")],
        f"[surface] invalid: graph radius {0.95 * float(scale):g} has |1 - V|")
       for scale in ("1e-30", "1e-150")],
+    # expression errors: an unknown name, a bad call, a non-numeric constant,
+    # and an overflow and a NaN, which raise no numpy warning
+    *[([("surface", "kind", "graph"), ("surface", "rho0", rho0)], "[surface] rho0: ")
+      for rho0 in ("abc", "sin(theta, 1)", "'4'", "10**400", "4 + sqrt(cos(theta))")],
 ]
 
 
 def run_cli(*argv, cwd=None):
-    return subprocess.run([sys.executable, "-m", "imcflab", *argv],
-                          capture_output=True, text=True, cwd=cwd, env=child_env())
+    """Run the CLI in a child process under the suite's RuntimeWarning filter."""
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "imcflab",
+                           *argv], capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 @pytest.fixture(autouse=True)
@@ -182,8 +187,11 @@ def no_child_left():
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         cfg = parse_config(MINIMAL, base_dir=tmp_path)
-        assert cfg.manifold.n == 3
-        assert cfg.manifold.mass_param == 1.0
+        spec = cfg.surface.ambient
+        assert spec.n == 3
+        # m = 1: r_min is the horizon and 1 - V = 2m/r in closed form
+        assert (spec.r_min, spec.r_max) == (2.0, 1000.0)
+        assert spec.profile.mass_aspect(4.0) == 0.5
         assert cfg.rel_tol == 1e-7
         assert cfg.dt_out == 0.1
         assert cfg.eps_mono == 1e-6
@@ -234,7 +242,8 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("r0 = 4.0", "r0 = four"))
 
     def test_surface_inside_horizon(self):
-        with pytest.raises(ConfigError, match=r"inside horizon \(r_h=2\)"):
+        with pytest.raises(ConfigError, match=r"^\[surface\] invalid: sphere radius 1.5 "
+                                              r"is at or inside the inner boundary r_min = 2$"):
             parse_config(MINIMAL.replace("r0 = 4.0", "r0 = 1.5"))
 
     def test_graph_requires_dimension_three(self):
@@ -279,7 +288,8 @@ class TestParseConfig:
 
     def test_custom_profile_file(self, tmp_path):
         cfg = parse_config(custom_profile_config(tmp_path), base_dir=tmp_path)
-        assert cfg.manifold.mass_param is None
+        # a tabulated profile has no closed-form mass aspect
+        assert cfg.surface.ambient.profile.aspect is None
         report = run_scenario(cfg)
         assert report.verdicts["mass_flux"] == pytest.approx(1.0, abs=1e-3)
 
@@ -488,7 +498,8 @@ class TestCli:
         (tmp_path / "h.cfg").write_text(MINIMAL.replace("r0 = 4.0", "r0 = 1.5"))
         res = run_cli("flow", "--config", str(tmp_path / "h.cfg"))
         assert res.returncode == 2
-        assert "inside horizon" in res.stderr
+        assert res.stderr == ("config error: [surface] invalid: sphere radius 1.5 is at "
+                              "or inside the inner boundary r_min = 2\n")
 
     @pytest.mark.parametrize("edits, named", BAD_VALUES,
                              ids=["+".join(f"{k}={v}" for _s, k, v in e)
@@ -543,6 +554,65 @@ class TestCli:
         captured = capsys.readouterr()
         assert "[manifold] r_max" in captured.err and captured.out == ""
 
+    def test_area_scale_beyond_float64_exits_two(self, tmp_path):
+        # r0 = 1e200 lies in the domain, whose sphere area at r_max overflows
+        (tmp_path / "a.cfg").write_text(MINIMAL)
+        (tmp_path / "big.cfg").write_text(MINIMAL.replace(
+            "m = 1.0", "m = 1.0\nr_max = 1e300").replace("r0 = 4.0", "r0 = 1e200"))
+        message = ("config error: [manifold] r_max = 1e+300 gives an area scale r^2 "
+                   "beyond the float64 range")
+        for command in ("flow", "static-check"):
+            res = run_cli(command, "--config", str(tmp_path / "big.cfg"))
+            assert (res.returncode, res.stdout, res.stderr) == (2, "", message + "\n")
+        out = tmp_path / "out"
+        res = run_cli("sweep", "--config", str(tmp_path), "--out", str(out), "--jobs", "2")
+        assert res.returncode == 2 and f"[big] {message}" in res.stderr
+        agg = json.loads((out / "sweep_summary.json").read_text())
+        assert agg["exit_codes"] == {"a": 0, "big": 2}
+
+    def test_flux_guard_rejects_an_extrapolated_weight(self, tmp_path):
+        # the table's cubic extrapolates to r_max = 1e100, where its flux
+        # sqrt(V) f' r^2 overflows while the area scale r^2 does not
+        r = np.linspace(1.0, 10.0, 12)
+        np.savetxt(tmp_path / "f.txt", np.column_stack([r, 1.0 + 0.1 * r**3]))
+        (tmp_path / "x.cfg").write_text(
+            "[manifold]\nfamily = schwarzschild\nn = 3\nm = -0.5\nr_max = 1e100\n"
+            "[potential]\nkind = file\nfile = f.txt\n[surface]\nkind = sphere\nr0 = 4\n")
+        for command in ("flow", "static-check"):
+            res = run_cli(command, "--config", str(tmp_path / "x.cfg"), cwd=tmp_path)
+            assert (res.returncode, res.stdout) == (2, "")
+            assert res.stderr == ("config error: [manifold] r_max = 1e+100: "
+                                  "the mass flux there is inf\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_mean_convexity_is_scale_free(self, tmp_path, capsys):
+        # scaled by 2^20, the flat 4 + 0.3 P2 graph has min H = 4.4e-7, but
+        # min H * max rho is that of the unscaled graph
+        (tmp_path / "g.cfg").write_text(
+            f"[manifold]\nfamily = flat\nn = 3\nr_max = {2.0**30}\n[surface]\nkind = graph\n"
+            f"rho0 = {2.0**20}*(4 + 0.3*P2(cos(theta)))\n[solver]\nN = 100\nt_end = 0.5\n")
+        assert main(["flow", "--config", str(tmp_path / "g.cfg")]) == 0
+        assert "status=completed" in capsys.readouterr().out
+
+    def test_homothetic_configs_give_the_same_q(self, tmp_path):
+        # r -> 2 r with m -> 2 m (n = 3) maps the flow onto itself, Q is
+        # scale-free, and scaling by 2 is exact
+        def config(lam):
+            return (f"[manifold]\nfamily = schwarzschild\nn = 3\nm = {lam * 1.0}\n"
+                    f"r_min = {lam * 0.1}\nr_max = {lam * 1000.0}\n[surface]\nkind = graph\n"
+                    f"rho0 = {lam * 4.0} + {lam * 0.3}*P2(cos(theta))\n"
+                    f"[solver]\nN = 100\nt_end = 1.0\n"
+                    f"[analysis]\ntail_lo = {lam * 100.0}\ntail_hi = {lam * 1000.0}\n")
+        columns = []
+        for lam in (1.0, 2.0):
+            (tmp_path / f"s{lam:g}.cfg").write_text(config(lam))
+            assert main(["flow", "--config", str(tmp_path / f"s{lam:g}.cfg")]) == 0
+            rows = [line.split(",") for line in
+                    (tmp_path / f"s{lam:g}.csv").read_text().splitlines()]
+            t, q = rows[0].index("t"), rows[0].index("Q")
+            columns.append([(row[t], row[q]) for row in rows[1:]])
+        assert len(columns[0]) == 11 and columns[0] == columns[1]
+
     # domains that end below the start of static_diagnostics' probe grid
     @pytest.mark.parametrize("manifold, r0, tail", [
         ("family = flat\nr_min = 0.95\nr_max = 1.0", 0.97, (0.96, 1.0)),
@@ -582,6 +652,8 @@ class TestCli:
         # |1 - V| = inf and 2e300 at the sphere, beyond 2^26
         (["--n", "3", "--m=-1e300", "--r", "1e-100"], "oracle: sphere radius 1e-100 has"),
         (["--n", "3", "--m=-1e200", "--r", "1e-100"], "oracle: sphere radius 1e-100 has"),
+        # the domain reaches r = 1e200, whose area r^2 overflows
+        (["--n", "3", "--m", "1", "--r", "1e200"], "r^2 beyond the float64 range"),
     ])
     def test_oracle_rejections_exit_two(self, argv, message):
         res = run_cli("oracle", *argv)
