@@ -35,8 +35,8 @@ for t, sq in zip(trace.times, quantities):
 verdict = L.monotonicity_verdict(trace, quantities)
 print(f"\nworst increase of Q:    {verdict.worst_increase:.3e}  "
       f"(monotone: {verdict.monotone})")
-print(f"extrapolated limit:     {verdict.q_extrapolated:.9f}")
 print(f"exact target:           {L.limit_target(3):.9f}")
+print(f"gap to the limit:       {verdict.limit_gap:.3e}  (Q at t = 2 minus target)")
 print(f"steps taken:            {trace.stats['steps']}")
 
 out = Path(__file__).with_name("out")

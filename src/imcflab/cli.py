@@ -89,7 +89,7 @@ def _cmd_flow(args) -> int:
     v = report.verdicts
     print(f"[{cfg.scenario_id}] status={report.trace.status} "
           f"monotone={v['monotone']} worst_increase={v['worst_increase']:.3e} "
-          f"deficit0={v['deficit_initial']:.3e} "
+          f"delta0={v['delta_initial']:.3e} "
           f"area_residual={v['area_law_residual']:.3e}")
     for w in report.warnings:
         print(f"[{cfg.scenario_id}] warning: {w}")

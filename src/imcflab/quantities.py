@@ -6,11 +6,16 @@ The central object is the scale-normalized weighted total mean curvature
 
 which is non-increasing along smooth inverse mean curvature flow when f
 is a static potential (constant exactly on totally umbilic foliations)
-and tends to (n-1) omega_{n-1}^{1/(n-1)} as the flow escapes to infinity.
-The Minkowski deficit is the same information arranged as
-LHS - RHS >= 0 of the area/mass lower bound on the weighted curvature
-integral.  The Hawking mass and the umbilicity deficit need neither f nor
-m, and come with the slice's geometry record.
+and tends to Q_inf = (n-1) omega_{n-1}^{1/(n-1)} as the flow escapes to
+infinity.  The Minkowski deficit is Q rearranged,
+
+    deficit = integral(f H) / ((n-1) omega) - (area/omega)^((n-2)/(n-1)) + 2m
+            = (area/omega)^((n-2)/(n-1)) * (Q / Q_inf - 1),
+
+so it is nonnegative exactly when Q >= Q_inf, the Minkowski-like
+inequality; the verdicts read its scale-free form Q / Q_inf - 1.  The
+Hawking mass and the umbilicity deficit need neither f nor m, and come
+with the slice's geometry record.
 
 Numerical note: on coordinate spheres every one of these functionals is a
 closed form in the slice radius, and the equality cases are exact
@@ -25,7 +30,7 @@ slices therefore use the equivalent cancellation-free float64 forms
 
 where the weight excess f sqrt(V) - 1 is formed from the profile's exact
 mass aspect 1 - V without cancellation (:meth:`StaticPotential.excess`).
-Graph slices use ordinary float64 vector math.
+Graph slices form Q in ordinary float64 vector math and the deficit from Q.
 
 A trace holds geometry only: :func:`attach_quantities` returns the records
 of one weight and mass, and :func:`monotonicity_verdict` reads that list.
@@ -73,7 +78,7 @@ def slice_quantities(geom: SurfaceGeometry, f: StaticPotential,
                      m: float) -> SliceQuantities:
     """Evaluate every slice functional once.  The Minkowski deficit
 
-        integral(f H) / ((n-1) omega) - (area/omega)^((n-2)/(n-1)) + 2m
+        (area/omega)^((n-2)/(n-1)) * (Q / limit_target(n) - 1)
 
     is predicted nonnegative for outer-minimizing slices when f is static,
     zero exactly on the umbilic (coordinate-sphere) equality case.
@@ -95,7 +100,7 @@ def slice_quantities(geom: SurfaceGeometry, f: StaticPotential,
             raise DomainError("weight not finite at some node of the slice")
         wth = surface_integral(geom, fv * geom.mean_curvature)
         q = geom.area ** (-(n - 2) / (n - 1)) * (2 * (n - 1) * om * m + wth)
-        deficit = wth / ((n - 1) * om) - (geom.area / om) ** ((n - 2) / (n - 1)) + 2 * m
+        deficit = (geom.area / om) ** ((n - 2) / (n - 1)) * (q / limit_target(n) - 1.0)
     return SliceQuantities(geom.area, wth, q, deficit,
                            geom.hawking_mass, geom.umbilicity_deficit)
 
@@ -113,20 +118,6 @@ class MonotonicityVerdict(NamedTuple):
     monotone: bool
     worst_increase: float
     limit_gap: float
-    q_extrapolated: float
-
-
-def _extrapolate_q(times: np.ndarray, qs: np.ndarray, n: int) -> float:
-    """Linear Richardson extrapolation of Q in h = exp(-t/(n-1)) -> 0.
-
-    Convergence of Q to its limit is only polynomial in the slice radius,
-    so extrapolation from the last two outputs replaces an impractically
-    long integration.
-    """
-    h = np.exp(-times / (n - 1))
-    if len(qs) < 2 or abs(h[-2] - h[-1]) < 1e-14:
-        return float(qs[-1])
-    return float((qs[-1] * h[-2] - qs[-2] * h[-1]) / (h[-2] - h[-1]))
 
 
 def monotonicity_verdict(trace: FlowTrace, quantities: list[SliceQuantities],
@@ -145,11 +136,9 @@ def monotonicity_verdict(trace: FlowTrace, quantities: list[SliceQuantities],
                          f"{len(trace.times)} slices: need one per slice")
     if len(quantities) < 2:
         raise ValueError("insufficient data: need at least 2 slices with quantities")
-    n = trace.ambient.n
     qs = np.array([sq.q for sq in quantities])
     worst = float(np.max(np.diff(qs)))
     return MonotonicityVerdict(
         monotone=bool(worst <= eps_mono),
         worst_increase=worst,
-        limit_gap=float(qs[-1] - limit_target(n)),
-        q_extrapolated=_extrapolate_q(trace.times, qs, n))
+        limit_gap=float(qs[-1] - limit_target(trace.ambient.n)))

@@ -401,11 +401,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     quantities = attach_quantities(trace, cfg.weight, mass)
     verdict = monotonicity_verdict(trace, quantities, cfg.eps_mono)
     area_res = area_law_residual(trace)
-    deficit0 = quantities[0].minkowski_deficit
+    delta0 = quantities[0].q / limit_target(spec.n) - 1.0  # the scale-free deficit
     verdicts = {
         **verdict._asdict(),
-        "deficit_initial": deficit0,
-        "deficit_ok": bool(deficit0 >= -cfg.deficit_tol),
+        "deficit_initial": quantities[0].minkowski_deficit,
+        "delta_initial": delta0,
+        "deficit_ok": bool(delta0 >= -cfg.deficit_tol),
         "area_law_residual": area_res,
         "area_law_ok": bool(area_res <= cfg.area_tol),
         "mass_fit": mass_fit,

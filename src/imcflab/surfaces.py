@@ -292,8 +292,8 @@ def graph_geometry(graph: AxisymmetricGraph,
     asq = frame.k_meridian**2 + frame.k_parallel**2
     rp4 = _first_derivative_o4(rho, grid.dtheta)
     jac = rho * grid.sin_t * np.sqrt(rho * rho + rp4 * rp4 / frame.v)
-    area = 2.0 * np.pi * float(grid.simpson_w.dot(jac))
     weights = 2.0 * np.pi * grid.simpson_w * jac
+    area = float(weights.sum())
     h2 = frame.h**2
     return SurfaceGeometry(
         kind="graph", ambient=spec, radii=rho,

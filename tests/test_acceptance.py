@@ -109,8 +109,8 @@ def test_criterion_02_q_monotonicity_along_flow(perturbed_traces, schw3m1):
 
 def test_criterion_03_limit_of_q(perturbed_traces, schw3m1):
     v = L.monotonicity_verdict(perturbed_traces[200], perturbed_traces["quantities"][200])
-    assert abs(v.q_extrapolated / FOUR_SQRT_PI - 1.0) < 0.01
-    print(f"ACCEPTANCE criterion 3: PASS (extrapolated Q = {v.q_extrapolated:.7f}, "
+    assert abs(v.limit_gap / FOUR_SQRT_PI) < 0.01
+    print(f"ACCEPTANCE criterion 3: PASS (Q_T - target = {v.limit_gap:.3e}, "
           f"target {FOUR_SQRT_PI:.7f})")
 
 

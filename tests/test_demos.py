@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package it ships with."""
+"""Every demo script runs to completion against the package it ships with,
+with numpy's RuntimeWarnings raised as errors."""
 
 import subprocess
 import sys
@@ -17,6 +18,6 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo):
-    res = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                         text=True, env=child_env())
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                         capture_output=True, text=True, env=child_env())
     assert res.returncode == 0, res.stderr

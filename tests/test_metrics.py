@@ -90,10 +90,20 @@ class TestManifoldSpec:
         with pytest.raises(ValueError, match="profile not positive on domain"):
             L.ManifoldSpec.schwarzschild(3, float("nan"))
 
+    def test_zero_mass_keeps_the_r_min_floor(self):
+        # only a positive mass has a horizon to move r_min to
+        assert L.ManifoldSpec.schwarzschild(3, 0.0).r_min == 0.1
+
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_dimension_outside_three_to_seven(self, n):
         with pytest.raises(ValueError, match="3 <= n <= 7"):
             L.ManifoldSpec.schwarzschild(n, 1.0)
+
+
+def test_constant_potential_excess_from_the_mass_aspect(schw3m1):
+    # f = 2 at r = 4 with m = 1: f sqrt(V) - 1 = 2 sqrt(1/2) - 1
+    assert L.constant_potential(2.0).excess(4.0, schw3m1.profile) == pytest.approx(
+        2.0 * math.sqrt(0.5) - 1.0, rel=1e-15)
 
 
 class TestStaticResidual:
@@ -222,6 +232,10 @@ class TestAdmMassFit:
         # fitted constant carries the r^-2 tail term as ~1e-5 relative bias
         assert rescaled.value(900.0) == pytest.approx(
             math.sqrt(1 - 2 / 900.0), rel=1e-4)
+        f = L.sqrt_potential(schw3m1)
+        for r in (3.0, 900.0):
+            assert rescaled.deriv(r) == pytest.approx(f.deriv(r), rel=1e-4)
+            assert rescaled.deriv2(r) == pytest.approx(f.deriv2(r), rel=1e-4)
         assert L.adm_mass_fit(schw3m1, rescaled) == pytest.approx(1.0, abs=1e-2)
 
 

@@ -371,6 +371,16 @@ class TestRunScenario:
         assert exit_code_for(report) == 0
         assert exit_code_for(report, strict=True) == 3
 
+    def test_halt_after_the_first_output_still_gives_verdicts(self, tmp_path,
+                                                               monkeypatch):
+        # two slices are the fewest a verdict reads; this flow halts near t = 0.15
+        negative_h_beyond(monkeypatch, 4.0 * math.exp(0.075))
+        report = run_scenario(parse_config(HALTS_AT_ONCE, base_dir=tmp_path))
+        assert list(report.trace.times) == pytest.approx([0.0, 0.1])
+        assert "flow halted early: H<=0" in report.warnings
+        assert report.verdicts["monotone"] and report.verdicts["deficit_ok"]
+        assert exit_code_for(report) == 0
+
     def test_halt_before_the_second_output_is_a_solver_failure(self, tmp_path,
                                                                 monkeypatch):
         negative_h_beyond(monkeypatch, 4.0 * math.exp(0.01))
@@ -612,6 +622,26 @@ class TestCli:
             t, q = rows[0].index("t"), rows[0].index("Q")
             columns.append([(row[t], row[q]) for row in rows[1:]])
         assert len(columns[0]) == 11 and columns[0] == columns[1]
+
+    def test_negative_delta_exits_five_at_every_scale(self, tmp_path):
+        # delta0 = Q0/Q_inf - 1 is scale-free, while the deficit has units
+        # of length (n = 3): -9.8e-8 at lam = 1 but -6.1e-9 at lam = 1/16,
+        # on either side of deficit_tol = 1e-8.  Scaling by 2^k is exact.
+        def config(lam):
+            return (f"[manifold]\nfamily = schwarzschild\nn = 3\nm = {lam * 1.0}\n"
+                    f"r_min = {lam * 0.1}\nr_max = {lam * 1000.0}\n[surface]\nkind = graph\n"
+                    f"rho0 = {lam * 4.0} + {lam * 0.1}*cos(theta)\n"
+                    f"[solver]\nN = 100\nt_end = 1.0\n"
+                    f"[analysis]\ntail_lo = {lam * 100.0}\ntail_hi = {lam * 1000.0}\n")
+        deltas, deficits = set(), set()
+        for k in range(-4, 5):
+            (tmp_path / f"s{k}.cfg").write_text(config(2.0 ** k))
+            assert main(["flow", "--config", str(tmp_path / f"s{k}.cfg")]) == 5
+            v = json.loads((tmp_path / f"s{k}.json").read_text())["verdicts"]
+            deltas.add(v["delta_initial"])
+            deficits.add(v["deficit_initial"] / 2.0 ** k)
+        assert len(deltas) == len(deficits) == 1
+        assert deltas.pop() < -1e-8
 
     # domains that end below the start of static_diagnostics' probe grid
     @pytest.mark.parametrize("manifold, r0, tail", [
