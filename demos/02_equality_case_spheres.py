@@ -36,4 +36,4 @@ verdict = L.monotonicity_verdict(trace, quantities)
 print(f"  worst increase of Q:  {verdict.worst_increase:.3e}")
 print(f"  gap to the limit:     {verdict.limit_gap:.3e}")
 print(f"  area law residual:    {L.area_law_residual(trace):.3e}")
-print(f"  Hawking mass at t=0:  {quantities[0].hawking_mass:.12f}")
+print(f"  Hawking mass at t=0:  {trace.geometries[0].hawking_mass:.12f}")

@@ -25,7 +25,7 @@ geom = L.graph_geometry(surface)
 sq = L.slice_quantities(geom, one, 0.0)
 
 print("prolate spheroid, semi-axes (1, 1, 2):")
-print(f"  area                 {sq.area:.10f}")
+print(f"  area                 {geom.area:.10f}")
 print(f"  total mean curvature {sq.weighted_total_h:.10f}")
 print(f"  minkowski deficit    {sq.minkowski_deficit:.10f}  (> 0, strict)")
 print(f"  hawking mass         {geom.hawking_mass:.10f}  (< 0 for non-spheres)")
@@ -39,6 +39,7 @@ for r in (0.5, 1.0, 5.0):
 
 print("\nflowing the spheroid rounds it off and shrinks the deficit:")
 trace = L.flow_graph(surface, 1.0, dt_out=0.25)
-for t, sq in zip(trace.times, L.attach_quantities(trace, one, 0.0)):
+for t, g, sq in zip(trace.times, trace.geometries,
+                    L.attach_quantities(trace, one, 0.0)):
     print(f"  t = {t:4.2f}: deficit = {sq.minkowski_deficit:.6f}, "
-          f"umbilicity = {sq.umbilicity_deficit:.3e}")
+          f"umbilicity = {g.umbilicity_deficit:.3e}")

@@ -340,12 +340,12 @@ def _cmd_oracle(args) -> int:
         "V": float(spec.profile.value(r)),
         "f": float(f.value(r)),
         "H": float(geom.mean_curvature[0]),
-        "area": sq.area,
+        "area": geom.area,
         "int_fH": sq.weighted_total_h,
         "Q": sq.q,                    # constant on Schwarzschild spheres
         "limit_target": limit_target(n),
         "minkowski_deficit": sq.minkowski_deficit,  # equality case
-        "hawking_mass": sq.hawking_mass,
+        "hawking_mass": geom.hawking_mass,
         "flow_radius_factor": math.exp(1.0 / (n - 1)),  # growth per unit flow time
         "unit_sphere_area": unit_sphere_area(n - 1),
     }

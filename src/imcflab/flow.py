@@ -138,10 +138,6 @@ class FlowTrace(NamedTuple):
     def ambient(self) -> ManifoldSpec:
         return self.geometries[0].ambient
 
-    @property
-    def initial_area(self) -> float:
-        return self.geometries[0].area
-
 
 def require_reach(spec: ManifoldSpec, r_outer: float, t_end: float) -> None:
     """Require t_end > 0 (else ValueError) and, for a slice reaching out to
@@ -481,7 +477,5 @@ def area_residual(t: float, area: float, area0: float) -> float:
 
 def area_law_residual(trace: FlowTrace) -> float:
     """Max of :func:`area_residual` over the emitted slices of a trace."""
-    if len(trace.geometries) == 0:
-        raise ValueError("empty trace")
-    return max(area_residual(t, g.area, trace.initial_area)
+    return max(area_residual(t, g.area, trace.geometries[0].area)
                for t, g in zip(trace.times, trace.geometries))

@@ -304,7 +304,8 @@ class StaticPotential(NamedTuple):
     value: Callable
     deriv: Callable
     deriv2: Callable
-    aspect_excess: Callable | None = None  # closed forms only
+    aspect_excess: Callable | None = None    # closed forms only
+    support: tuple[float, float] | None = None  # sampled potentials only
 
     def excess(self, r: float, profile: RadialProfile) -> float:
         """The weight excess f sqrt(V) - 1 at radius r of ``profile``:
@@ -357,10 +358,10 @@ def profile_weight(spec: ManifoldSpec) -> StaticPotential:
 
 
 def sampled_potential(r: np.ndarray, f: np.ndarray) -> StaticPotential:
-    """Cubic-spline potential from tabulated (r, f) pairs."""
+    """Cubic-spline potential from tabulated (r, f) pairs, on their radius range."""
     spl = _spline(r, f)
-    return StaticPotential(value=spl, deriv=spl.derivative(1),
-                           deriv2=spl.derivative(2))
+    return StaticPotential(value=spl, deriv=spl.derivative(1), deriv2=spl.derivative(2),
+                           support=(float(spl.x[0]), float(spl.x[-1])))
 
 
 def _radial(spec: ManifoldSpec, r):

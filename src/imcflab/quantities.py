@@ -14,8 +14,8 @@ infinity.  The Minkowski deficit is Q rearranged,
 
 so it is nonnegative exactly when Q >= Q_inf, the Minkowski-like
 inequality; the verdicts read its scale-free form Q / Q_inf - 1.  The
-Hawking mass and the umbilicity deficit need neither f nor m, and come
-with the slice's geometry record.
+area, the Hawking mass and the umbilicity deficit need neither f nor m:
+their one owner is the slice's geometry record.
 
 Numerical note: on coordinate spheres every one of these functionals is a
 closed form in the slice radius, and the equality cases are exact
@@ -39,7 +39,7 @@ of one weight and mass, and :func:`monotonicity_verdict` reads that list.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,19 +64,16 @@ def limit_target(n: int) -> float:
 
 
 class SliceQuantities(NamedTuple):
-    """All per-slice functionals, as one record."""
+    """What one weight and mass decide on a slice; the rest is its geometry's."""
 
-    area: float
     weighted_total_h: float
     q: float
     minkowski_deficit: float
-    hawking_mass: Optional[float]
-    umbilicity_deficit: float
 
 
 def slice_quantities(geom: SurfaceGeometry, f: StaticPotential,
                      m: float) -> SliceQuantities:
-    """Evaluate every slice functional once.  The Minkowski deficit
+    """Evaluate the functionals of weight f and mass m once.  The Minkowski deficit
 
         (area/omega)^((n-2)/(n-1)) * (Q / limit_target(n) - 1)
 
@@ -101,8 +98,7 @@ def slice_quantities(geom: SurfaceGeometry, f: StaticPotential,
         wth = surface_integral(geom, fv * geom.mean_curvature)
         q = geom.area ** (-(n - 2) / (n - 1)) * (2 * (n - 1) * om * m + wth)
         deficit = (geom.area / om) ** ((n - 2) / (n - 1)) * (q / limit_target(n) - 1.0)
-    return SliceQuantities(geom.area, wth, q, deficit,
-                           geom.hawking_mass, geom.umbilicity_deficit)
+    return SliceQuantities(wth, q, deficit)
 
 
 def attach_quantities(trace: FlowTrace, f: StaticPotential,

@@ -345,11 +345,18 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     weight's largest static-equation and harmonicity residuals on a 200-point
     log grid, ``weight_is_static`` (both below static_tol), the mass flux at
     r_max, and the non-static warning (None if static or profile-weight).
-    A non-finite mass flux is a ConfigError naming ``[manifold] r_max``."""
+    A table's weight is sampled only where the table meets the domain.  A
+    ConfigError names ``[potential] file`` for a table that misses it and
+    ``[manifold] r_max`` for a non-finite mass flux."""
     spec = cfg.surface.ambient
+    first, last = cfg.weight.support or (0.0, math.inf)
+    if not (first < spec.r_max and last > spec.r_min):
+        raise ConfigError(f"[potential] file: the table's radii [{first:g}, {last:g}] do "
+                          f"not reach into the domain ({spec.r_min:g}, {spec.r_max:g}]")
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
-    # a domain narrower than that start collapses the grid onto r_max
-    grid = np.geomspace(min(max(lo, 1e-6), spec.r_max), spec.r_max, 200)
+    hi = min(spec.r_max, last)
+    # a domain or table narrower than that start collapses the grid onto hi
+    grid = np.geomspace(min(max(lo, 1e-6, first), hi), hi, 200)
     # a sampled weight's extrapolation can overflow; a non-finite flux is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         s_rr, s_tt = static_residual(spec, cfg.weight, grid)
@@ -470,15 +477,15 @@ def summary_dict(report: RunReport) -> dict:
 
 
 def render_csv(report: RunReport) -> str:
-    """Full-precision CSV text for the per-slice table, one row per output
-    time in the column order of ``CSV_HEADER``."""
+    """Full-precision CSV text, one row per output time in the column order
+    of ``CSV_HEADER``, from each slice's geometry and its quantity record."""
     trace = report.trace
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    for t, sq in zip(trace.times, report.quantities):
-        row = (t, sq.area, sq.weighted_total_h, sq.q, sq.minkowski_deficit,
-               math.nan if sq.hawking_mass is None else sq.hawking_mass,
-               sq.umbilicity_deficit, area_residual(t, sq.area, trace.initial_area))
+    for t, g, sq in zip(trace.times, trace.geometries, report.quantities):
+        row = (t, g.area, sq.weighted_total_h, sq.q, sq.minkowski_deficit,
+               math.nan if g.hawking_mass is None else g.hawking_mass,
+               g.umbilicity_deficit, area_residual(t, g.area, trace.geometries[0].area))
         buf.write(",".join(repr(float(x)) for x in row) + "\n")
     return buf.getvalue()
 

@@ -94,7 +94,7 @@ def test_criterion_02_q_monotonicity_along_flow(perturbed_traces, schw3m1):
     qs = [sq.q for sq in q200]
     assert v200.worst_increase <= 1e-6
     assert qs[0] - qs[-1] > 1e-4           # strict decrease over the run
-    assert q200[0].umbilicity_deficit > 1e-3
+    assert perturbed_traces[200].geometries[0].umbilicity_deficit > 1e-3
     assert v800.worst_increase <= 1e-8     # refinement tightens the bound
     per_n = "; ".join(
         f"N={n}: {perturbed_traces['seconds'][n]:.2f}s, "

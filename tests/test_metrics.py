@@ -221,6 +221,62 @@ class TestAdmMassFit:
         dev = re.search(r"max \|f - 1\| = (\S+)\)", str(exc.value))
         assert float(dev.group(1)) == pytest.approx(2.0)
 
+    # Each rejection threshold t of the tail fits is pinned by a closed-form
+    # weight on either side of it, inside (t / 1.5, 1.5 t): the flat n = 3
+    # tail [100, 1000], where the model 1 - f = m / r is exact.
+
+    @staticmethod
+    def _weight(value):
+        return L.StaticPotential(value=value, deriv=None, deriv2=None)
+
+    def test_deviation_threshold(self, flat3):
+        # max |f - 1| = m / 100 on the tail: 0.4 is fitted exactly, 0.6 is
+        # rejected before any fit however well 1 - m / r models it
+        assert L.adm_mass_fit(flat3, self._weight(lambda r: 1.0 - 40.0 / r)) \
+            == pytest.approx(40.0, rel=1e-13)
+        with pytest.raises(FitQualityError, match=r"not near 1 .*max \|f - 1\| = 0\.6\)"):
+            L.adm_mass_fit(flat3, self._weight(lambda r: 1.0 - 60.0 / r))
+
+    @pytest.mark.parametrize("b, rejected", [(45.0, False), (80.0, True)])
+    def test_relative_residual_threshold(self, flat3, b, rejected):
+        # 1 - f = (1 + b / r) / r; the b / r^2 part the model cannot fit
+        # leaves a relative residual of 0.080 (b = 45) or 0.120 (b = 80),
+        # recomputed here by an independent least-squares solve
+        rs = np.geomspace(100.0, 1000.0, 64)
+        y = (1.0 + b / rs) / rs
+        (m_ls,), *_ = np.linalg.lstsq((1.0 / rs)[:, None], y, rcond=None)
+        ratio = np.linalg.norm(y - m_ls / rs) / np.linalg.norm(y)
+        assert (0.1 < ratio < 0.15) if rejected else (0.1 / 1.5 < ratio < 0.1)
+        weight = self._weight(lambda r: 1.0 - (1.0 + b / r) / r)
+        if rejected:
+            with pytest.raises(FitQualityError) as exc:
+                L.adm_mass_fit(flat3, weight)
+            found = re.search(r"relative residual (\S+),", str(exc.value))
+            assert float(found.group(1)) == pytest.approx(ratio, rel=1e-5)  # 6 digits
+        else:
+            assert L.adm_mass_fit(flat3, weight) == pytest.approx(m_ls, rel=1e-12)
+
+    @pytest.mark.parametrize("signal, rejected", [(0.8e-13, False), (1.2e-13, True)])
+    def test_signal_floor(self, flat3, signal, rejected):
+        # a constant f = 1 + d is no 1 - m / r at all (relative residual 0.6),
+        # but a signal |1 - f| of 8 |d| (64 radii) below 1e-13 is rounding
+        # and fits as it stands
+        weight = self._weight(lambda r: r * 0.0 + 1.0 + signal / 8.0)
+        if rejected:
+            with pytest.raises(FitQualityError, match="relative residual"):
+                L.adm_mass_fit(flat3, weight)
+        else:
+            assert abs(L.adm_mass_fit(flat3, weight)) < 1e-10
+
+    @pytest.mark.parametrize("c, rejected", [(0.8e-12, True), (1.2e-12, False)])
+    def test_rescale_constant_threshold(self, flat3, c, rejected):
+        weight = L.constant_potential(c)
+        if rejected:
+            with pytest.raises(FitQualityError, match=r"cannot rescale: .*c = 8e-13"):
+                L.rescale_to_unit(flat3, weight)
+        else:
+            assert L.rescale_to_unit(flat3, weight).value(500.0) == pytest.approx(1.0, rel=1e-12)
+
     def test_rescale_then_fit(self, schw3m1):
         v = schw3m1.profile
         f3 = L.StaticPotential(

@@ -105,21 +105,21 @@ class TestSphereChainOracle:
                  else L.profile_weight(spec))
             for r in suite_grid(spec):
                 r = float(r)
-                sq = L.slice_quantities(
-                    L.sphere_geometry(L.CoordinateSphere(r, spec)), f, m)
+                geom = L.sphere_geometry(L.CoordinateSphere(r, spec))
+                sq = L.slice_quantities(geom, f, m)
                 ref = schwarzschild_sphere_mp(n, m, r, weight)
                 where = f"n={n} m={m} r={r!r} {weight}"
-                assert sq.area == pytest.approx(ref["area"], rel=1e-13), where
+                assert geom.area == pytest.approx(ref["area"], rel=1e-13), where
                 assert sq.weighted_total_h == pytest.approx(
                     ref["int_fH"], rel=1e-13), where
                 assert sq.q == pytest.approx(ref["Q"], rel=1e-13), where
                 assert abs(sq.minkowski_deficit - ref["deficit"]) \
                     <= 1e-13 * max(1.0, abs(ref["deficit"])), where
                 if n == 3:
-                    assert sq.hawking_mass == pytest.approx(
+                    assert geom.hawking_mass == pytest.approx(
                         ref["hawking"], rel=1e-13), where
                 else:
-                    assert sq.hawking_mass is None
+                    assert geom.hawking_mass is None
 
 
 class TestMonotoneQuantity:
@@ -176,11 +176,10 @@ class TestMinkowskiDeficit:
         spec = L.ManifoldSpec.schwarzschild(3, m)
         theta = np.linspace(0.0, np.pi, 201)
         shape = 1.5 * np.cos(theta) ** 2 - 0.5 if mode == "P2" else np.cos(theta)
-        sq = L.slice_quantities(
-            L.graph_geometry(L.AxisymmetricGraph(theta, 4.0 + 0.3 * shape, spec)),
-            L.sqrt_potential(spec), m)
+        geom = L.graph_geometry(L.AxisymmetricGraph(theta, 4.0 + 0.3 * shape, spec))
+        sq = L.slice_quantities(geom, L.sqrt_potential(spec), m)
         om = L.unit_sphere_area(2)
-        scale = math.sqrt(sq.area / om)
+        scale = math.sqrt(geom.area / om)
         assert sq.minkowski_deficit == scale * (sq.q / L.limit_target(3) - 1.0)
         # and the deficit as written: int fH / (2 omega) - sqrt(area/omega) + 2m
         assert sq.minkowski_deficit == pytest.approx(
@@ -194,9 +193,9 @@ class TestMinkowskiDeficit:
             spec = L.ManifoldSpec.schwarzschild(n, m)
             for f in (L.sqrt_potential(spec), L.profile_weight(spec)):
                 for r in suite_grid(spec, num=12):
-                    sq = L.slice_quantities(
-                        L.sphere_geometry(L.CoordinateSphere(float(r), spec)), f, m)
-                    scale = (sq.area / L.unit_sphere_area(n - 1)) ** ((n - 2) / (n - 1))
+                    geom = L.sphere_geometry(L.CoordinateSphere(float(r), spec))
+                    sq = L.slice_quantities(geom, f, m)
+                    scale = (geom.area / L.unit_sphere_area(n - 1)) ** ((n - 2) / (n - 1))
                     d = sq.minkowski_deficit
                     assert abs(scale * (sq.q / L.limit_target(n) - 1.0) - d) \
                         <= 8 * eps * (scale + abs(d)), f"n={n} m={m} r={r!r}"
@@ -229,7 +228,6 @@ class TestHawkingMass:
             spec = L.ManifoldSpec.schwarzschild(n, 1.0)
             s = L.sphere_geometry(L.CoordinateSphere(4.0, spec))
             assert s.hawking_mass is None
-            assert L.slice_quantities(s, L.sqrt_potential(spec), 1.0).hawking_mass is None
 
     def test_consistent_with_flux_mass(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
@@ -253,10 +251,14 @@ class TestVerdicts:
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 1.0)
         quantities = L.attach_quantities(tr, f, 1.0)
         assert len(quantities) == len(tr.times)
-        sq = quantities[0]
-        assert sq.area == pytest.approx(64 * math.pi, rel=1e-13)
-        assert sq.hawking_mass == pytest.approx(1.0, abs=1e-12)
-        assert sq.umbilicity_deficit == 0.0
+        assert quantities == [L.slice_quantities(g, f, 1.0) for g in tr.geometries]
+        # the record holds what the weight and mass decide, and nothing else
+        assert L.SliceQuantities._fields == ("weighted_total_h", "q", "minkowski_deficit")
+        assert quantities[0].q == pytest.approx(L.limit_target(3), rel=1e-14)
+        g = tr.geometries[0]
+        assert g.area == pytest.approx(64 * math.pi, rel=1e-13)
+        assert g.hawking_mass == pytest.approx(1.0, abs=1e-12)
+        assert g.umbilicity_deficit == 0.0
 
     def test_one_trace_serves_two_weights_and_holds_no_state(self, schw3m1):
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0)
@@ -276,7 +278,7 @@ class TestVerdicts:
         assert v.worst_increase < 0.0   # every step strictly decreases
         qs = [sq.q for sq in quantities]
         assert qs[0] - qs[-1] > 1e-4
-        assert quantities[0].umbilicity_deficit > 1e-3
+        assert tr.geometries[0].umbilicity_deficit > 1e-3
 
     def test_negative_control_weight_breaks_monotonicity(self, schw3m1):
         w = L.profile_weight(schw3m1)

@@ -16,7 +16,8 @@ from imcflab import cli
 from imcflab.cli import main
 from imcflab.errors import ConfigError, SolverFailureError
 from imcflab.scenario import (_SCHEMA, CSV_HEADER, exit_code_for, parse_config,
-                              render_csv, run_scenario, summary_dict)
+                              render_csv, run_scenario, static_diagnostics,
+                              summary_dict)
 from imcflab.surfaces import CoordinateSphere
 
 from conftest import child_env, negative_h_beyond
@@ -391,6 +392,65 @@ class TestRunScenario:
         assert stats["steps"] >= 1 and stats["min_H"] <= 0.0
 
 
+class TestStaticDiagnostics:
+    @pytest.mark.parametrize("r_min, start", [(0.0, 1000.0 * 1e-4), (1e-7, 1e-6),
+                                              (0.5, 1.1 * 0.5)])
+    def test_grid_start(self, r_min, start):
+        # the grid starts at 1.1 r_min, at r_max 1e-4 when r_min = 0, and
+        # never below 1e-6.  The control f = V on m = -1/2 has the closed
+        # forms S_rr = 2 m V / r^3 and S_tt = 2 m^2 / r^4 - m V / r^3, both
+        # largest in size at the grid's start
+        m = -0.5
+        text = NEGCTL.replace("m = 1.0", f"m = {m}\nr_min = {r_min!r}")
+        diag, warning = static_diagnostics(parse_config(text))
+        r = np.geomspace(start, 1000.0, 200)
+        v = 1.0 - 2.0 * m / r
+        s_rr, s_tt = 2.0 * m * v / r**3, 2.0 * m**2 / r**4 - m * v / r**3
+        assert diag["static_residual_max"] == pytest.approx(
+            max(np.max(np.abs(s_rr)), np.max(np.abs(s_tt))), rel=1e-12)
+        assert warning is None  # the control is known not to be static
+
+    def test_tabulated_weight_is_diagnosed_on_its_table(self, tmp_path):
+        # sqrt(1 + 1/r) on [1, 4000] is the static sqrt(V) of m = -1/2.  Below
+        # r = 1 the spline extrapolates (a residual of 1.343e+03 at r = 0.11);
+        # on the table's part [1, 1000] of the domain what is left is the
+        # spline's own error, largest at the table's first knot
+        cfg = parse_config(sampled_potential_config(tmp_path), base_dir=tmp_path)
+        assert cfg.weight.support == (1.0, 4000.0)
+        diag, warning = static_diagnostics(cfg)
+        s_rr, s_tt = L.static_residual(cfg.surface.ambient, cfg.weight,
+                                       np.geomspace(1.0, 1000.0, 200))
+        assert diag["static_residual_max"] == np.max(np.abs([s_rr, s_tt]))
+        assert diag["static_residual_max"] == pytest.approx(6.445e-5, rel=1e-3)
+        assert warning == ("declared potential fails the static equation "
+                           "(max residual 6.445e-05)")
+
+    def test_grid_ends_where_the_table_does(self, tmp_path):
+        # f = r^3 on V = 1 + 1/r: S_rr = 6 r V + 1 and S_tt = 9 r V - 2 grow
+        # with r, so the largest residual is at the table's last radius
+        cfg = parse_config(sampled_potential_config(tmp_path), base_dir=tmp_path)
+        cube = L.StaticPotential(lambda r: r**3, lambda r: 3 * r**2, lambda r: 6 * r,
+                                 support=(1.0, 500.0))
+        diag, _ = static_diagnostics(cfg._replace(weight=cube))
+        assert diag["static_residual_max"] == pytest.approx(9 * 501 - 2, rel=1e-13)
+
+    @pytest.mark.parametrize("first, last", [(0.01, 0.1), (1000.0, 4000.0)])
+    def test_table_outside_the_domain_exits_two(self, tmp_path, capsys, first, last):
+        # each table meets the domain (0.1, 1000] in one end point at most
+        text = sampled_potential_config(tmp_path)
+        r = np.geomspace(first, last, 50)
+        np.savetxt(tmp_path / "pot.txt", np.column_stack([r, np.sqrt(1 + 1 / r)]))
+        (tmp_path / "p.cfg").write_text(text)
+        for command in ("flow", "static-check"):
+            assert main([command, "--config", str(tmp_path / "p.cfg")]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"config error: [potential] file: the table's radii [{first:g}, "
+                f"{last:g}] do not reach into the domain (0.1, 1000]\n")
+            assert captured.out == ""
+        assert not (tmp_path / "p.csv").exists()
+
+
 class TestEmitOutputs:
     def test_csv_contract(self, tmp_path):
         cfg = parse_config(MINIMAL, base_dir=tmp_path, out_dir=tmp_path)
@@ -699,10 +759,9 @@ class TestCli:
             payload = json.loads(res.stdout)
             spec = L.ManifoldSpec.schwarzschild(n, m, r_max=r + 1.0,
                                                 r_min_floor=0.1 * r)
-            sq = L.slice_quantities(
-                L.sphere_geometry(L.CoordinateSphere(r, spec)),
-                L.sqrt_potential(spec), m)
-            assert payload["area"] == sq.area
+            geom = L.sphere_geometry(L.CoordinateSphere(r, spec))
+            sq = L.slice_quantities(geom, L.sqrt_potential(spec), m)
+            assert payload["area"] == geom.area
             assert payload["int_fH"] == sq.weighted_total_h
             assert payload["Q"] == sq.q
             assert payload["minkowski_deficit"] == sq.minkowski_deficit
