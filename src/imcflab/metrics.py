@@ -358,7 +358,7 @@ def profile_weight(spec: ManifoldSpec) -> StaticPotential:
 
 
 def sampled_potential(r: np.ndarray, f: np.ndarray) -> StaticPotential:
-    """Cubic-spline potential from tabulated (r, f) pairs, on their radius range."""
+    """Cubic-spline potential from tabulated (r, f) pairs; ``support`` is their range."""
     spl = _spline(r, f)
     return StaticPotential(value=spl, deriv=spl.derivative(1), deriv2=spl.derivative(2),
                            support=(float(spl.x[0]), float(spl.x[-1])))

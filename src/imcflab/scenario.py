@@ -357,7 +357,7 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     hi = min(spec.r_max, last)
     # a domain or table narrower than that start collapses the grid onto hi
     grid = np.geomspace(min(max(lo, 1e-6, first), hi), hi, 200)
-    # a sampled weight's extrapolation can overflow; a non-finite flux is rejected below
+    # the flux extrapolates a table ending below r_max and can overflow; it is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         s_rr, s_tt = static_residual(spec, cfg.weight, grid)
         harm = harmonicity_residual(spec, cfg.weight, grid)
