@@ -32,7 +32,7 @@ spec = L.ManifoldSpec.schwarzschild(3, 1.0)
 f = L.sqrt_potential(spec)
 trace = L.flow_sphere(L.CoordinateSphere(4.0, spec), 3.0)
 quantities = L.attach_quantities(trace, f, 1.0)
-verdict = L.monotonicity_verdict(trace, quantities)
+verdict = L.monotonicity_verdict(trace, quantities, eps_mono=1e-6)
 print(f"  worst increase of Q:  {verdict.worst_increase:.3e}")
 print(f"  gap to the limit:     {verdict.limit_gap:.3e}")
 print(f"  area law residual:    {L.area_law_residual(trace):.3e}")

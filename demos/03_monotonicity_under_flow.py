@@ -32,7 +32,8 @@ for t, g, sq in zip(trace.times, trace.geometries, quantities):
     print(f"{t:>5.2f} {g.area:>12.4f} {sq.q:>12.9f} "
           f"{g.umbilicity_deficit:>11.3e} {res:>13.3e}")
 
-verdict = L.monotonicity_verdict(trace, quantities)
+# eps_mono is the scenario parser's 1e-6 (200/N)^2 at N = 200
+verdict = L.monotonicity_verdict(trace, quantities, eps_mono=1e-6)
 print(f"\nworst increase of Q:    {verdict.worst_increase:.3e}  "
       f"(monotone: {verdict.monotone})")
 print(f"exact target:           {L.limit_target(3):.9f}")

@@ -25,7 +25,7 @@ trace = L.flow_sphere(L.CoordinateSphere(4.0, spec), 3.0)
 for name, weight in (("sqrt(V)", good), ("V (broken)", bad)):
     quantities = L.attach_quantities(trace, weight, m)
     qs = [sq.q for sq in quantities]
-    verdict = L.monotonicity_verdict(trace, quantities)
+    verdict = L.monotonicity_verdict(trace, quantities, eps_mono=1e-6)
     print(f"\nweight = {name}")
     print(f"  Q(0) = {qs[0]:.6f}   Q(end) = {qs[-1]:.6f}")
     print(f"  worst increase = {verdict.worst_increase:.3e}   "

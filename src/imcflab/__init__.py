@@ -16,8 +16,8 @@ from .errors import (ConfigError, DomainError, FitQualityError,
 from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       adm_mass_fit, adm_mass_flux, constant_potential,
                       harmonicity_residual, horizon_radius, profile_weight,
-                      rescale_to_unit, sampled_potential, scalar_curvature,
-                      sqrt_potential, static_residual, unit_sphere_area)
+                      sampled_potential, scalar_curvature, sqrt_potential,
+                      static_residual, unit_sphere_area)
 from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid,
                        SurfaceGeometry, graph_geometry, load_graph,
                        save_graph, sphere_geometry, surface_integral)
@@ -40,7 +40,6 @@ __all__ = [
     "scalar_curvature", "static_residual", "harmonicity_residual",
     "adm_mass_flux", "adm_mass_fit", "horizon_radius", "sqrt_potential",
     "constant_potential", "profile_weight", "sampled_potential",
-    "rescale_to_unit",
     # surfaces
     "CoordinateSphere", "AxisymmetricGraph", "SurfaceGeometry", "GraphGrid",
     "sphere_geometry", "graph_geometry", "surface_integral",

@@ -44,7 +44,6 @@ __all__ = [
     "constant_potential",
     "profile_weight",
     "sampled_potential",
-    "rescale_to_unit",
     "tail_in_domain",
 ]
 
@@ -310,7 +309,7 @@ class StaticPotential(NamedTuple):
     def excess(self, r: float, profile: RadialProfile) -> float:
         """The weight excess f sqrt(V) - 1 at radius r of ``profile``:
         a function of the mass aspect for the closed forms, plain
-        f(r) sqrt(V(r)) - 1 for sampled, rescaled or hand-built weights."""
+        f(r) sqrt(V(r)) - 1 for sampled or hand-built weights."""
         if self.aspect_excess is None:
             return self.value(r) * np.sqrt(profile.value(r)) - 1.0
         return self.aspect_excess(profile.mass_aspect(r))
@@ -348,7 +347,7 @@ def constant_potential(c: float = 1.0) -> StaticPotential:
 def profile_weight(spec: ManifoldSpec) -> StaticPotential:
     """The non-static control weight f = V itself (instead of sqrt(V)).
 
-    Asymptotes to 1 like a rescaled potential but violates the static
+    Asymptotes to 1 like sqrt(V) but violates the static
     equation everywhere V is not constant, which is exactly what the
     monotonicity negative controls need.
     """
@@ -437,32 +436,36 @@ def tail_in_domain(spec: ManifoldSpec, tail) -> tuple[float, float]:
     return lo, hi
 
 
-_TAIL_RADII = 64  # log-spaced sample radii of both tail fits
-
-
-def _tail_sample(spec: ManifoldSpec, f: StaticPotential, tail):
-    """The tail's sample radii and f there; FitQualityError off the domain."""
-    rs = np.geomspace(*tail_in_domain(spec, tail), _TAIL_RADII)
-    return rs, np.asarray(f.value(rs), dtype=float)
+_TAIL_RADII = 64  # log-spaced sample radii of the tail fit
 
 
 def adm_mass_fit(spec: ManifoldSpec, f: StaticPotential,
-                 tail: tuple[float, float] = (100.0, 1000.0)) -> float:
+                 tail: tuple[float, float]) -> float:
     """Mass from a least-squares fit of f ~ 1 - m r^(2-n) on a far tail.
 
-    The fit samples 64 log-spaced radii of a tail inside the domain, and f
-    must already be close to 1 there (rescale first if it is not);
-    otherwise a :class:`FitQualityError` whose message gives the numbers
-    that rejected the fit is raised.
+    The fit samples 64 log-spaced radii of the tail (lo, hi) inside the
+    domain.  A tabulated weight (one with a ``support``) is first divided by
+    its asymptotic constant c, fitted as f ~ c - b r^(2-n) on those radii;
+    the closed forms tend to 1 as built.  Then f must be close to 1 on the
+    tail.  Otherwise a :class:`FitQualityError` whose message gives the
+    numbers that rejected the fit is raised.
     """
-    rs, fv = _tail_sample(spec, f, tail)
+    rs = np.geomspace(*tail_in_domain(spec, tail), _TAIL_RADII)
+    fv = np.asarray(f.value(rs), dtype=float)
     tail = (float(rs[0]), float(rs[-1]))
+    basis = rs ** (2.0 - spec.n)
+    if f.support is not None:
+        (c, _b), *_ = np.linalg.lstsq(np.column_stack([np.ones_like(rs), basis]), fv,
+                                      rcond=None)
+        if not np.isfinite(c) or abs(c) < 1e-12:
+            raise FitQualityError(f"cannot rescale: fitted asymptotic constant "
+                                  f"c = {c:.6g} is ~0 or not finite")
+        fv = fv / float(c)
     dev = np.abs(fv - 1.0)
     if dev.max() > 0.5:
         raise FitQualityError(
             f"potential is not near 1 on the tail [{tail[0]:g}, {tail[1]:g}] "
-            f"(max |f - 1| = {dev.max():.6g}); rescale before fitting")
-    basis = rs ** (2.0 - spec.n)
+            f"(max |f - 1| = {dev.max():.6g}); the weight must tend to 1 at infinity")
     m_hat = float(np.dot(1.0 - fv, basis) / np.dot(basis, basis))
     resid = (1.0 - fv) - m_hat * basis
     signal = np.linalg.norm(1.0 - fv)
@@ -472,26 +475,6 @@ def adm_mass_fit(spec: ManifoldSpec, f: StaticPotential,
             f"tail [{tail[0]:g}, {tail[1]:g}] (relative residual "
             f"{np.linalg.norm(resid) / signal:.6g}, m_hat = {m_hat:.6g})")
     return m_hat
-
-
-def rescale_to_unit(spec: ManifoldSpec, f: StaticPotential,
-                    tail: tuple[float, float] = (100.0, 1000.0)) -> StaticPotential:
-    """Divide f by its fitted asymptotic constant so it tends to 1.
-
-    Fits f ~ c - b r^(2-n) on adm_mass_fit's 64 tail radii and returns f/c.
-    Mass extraction assumes this normalization, so custom weights go through
-    here first.
-    """
-    rs, fv = _tail_sample(spec, f, tail)
-    A = np.column_stack([np.ones_like(rs), rs ** (2.0 - spec.n)])
-    (c, _b), *_ = np.linalg.lstsq(A, fv, rcond=None)
-    if not np.isfinite(c) or abs(c) < 1e-12:
-        raise FitQualityError(f"cannot rescale: fitted asymptotic constant "
-                              f"c = {c:.6g} is ~0 or not finite")
-    c = float(c)
-    return StaticPotential(value=lambda r: f.value(r) / c,
-                           deriv=lambda r: f.deriv(r) / c,
-                           deriv2=lambda r: f.deriv2(r) / c)
 
 
 # the bisection stopping rule: half-step below _XTOL + _RTOL * r

@@ -117,7 +117,7 @@ class MonotonicityVerdict(NamedTuple):
 
 
 def monotonicity_verdict(trace: FlowTrace, quantities: list[SliceQuantities],
-                         eps_mono: float = 1e-6) -> MonotonicityVerdict:
+                         eps_mono: float) -> MonotonicityVerdict:
     """Assess Q along the emitted slices of a trace, from ``quantities``,
     the :func:`attach_quantities` list of one weight and mass on it.
 

@@ -65,7 +65,7 @@ from .flow import (FlowTrace, area_law_residual, area_residual, flow_graph,
                    require_positive)
 from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       adm_mass_flux, adm_mass_fit, harmonicity_residual,
-                      profile_weight, rescale_to_unit, sampled_potential,
+                      profile_weight, sampled_potential,
                       sqrt_potential, static_residual, tail_in_domain)
 from .quantities import attach_quantities, limit_target, monotonicity_verdict
 from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid, load_graph,
@@ -376,25 +376,34 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
-    """Execute one scenario: diagnostics, mass, flow, quantities, verdicts."""
+    """Execute one scenario: diagnostics, mass, flow, quantities, verdicts.
+
+    After :func:`static_diagnostics` and its ConfigErrors, a ConfigError
+    names ``[potential] file`` when the initial slice reaches below a
+    table's first radius or r_outer e^(t_end/(n-1)) lies past its last."""
     marks = [time.perf_counter()]   # phase boundaries
     spec = cfg.surface.ambient
     diag, warning = static_diagnostics(cfg)
     warnings = [warning] if warning else []
+    # Q reads a table's weight at every slice radius, so the slices stay on it
+    first, last = cfg.weight.support or (0.0, math.inf)
+    sphere = isinstance(cfg.surface, CoordinateSphere)
+    radii = np.array([cfg.surface.radius]) if sphere else cfg.surface.rho
+    inner, reach = radii.min(), radii.max() * math.exp(cfg.t_end / (spec.n - 1))
+    if inner < first or reach > last:
+        raise ConfigError(f"[potential] file: the flow's slices span radii [{inner:g}, "
+                          f"{reach:g}], outside the table's radii [{first:g}, {last:g}]")
     marks.append(time.perf_counter())
 
     mass = diag["mass_flux"]
     try:
-        ref = cfg.reference_potential
-        if cfg.potential_kind == "file":
-            ref = rescale_to_unit(spec, ref, cfg.tail)
-        mass_fit = float(adm_mass_fit(spec, ref, cfg.tail))
+        mass_fit = float(adm_mass_fit(spec, cfg.reference_potential, cfg.tail))
     except FitQualityError as exc:
         mass_fit = None
         warnings.append(f"tail mass fit rejected: {exc}")
     marks.append(time.perf_counter())
 
-    if isinstance(cfg.surface, CoordinateSphere):
+    if sphere:
         trace = flow_sphere(cfg.surface, cfg.t_end, cfg.dt_out)
     else:
         trace = flow_graph(cfg.surface, cfg.t_end, cfg.dt_out, cfg.rel_tol)

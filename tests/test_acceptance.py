@@ -108,7 +108,8 @@ def test_criterion_02_q_monotonicity_along_flow(perturbed_traces, schw3m1):
 
 
 def test_criterion_03_limit_of_q(perturbed_traces, schw3m1):
-    v = L.monotonicity_verdict(perturbed_traces[200], perturbed_traces["quantities"][200])
+    v = L.monotonicity_verdict(perturbed_traces[200], perturbed_traces["quantities"][200],
+                               eps_mono=1e-6)
     assert abs(v.limit_gap / FOUR_SQRT_PI) < 0.01
     print(f"ACCEPTANCE criterion 3: PASS (Q_T - target = {v.limit_gap:.3e}, "
           f"target {FOUR_SQRT_PI:.7f})")

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -106,6 +107,20 @@ def test_constant_potential_excess_from_the_mass_aspect(schw3m1):
         2.0 * math.sqrt(0.5) - 1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("r", [3.0, 10.0])
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("m", [-0.5, 0.5])
+def test_constant_potential_excess_off_flat_space(m, n, r, c):
+    # c sqrt(V) - 1 in 30 digits, V = 1 - 2m r^(2-n); in flat space u = 0
+    # and the excess is c - 1 whatever the exponent of (1 - u)
+    with mpmath.workdps(30):
+        exact = c * mpmath.sqrt(1 - 2 * mpmath.mpf(m) * mpmath.mpf(r) ** (2 - n)) - 1
+    spec = L.ManifoldSpec.schwarzschild(n, m)
+    assert L.constant_potential(c).excess(r, spec.profile) == pytest.approx(
+        float(exact), rel=1e-14)
+
+
 class TestStaticResidual:
     def test_flat_constant_potential(self, flat3):
         rr, tt = L.static_residual(flat3, L.constant_potential(1.0), 1.0)
@@ -190,6 +205,8 @@ class TestAdmMassFlux:
 
 
 class TestAdmMassFit:
+    TAIL = (100.0, 1000.0)
+
     def test_schwarzschild_positive_mass(self, schw3m1):
         m_hat = L.adm_mass_fit(schw3m1, L.sqrt_potential(schw3m1), (100.0, 1000.0))
         assert abs(m_hat - 1.0) < 1e-2
@@ -200,7 +217,7 @@ class TestAdmMassFit:
         assert abs(m_hat - (-0.5)) < 1e-2
 
     def test_flat_gives_zero_exactly(self, flat3):
-        assert L.adm_mass_fit(flat3, L.constant_potential(1.0)) == 0.0
+        assert L.adm_mass_fit(flat3, L.constant_potential(1.0), self.TAIL) == 0.0
 
     @pytest.mark.parametrize("n,m", [(3, 1.0), (3, -0.5), (5, 2.0)])
     def test_fit_agrees_with_flux_within_one_percent(self, n, m):
@@ -216,7 +233,7 @@ class TestAdmMassFit:
 
     def test_rejects_unnormalized_potential(self, schw3m1):
         with pytest.raises(FitQualityError) as exc:
-            L.adm_mass_fit(schw3m1, L.constant_potential(3.0))
+            L.adm_mass_fit(schw3m1, L.constant_potential(3.0), self.TAIL)
         assert "near 1" in str(exc.value)
         dev = re.search(r"max \|f - 1\| = (\S+)\)", str(exc.value))
         assert float(dev.group(1)) == pytest.approx(2.0)
@@ -232,10 +249,10 @@ class TestAdmMassFit:
     def test_deviation_threshold(self, flat3):
         # max |f - 1| = m / 100 on the tail: 0.4 is fitted exactly, 0.6 is
         # rejected before any fit however well 1 - m / r models it
-        assert L.adm_mass_fit(flat3, self._weight(lambda r: 1.0 - 40.0 / r)) \
+        assert L.adm_mass_fit(flat3, self._weight(lambda r: 1.0 - 40.0 / r), self.TAIL) \
             == pytest.approx(40.0, rel=1e-13)
         with pytest.raises(FitQualityError, match=r"not near 1 .*max \|f - 1\| = 0\.6\)"):
-            L.adm_mass_fit(flat3, self._weight(lambda r: 1.0 - 60.0 / r))
+            L.adm_mass_fit(flat3, self._weight(lambda r: 1.0 - 60.0 / r), self.TAIL)
 
     @pytest.mark.parametrize("b, rejected", [(45.0, False), (80.0, True)])
     def test_relative_residual_threshold(self, flat3, b, rejected):
@@ -250,11 +267,11 @@ class TestAdmMassFit:
         weight = self._weight(lambda r: 1.0 - (1.0 + b / r) / r)
         if rejected:
             with pytest.raises(FitQualityError) as exc:
-                L.adm_mass_fit(flat3, weight)
+                L.adm_mass_fit(flat3, weight, self.TAIL)
             found = re.search(r"relative residual (\S+),", str(exc.value))
             assert float(found.group(1)) == pytest.approx(ratio, rel=1e-5)  # 6 digits
         else:
-            assert L.adm_mass_fit(flat3, weight) == pytest.approx(m_ls, rel=1e-12)
+            assert L.adm_mass_fit(flat3, weight, self.TAIL) == pytest.approx(m_ls, rel=1e-12)
 
     @pytest.mark.parametrize("signal, rejected", [(0.8e-13, False), (1.2e-13, True)])
     def test_signal_floor(self, flat3, signal, rejected):
@@ -264,46 +281,55 @@ class TestAdmMassFit:
         weight = self._weight(lambda r: r * 0.0 + 1.0 + signal / 8.0)
         if rejected:
             with pytest.raises(FitQualityError, match="relative residual"):
-                L.adm_mass_fit(flat3, weight)
+                L.adm_mass_fit(flat3, weight, self.TAIL)
         else:
-            assert abs(L.adm_mass_fit(flat3, weight)) < 1e-10
+            assert abs(L.adm_mass_fit(flat3, weight, self.TAIL)) < 1e-10
 
     @pytest.mark.parametrize("c, rejected", [(0.8e-12, True), (1.2e-12, False)])
     def test_rescale_constant_threshold(self, flat3, c, rejected):
-        weight = L.constant_potential(c)
+        # a table (a weight with a support) is divided by its fitted
+        # asymptotic constant, here c itself, which must exceed 1e-12
+        r = np.geomspace(1.0, 1000.0, 50)
+        table = L.sampled_potential(r, np.full_like(r, c))
         if rejected:
             with pytest.raises(FitQualityError, match=r"cannot rescale: .*c = 8e-13"):
-                L.rescale_to_unit(flat3, weight)
+                L.adm_mass_fit(flat3, table, self.TAIL)
         else:
-            assert L.rescale_to_unit(flat3, weight).value(500.0) == pytest.approx(1.0, rel=1e-12)
+            assert abs(L.adm_mass_fit(flat3, table, self.TAIL)) < 1e-10
 
     def test_rescale_then_fit(self, schw3m1):
-        v = schw3m1.profile
-        f3 = L.StaticPotential(
-            value=lambda r: 3.0 * np.sqrt(v.value(r)),
-            deriv=lambda r: 3.0 * v.deriv(r) / (2.0 * np.sqrt(v.value(r))),
-            deriv2=lambda r: 3.0 * (v.deriv2(r) / (2.0 * np.sqrt(v.value(r)))
-                                    - v.deriv(r) ** 2 / (4.0 * v.value(r) ** 1.5)))
-        rescaled = L.rescale_to_unit(schw3m1, f3)
-        # fitted constant carries the r^-2 tail term as ~1e-5 relative bias
-        assert rescaled.value(900.0) == pytest.approx(
-            math.sqrt(1 - 2 / 900.0), rel=1e-4)
-        f = L.sqrt_potential(schw3m1)
-        for r in (3.0, 900.0):
-            assert rescaled.deriv(r) == pytest.approx(f.deriv(r), rel=1e-4)
-            assert rescaled.deriv2(r) == pytest.approx(f.deriv2(r), rel=1e-4)
-        assert L.adm_mass_fit(schw3m1, rescaled) == pytest.approx(1.0, abs=1e-2)
+        # a table of 3 sqrt(V) fits the mass of the table of sqrt(V): the
+        # fitted constant scales by 3, up to rounding.  It carries the r^-2
+        # tail term as a ~1e-5 relative bias, so the mass is good to 1e-2.
+        # The same values without a support are a closed form far from 1
+        r = np.geomspace(2.5, 1000.0, 4000)
+        root_v = np.sqrt(1.0 - 2.0 / r)
+        table1 = L.sampled_potential(r, root_v)
+        table3 = L.sampled_potential(r, 3.0 * root_v)
+        m_hat = L.adm_mass_fit(schw3m1, table3, self.TAIL)
+        assert m_hat == pytest.approx(1.0, abs=1e-2)
+        assert m_hat == pytest.approx(L.adm_mass_fit(schw3m1, table1, self.TAIL), rel=1e-12)
+        with pytest.raises(FitQualityError, match="not near 1"):
+            L.adm_mass_fit(schw3m1, table3._replace(support=None), self.TAIL)
 
 
 @pytest.mark.parametrize("name, key", [("horizon_radius", "xtol"),
-                                       ("adm_mass_fit", "num"),
-                                       ("rescale_to_unit", "num")])
+                                       ("adm_mass_fit", "num")])
 def test_retired_parameters_rejected(schw3m1, name, key):
-    # the bisection tolerance and the 64 tail radii of both fits are fixed
+    # the bisection tolerance and the 64 radii of the tail fit are fixed
     args = (schw3m1,) if name == "horizon_radius" else (
-        schw3m1, L.sqrt_potential(schw3m1))
+        schw3m1, L.sqrt_potential(schw3m1), (100.0, 1000.0))
     with pytest.raises(TypeError, match=key):
         getattr(L, name)(*args, **{key: 64})
+
+
+def test_verdict_path_takes_the_parsers_values():
+    # the scenario parser owns the tail and eps_mono, so the library sets
+    # no default for either, and a table's constant is fitted inside the tail fit
+    for fn, key in ((L.adm_mass_fit, "tail"), (L.monotonicity_verdict, "eps_mono")):
+        assert inspect.signature(fn).parameters[key].default is inspect.Parameter.empty
+    assert not hasattr(L, "rescale_to_unit")
+    assert not hasattr(L.metrics, "rescale_to_unit")
 
 
 class TestHorizonRadius:

@@ -241,7 +241,7 @@ class TestVerdicts:
     def test_sphere_trace_constant_q(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0)
-        v = L.monotonicity_verdict(tr, L.attach_quantities(tr, f, 1.0))
+        v = L.monotonicity_verdict(tr, L.attach_quantities(tr, f, 1.0), 1e-6)
         assert v.monotone
         assert abs(v.worst_increase) < 1e-13
         assert abs(v.limit_gap) < 1e-12
@@ -263,9 +263,9 @@ class TestVerdicts:
     def test_one_trace_serves_two_weights_and_holds_no_state(self, schw3m1):
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0)
         static = L.attach_quantities(tr, L.sqrt_potential(schw3m1), 1.0)
-        assert L.monotonicity_verdict(tr, static).monotone
+        assert L.monotonicity_verdict(tr, static, 1e-6).monotone
         control = L.attach_quantities(tr, L.profile_weight(schw3m1), 1.0)
-        assert not L.monotonicity_verdict(tr, control).monotone
+        assert not L.monotonicity_verdict(tr, control, 1e-6).monotone
         with pytest.raises(AttributeError):
             tr.times = tr.times[:1]
 
@@ -273,7 +273,7 @@ class TestVerdicts:
         f = L.sqrt_potential(schw3m1)
         tr = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 200), 1.0)
         quantities = L.attach_quantities(tr, f, 1.0)
-        v = L.monotonicity_verdict(tr, quantities)
+        v = L.monotonicity_verdict(tr, quantities, 1e-6)
         assert v.monotone
         assert v.worst_increase < 0.0   # every step strictly decreases
         qs = [sq.q for sq in quantities]
@@ -283,11 +283,12 @@ class TestVerdicts:
     def test_negative_control_weight_breaks_monotonicity(self, schw3m1):
         w = L.profile_weight(schw3m1)
         tr = L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 3.0)
-        v = L.monotonicity_verdict(tr, L.attach_quantities(tr, w, 1.0))
+        v = L.monotonicity_verdict(tr, L.attach_quantities(tr, w, 1.0), 1e-6)
         assert not v.monotone
         assert v.worst_increase > 1e-2
         tr_g = L.flow_graph(p2_graph(schw3m1, 4.0, 0.3, 100), 1.0)
-        v_g = L.monotonicity_verdict(tr_g, L.attach_quantities(tr_g, w, 1.0))
+        # eps_mono is the parser's 1e-6 (200/N)^2 at N = 100
+        v_g = L.monotonicity_verdict(tr_g, L.attach_quantities(tr_g, w, 1.0), 4e-6)
         assert not v_g.monotone
         assert v_g.worst_increase > 1e-3
 
@@ -296,12 +297,12 @@ class TestVerdicts:
         quantities = L.attach_quantities(full, L.sqrt_potential(schw3m1), 1.0)
         tr = full._replace(times=full.times[:1], geometries=full.geometries[:1])
         with pytest.raises(ValueError, match="insufficient"):
-            L.monotonicity_verdict(tr, quantities[:1])
+            L.monotonicity_verdict(tr, quantities[:1], 1e-6)
         # a list that is not one record per slice
         with pytest.raises(ValueError, match="one per slice"):
-            L.monotonicity_verdict(full, quantities[:-1])
+            L.monotonicity_verdict(full, quantities[:-1], 1e-6)
         with pytest.raises(ValueError, match="one per slice"):
-            L.monotonicity_verdict(tr, quantities)
+            L.monotonicity_verdict(tr, quantities, 1e-6)
 
     def test_limit_target_values(self):
         assert L.limit_target(3) == pytest.approx(FOUR_SQRT_PI, rel=1e-15)

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,15 @@ class TestParseConfig:
 
 
 class TestRunScenario:
+    def test_runtime_covers_its_phases(self, tmp_path):
+        # the runtime is read after the last phase ends and inside the call,
+        # so it lies between the sum of the phase timings and the call's time
+        cfg = parse_config(MINIMAL, base_dir=tmp_path)
+        start = time.perf_counter()
+        report = run_scenario(cfg)
+        elapsed = time.perf_counter() - start
+        assert 0.0 < sum(report.timings.values()) <= report.runtime_seconds <= elapsed
+
     def test_schwarzschild_sphere_end_to_end(self, tmp_path):
         cfg = parse_config(MINIMAL, base_dir=tmp_path)
         report = run_scenario(cfg)
@@ -449,6 +459,60 @@ class TestStaticDiagnostics:
                 f"{last:g}] do not reach into the domain (0.1, 1000]\n")
             assert captured.out == ""
         assert not (tmp_path / "p.csv").exists()
+
+
+class TestSlicesOnTheTable:
+    # sqrt(1 + 1/r) tabulated on [1, 4000] over m = -1/2: Q reads the table
+    # at every slice radius, so a flow whose slices leave it exits 2 before
+    # it runs, and static-check, which runs no flow, is not affected
+
+    @staticmethod
+    def _write(tmp_path, text, **keys):
+        for key, value in keys.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        (tmp_path / "p.cfg").write_text(text)
+        return str(tmp_path / "p.cfg")
+
+    @pytest.mark.parametrize("r0", [0.6, 0.3])
+    def test_sphere_below_the_first_radius_exits_two(self, tmp_path, capsys, r0):
+        path = self._write(tmp_path, sampled_potential_config(tmp_path), r0=r0, t_end=2)
+        assert main(["flow", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [potential] file: the flow's slices span radii "
+            f"[{r0:g}, {r0 * math.e:g}], outside the table's radii [1, 4000]\n")
+        assert not (tmp_path / "p.csv").exists()
+        assert main(["static-check", "--config", path]) == 0
+
+    @pytest.mark.parametrize("r0", [1.0, 2.0])  # 1 is the table's first radius
+    def test_sphere_on_the_table_runs(self, tmp_path, r0):
+        path = self._write(tmp_path, sampled_potential_config(tmp_path), r0=r0, t_end=2)
+        assert main(["flow", "--config", path]) == 0
+        assert len((tmp_path / "p.csv").read_text().splitlines()) == 1 + 21
+
+    def test_graph_below_the_first_radius_exits_two(self, tmp_path, capsys):
+        # rho0 spans [0.9, 1.8]: its pole lies on the table, its equator below
+        text = sampled_potential_config(tmp_path).replace(
+            "kind = sphere\nr0 = 4.0", "kind = graph\nrho0 = 1.2 + 0.6*P2(cos(theta))")
+        assert main(["flow", "--config", self._write(tmp_path, text, t_end=2)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [potential] file: the flow's slices span radii "
+            f"[0.9, {1.8 * math.e:g}], outside the table's radii [1, 4000]\n")
+
+    @pytest.mark.parametrize("t_end, rejected", [(13.8, False), (13.9, True)])
+    def test_reach_past_the_last_radius_is_rejected(self, tmp_path, t_end, rejected):
+        # from r0 = 4 the outermost slice reaches 4 e^(t_end / 2): 3971 or 4175
+        # (the mass flux at r_max = 5000 reads the spline past the table)
+        text = sampled_potential_config(tmp_path).replace("m = -0.5", "m = -0.5\nr_max = 5000")
+        cfg = L.load_config(self._write(tmp_path, text, t_end=t_end))
+        if rejected:
+            message = ("[potential] file: the flow's slices span radii "
+                       f"[4, {4 * math.exp(t_end / 2):g}], outside the table's radii [1, 4000]")
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                run_scenario(cfg)
+        else:
+            radius = run_scenario(cfg).trace.geometries[-1].radii[0]
+            assert radius == pytest.approx(4 * math.exp(t_end / 2), rel=1e-14)
+            assert radius < 4000
 
 
 class TestEmitOutputs:
