@@ -5,7 +5,8 @@ Subcommands:
 * ``flow``         run one scenario config, write CSV + JSON, exit per contract
 * ``sweep``        run every *.cfg in a directory (distinct ids and outputs,
                    checked before any flow runs), ``--jobs`` J on up to J
-                   forked workers
+                   forked workers, worker w running the sorted configs
+                   w, w + J, w + 2J, ...
 * ``static-check`` metric/potential diagnostics only, no flow, no files
 * ``oracle``       print the closed-form Schwarzschild sphere reference chain
 
@@ -160,29 +161,17 @@ def _sweep_ids(paths: list, out_dir, agg_path: Path) -> list:
     return ids
 
 
-_RECORD = 4  # bytes per job index in the task pipe
-
-
-def _work(jobs: list, tasks: int, out: int, foreign: list) -> None:
+def _work(jobs: list, share: range, out: int) -> None:
     """Body of a forked sweep worker; it never returns.
 
-    It closes the pipe ends it does not own (a worker holding the task
-    pipe's write end would never see EOF), runs :func:`_run_one` on each job
-    index it reads from ``tasks`` until EOF, and then writes its
-    ``[index, result]`` list to ``out`` as JSON.  Exit status 0 means the
-    list was sent; an unexpected exception prints its traceback and exits 1,
-    as an interrupt does without one.
+    It runs :func:`_run_one` on each job index of its ``share`` and then
+    writes its ``[index, result]`` list to ``out`` as JSON.  Exit status 0
+    means the list was sent; an unexpected exception prints its traceback
+    and exits 1, as an interrupt does without one.
     """
     code = 1
     try:
-        for fd in foreign:
-            os.close(fd)
-        done = []
-        # each write to the task pipe is one record, and pipe writes that
-        # small are atomic, so a read of one record gets a whole one or EOF
-        while record := os.read(tasks, _RECORD):
-            index = int.from_bytes(record, "little")
-            done.append((index, _run_one(jobs[index])))
+        done = [(index, _run_one(jobs[index])) for index in share]
         with open(out, "w") as fh:
             json.dump(done, fh)
         code = 0
@@ -201,58 +190,49 @@ def _run_forked(jobs: list, workers: int) -> list:
     """The :func:`_run_one` result of every job, in job order, from
     ``workers`` children made by ``os.fork``.
 
-    The workers take job indices one at a time from one shared pipe, so a
-    slow config holds up no other, and each sends its results back on a
-    pipe of its own.  The parent only deals, collects and reaps: every child
-    is waited for before this returns or raises.  A worker that dies or
-    exits non-zero is a LabError naming the configs that got no result.
-    Forked workers start with numpy and the package already imported,
-    which a spawned worker would import again.
+    Worker w of J runs the fixed share of jobs w, w + J, w + 2J, ... and
+    sends its results back on a pipe of its own.  The shares are not
+    balanced: slow configs that share a residue mod J all wait on one
+    worker while the others may sit idle.  The parent only collects and
+    reaps: every child is waited for, and every pipe end the parent opened
+    is closed, before this returns or raises.  A worker that dies or exits
+    non-zero is a LabError naming the configs that got no result.  Forked
+    workers start with numpy and the package already imported, which a
+    spawned worker would import again.
     """
     # a child would otherwise write the parent's buffered text again
     sys.stdout.flush()
     sys.stderr.flush()
-    results, children, failures = {}, [], []
-    tasks, deal = os.pipe()
-    owned = {tasks, deal}  # fds the parent has yet to close
-
-    def close(fd):
-        owned.discard(fd)
-        os.close(fd)
-
+    results, readers, pids, failures = {}, [], [], []
     try:
-        for _ in range(workers):
+        for w in range(workers):
             back, out = os.pipe()
-            owned.update((back, out))
-            pid = os.fork()
-            if pid == 0:
-                _work(jobs, tasks, out, [deal, back, *(fd for _, fd in children)])
-            children.append((pid, back))
-            close(out)
-        close(tasks)
-        try:
-            for i in range(len(jobs)):
-                os.write(deal, i.to_bytes(_RECORD, "little"))
-        except BrokenPipeError:
-            pass  # every worker is gone; the jobs left undealt get no result
-        close(deal)
-        for _, back in children:
-            owned.discard(back)
-            with open(back, "rb") as fh:
-                text = fh.read()
+            readers.append(open(back, "rb"))
             try:
-                results.update((i, result) for i, result in json.loads(text))
+                pid = os.fork()
+                if pid == 0:
+                    # with no read end kept, a write to a pipe the parent has
+                    # closed fails instead of blocking the parent's waitpid
+                    for reader in readers:
+                        reader.close()
+                    _work(jobs, range(w, len(jobs), workers), out)
+            finally:
+                os.close(out)
+            pids.append(pid)
+        for reader in readers:
+            try:
+                results.update(json.loads(reader.read()))
             except ValueError:
                 pass  # a worker that died while writing sent nothing usable
     finally:
-        for fd in list(owned):
-            close(fd)
-        for pid, _ in children:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code:
                 failures.append(f"worker {pid} " + (f"exited with code {code}" if code > 0
                                                     else f"was killed by signal {-code}"))
-    # a worker exits 0 only once it has sent every job it took
+    # a worker exits 0 only once it has sent the results of its whole share
     if failures:
         lost = [Path(job[0]).name for i, job in enumerate(jobs) if i not in results]
         raise LabError(f"sweep failed: {'; '.join(failures)}; "

@@ -337,7 +337,7 @@ def sqrt_potential(spec: ManifoldSpec) -> StaticPotential:
     return StaticPotential(value=f, deriv=df, deriv2=d2f, aspect_excess=lambda u: -u)
 
 
-def constant_potential(c: float = 1.0) -> StaticPotential:
+def constant_potential(c: float) -> StaticPotential:
     """f identically c; the flat-space potential when c = 1."""
     return StaticPotential(
         value=lambda r: r * 0.0 + c, deriv=lambda r: r * 0.0, deriv2=lambda r: r * 0.0,

@@ -380,19 +380,24 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
     After :func:`static_diagnostics` and its ConfigErrors, a ConfigError
     names ``[potential] file`` when the initial slice reaches below a
-    table's first radius or r_outer e^(t_end/(n-1)) lies past its last."""
+    table's first radius or the table ends at or before r_max."""
     marks = [time.perf_counter()]   # phase boundaries
     spec = cfg.surface.ambient
     diag, warning = static_diagnostics(cfg)
     warnings = [warning] if warning else []
-    # Q reads a table's weight at every slice radius, so the slices stay on it
+    # Q reads a table's weight at every slice radius and the mass flux reads
+    # it at r_max; require_reach keeps every slice within r_max
     first, last = cfg.weight.support or (0.0, math.inf)
     sphere = isinstance(cfg.surface, CoordinateSphere)
     radii = np.array([cfg.surface.radius]) if sphere else cfg.surface.rho
     inner, reach = radii.min(), radii.max() * math.exp(cfg.t_end / (spec.n - 1))
-    if inner < first or reach > last:
+    if inner < first:
         raise ConfigError(f"[potential] file: the flow's slices span radii [{inner:g}, "
                           f"{reach:g}], outside the table's radii [{first:g}, {last:g}]")
+    if last <= spec.r_max:
+        raise ConfigError(f"[potential] file: the table's radii [{first:g}, {last:g}] "
+                          f"end at or before r_max = {spec.r_max:g}, where the mass "
+                          f"flux is read")
     marks.append(time.perf_counter())
 
     mass = diag["mass_flux"]

@@ -64,6 +64,15 @@ class TestScalarCurvature:
         spec = L.ManifoldSpec.custom(profile, 3, r_min=2.0)
         assert L.scalar_curvature(spec, 2.0 + 1e-12) == pytest.approx(0.03125, abs=1e-8)
 
+    def test_fd_fallback_second_derivative(self):
+        # V'' = -4m/r^3 + 6q^2/r^4 against the central second difference
+        m, q = 1.0, 0.5
+        profile = L.RadialProfile.from_callable(
+            lambda r: 1.0 - 2.0 * m / r + q**2 / r**2)
+        r = np.array([2.0, 4.0, 10.0, 100.0])
+        np.testing.assert_allclose(profile.deriv2(r), -4.0 * m / r**3 + 6.0 * q**2 / r**4,
+                                   rtol=4e-8, atol=0.0)
+
     def test_matches_fd_ricci_oracle(self):
         # independent Christoffel/Ricci computation of the same metric
         m, q = 1.0, 0.5
@@ -91,6 +100,13 @@ class TestManifoldSpec:
         with pytest.raises(ValueError, match="profile not positive on domain"):
             L.ManifoldSpec.schwarzschild(3, float("nan"))
 
+    def test_default_domain_is_the_parsers(self, tmp_path):
+        # both end the domain at r_max = 1000 unless told otherwise
+        cfg = L.parse_config("[manifold]\nfamily = schwarzschild\nn = 3\nm = 1\n"
+                             "[surface]\nkind = sphere\nr0 = 4\n", base_dir=tmp_path)
+        assert L.ManifoldSpec.schwarzschild(3, 1.0).r_max == cfg.surface.ambient.r_max
+        assert cfg.surface.ambient.r_max == 1000.0
+
     def test_zero_mass_keeps_the_r_min_floor(self):
         # only a positive mass has a horizon to move r_min to
         assert L.ManifoldSpec.schwarzschild(3, 0.0).r_min == 0.1
@@ -99,6 +115,12 @@ class TestManifoldSpec:
     def test_dimension_outside_three_to_seven(self, n):
         with pytest.raises(ValueError, match="3 <= n <= 7"):
             L.ManifoldSpec.schwarzschild(n, 1.0)
+
+
+def test_constant_potential_names_its_constant():
+    # no default c: flat space's c = 1 is written out like any other
+    with pytest.raises(TypeError, match="'c'"):
+        L.constant_potential()
 
 
 def test_constant_potential_excess_from_the_mass_aspect(schw3m1):
@@ -372,6 +394,19 @@ class TestHorizonRadius:
         spec = L.ManifoldSpec.custom(
             L.RadialProfile.from_samples(r, 1.0 - 2.0 / r), 3, r_min=2.5)
         assert L.horizon_radius(spec) == self._reference_root(spec_ref, lo=1.2)
+
+    def test_zero_at_the_first_node_is_the_root(self):
+        # V(r) = r - 1e-8 vanishes on grid[0] = 1e-8 exactly
+        spec = L.ManifoldSpec.custom(L.RadialProfile.from_callable(lambda r: r - 1e-8),
+                                     3, r_min=1e-8)
+        assert L.horizon_radius(spec) == 1e-8
+
+    def test_zero_at_a_later_node_is_the_root(self):
+        # V(r) = r - g vanishes on a node g of the scan, with no bisection
+        g = np.geomspace(1e-8, 1000.0, 512)[200]
+        spec = L.ManifoldSpec.custom(L.RadialProfile.from_callable(lambda r: r - g),
+                                     3, r_min=g)
+        assert L.horizon_radius(spec) == g
 
     def test_sampled_profile_horizon(self):
         r = np.linspace(1.8, 30.0, 4000)

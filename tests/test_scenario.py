@@ -463,8 +463,9 @@ class TestStaticDiagnostics:
 
 class TestSlicesOnTheTable:
     # sqrt(1 + 1/r) tabulated on [1, 4000] over m = -1/2: Q reads the table
-    # at every slice radius, so a flow whose slices leave it exits 2 before
-    # it runs, and static-check, which runs no flow, is not affected
+    # at every slice radius and the mass flux reads it at r_max, so a flow
+    # whose slices start below it, or a table that ends at or before r_max,
+    # exits 2 before it runs; static-check, which runs no flow, is not affected
 
     @staticmethod
     def _write(tmp_path, text, **keys):
@@ -498,21 +499,30 @@ class TestSlicesOnTheTable:
             "config error: [potential] file: the flow's slices span radii "
             f"[0.9, {1.8 * math.e:g}], outside the table's radii [1, 4000]\n")
 
-    @pytest.mark.parametrize("t_end, rejected", [(13.8, False), (13.9, True)])
-    def test_reach_past_the_last_radius_is_rejected(self, tmp_path, t_end, rejected):
-        # from r0 = 4 the outermost slice reaches 4 e^(t_end / 2): 3971 or 4175
-        # (the mass flux at r_max = 5000 reads the spline past the table)
-        text = sampled_potential_config(tmp_path).replace("m = -0.5", "m = -0.5\nr_max = 5000")
-        cfg = L.load_config(self._write(tmp_path, text, t_end=t_end))
-        if rejected:
-            message = ("[potential] file: the flow's slices span radii "
-                       f"[4, {4 * math.exp(t_end / 2):g}], outside the table's radii [1, 4000]")
-            with pytest.raises(ConfigError, match=re.escape(message)):
-                run_scenario(cfg)
-        else:
-            radius = run_scenario(cfg).trace.geometries[-1].radii[0]
-            assert radius == pytest.approx(4 * math.exp(t_end / 2), rel=1e-14)
-            assert radius < 4000
+    @pytest.mark.parametrize("last, r_max", [(4000, 5000), (1000, 1000)])
+    def test_table_ending_at_or_before_r_max_exits_two(self, tmp_path, capsys, last,
+                                                       r_max):
+        # the mass flux at r_max would read the spline past the table, or at
+        # its last radius, where the natural end condition sets f'' = 0; from
+        # r0 = 4 with t_end 1 these exited 4 and 5, judged on that flux
+        text = sampled_potential_config(tmp_path).replace("m = -0.5",
+                                                          f"m = -0.5\nr_max = {r_max}")
+        r = np.geomspace(1.0, last, 3000)
+        np.savetxt(tmp_path / "pot.txt", np.column_stack([r, np.sqrt(1 + 1 / r)]))
+        assert main(["flow", "--config", self._write(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [potential] file: the table's radii [1, {last}] end at or "
+            f"before r_max = {r_max}, where the mass flux is read\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_slices_run_up_to_r_max_inside_the_table(self, tmp_path):
+        # from r0 = 4, t_end 13.8 reaches 4 e^6.9 = 3971, within r_max = 3999,
+        # and the table runs on to 4000
+        text = sampled_potential_config(tmp_path).replace("m = -0.5", "m = -0.5\nr_max = 3999")
+        cfg = L.load_config(self._write(tmp_path, text, t_end=13.8))
+        radius = run_scenario(cfg).trace.geometries[-1].radii[0]
+        assert radius == pytest.approx(4 * math.exp(6.9), rel=1e-14)
+        assert radius < 3999
 
 
 class TestEmitOutputs:
@@ -1158,8 +1168,9 @@ class TestCli:
                      "--jobs", "2"]) == 1
         err = capfd.readouterr().err
         assert err.startswith("error: sweep failed: worker ")
-        assert reported in err and "no result for configs: " in err
-        assert "b.cfg" in err.splitlines()[-1]
+        assert reported in err
+        # a is worker 0's share and came back; b is the dead worker's
+        assert err.splitlines()[-1].endswith("; no result for configs: b.cfg")
         assert not (out / "sweep_summary.json").exists()
 
     def test_sweep_without_fork_runs_in_process(self, tmp_path, monkeypatch, capsys):
@@ -1188,8 +1199,33 @@ class TestCli:
                      "--jobs", "2"]) == 1
         err = capfd.readouterr().err
         assert "Traceback" in err and "RuntimeError: boom" in err
-        assert "exited with code 1" in err and "b.cfg" in err.splitlines()[-1]
+        assert "exited with code 1" in err
+        assert err.splitlines()[-1].endswith("; no result for configs: b.cfg")
         assert not (out / "sweep_summary.json").exists()
+
+    def test_sweep_workers_take_fixed_shares(self, tmp_path, monkeypatch):
+        cfgs = tmp_path / "cfgs"
+        cfgs.mkdir()
+        for k in range(1, 6):
+            (cfgs / f"c{k}.cfg").write_text(
+                MINIMAL.replace("r0 = 4.0", f"r0 = {3 + k}.0") + f"\n[outputs]\nid = c{k}\n")
+        log, real_run = tmp_path / "ran.log", cli.run_scenario
+
+        def run_scenario(cfg):
+            with open(log, "a") as fh:  # appends of one short line do not interleave
+                fh.write(f"{cfg.scenario_id} {os.getpid()}\n")
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        forks = self._fork_spy(monkeypatch)
+        assert main(["sweep", "--config", str(cfgs), "--out", str(tmp_path / "out"),
+                     "--jobs", "2"]) == 0
+        shares = {}
+        for line in log.read_text().splitlines():
+            sid, pid = line.split()
+            shares.setdefault(int(pid), []).append(sid)
+        # worker w of 2 runs the sorted configs w, w + 2, w + 4, in order
+        assert shares == {forks[0]: ["c1", "c3", "c5"], forks[1]: ["c2", "c4"]}
 
     @pytest.mark.parametrize("jobs", ["2", "3", "8"])
     def test_forked_sweep_runs_each_config_once_as_jobs_one_does(self, tmp_path,

@@ -37,6 +37,7 @@ PACKAGE = Path("src/imcflab")
 # module.qualname of every function the default run mutates
 TARGETS = (
     "metrics.unit_sphere_area", "metrics.RadialProfile.schwarzschild",
+    "metrics.ManifoldSpec.schwarzschild",
     "metrics.StaticPotential.excess", "metrics.sqrt_potential",
     "metrics.constant_potential", "metrics.profile_weight",
     "metrics.scalar_curvature", "metrics.static_residual",
