@@ -45,6 +45,7 @@ __all__ = [
     "profile_weight",
     "sampled_potential",
     "tail_in_domain",
+    "require_on_table",
 ]
 
 
@@ -434,6 +435,21 @@ def tail_in_domain(spec: ManifoldSpec, tail) -> tuple[float, float]:
         raise FitQualityError(
             f"tail [{lo:g}, {hi:g}] not inside domain ({spec.r_min:g}, {spec.r_max:g}]")
     return lo, hi
+
+
+def require_on_table(f: StaticPotential, spec: ManifoldSpec, inner: float,
+                     reach: float) -> None:
+    """ValueError unless a tabulated weight's table lies under a flow whose
+    slices span radii [inner, reach]: Q reads f at every slice radius, so
+    inner must be at or above the table's first radius, and the mass flux
+    reads f at r_max, so the last radius must lie beyond it."""
+    first, last = f.support
+    if inner < first:
+        raise ValueError(f"the flow's slices span radii [{inner:g}, {reach:g}], "
+                         f"outside the table's radii [{first:g}, {last:g}]")
+    if last <= spec.r_max:
+        raise ValueError(f"the table's radii [{first:g}, {last:g}] end at or before "
+                         f"r_max = {spec.r_max:g}, where the mass flux is read")
 
 
 _TAIL_RADII = 64  # log-spaced sample radii of the tail fit

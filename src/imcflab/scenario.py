@@ -21,6 +21,7 @@ names the key, so a config that parses never fails later on one of them:
 * ``flow.require_mean_convex``: min H * max rho > 1e-6 on the initial graph
 * ``expressions.evaluate_radius_expression``: a finite ``[surface] rho0``
 * ``metrics.tail_in_domain``: the mass-fit tail inside the domain
+* ``metrics.require_on_table``: a table from the initial slice to past r_max
 
 Example
 -------
@@ -65,7 +66,7 @@ from .flow import (FlowTrace, area_law_residual, area_residual, flow_graph,
                    require_positive)
 from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       adm_mass_flux, adm_mass_fit, harmonicity_residual,
-                      profile_weight, sampled_potential,
+                      profile_weight, require_on_table, sampled_potential,
                       sqrt_potential, static_residual, tail_in_domain)
 from .quantities import attach_quantities, limit_target, monotonicity_verdict
 from .surfaces import (AxisymmetricGraph, CoordinateSphere, GraphGrid, load_graph,
@@ -258,7 +259,7 @@ def parse_config(text: str, *, base_dir: Path | None = None,
         if surf_kind == "sphere":
             r0 = _get(parser, "surface", "r0", _finite, required=True)
             surface = CoordinateSphere(r0, spec)
-            r_outer = r0
+            r_inner = r_outer = r0
         elif surf_kind == "graph":
             expr = _get(parser, "surface", "rho0")
             fpath = _get(parser, "surface", "file")
@@ -272,13 +273,17 @@ def parse_config(text: str, *, base_dir: Path | None = None,
             else:
                 surface = load_graph(_existing(base_dir, "surface", "file", fpath), spec)
             require_mean_convex(surface)
-            r_outer = float(np.max(surface.rho))
+            r_inner, r_outer = float(np.min(surface.rho)), float(np.max(surface.rho))
         else:
             raise ConfigError(
                 f"[surface] kind must be sphere or graph, got {surf_kind!r}")
     with _invalid("[solver] "):
         require_reach(spec, r_outer, t_end)
         output_times(t_end, dt_out)
+    if pot_kind == "file":
+        with _invalid("[potential] file: "):
+            require_on_table(weight, spec, r_inner,
+                             r_outer * math.exp(t_end / (spec.n - 1)))
 
     eps_default = 1e-6 * (200.0 / n_grid) ** 2  # matches the O(dtheta^2) scheme
     eps_mono = _get(parser, "analysis", "eps_mono", _nonnegative, default=eps_default)
@@ -345,19 +350,14 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     weight's largest static-equation and harmonicity residuals on a 200-point
     log grid, ``weight_is_static`` (both below static_tol), the mass flux at
     r_max, and the non-static warning (None if static or profile-weight).
-    A table's weight is sampled only where the table meets the domain.  A
-    ConfigError names ``[potential] file`` for a table that misses it and
-    ``[manifold] r_max`` for a non-finite mass flux."""
+    A tabulated weight is sampled from its table's first radius up.  A
+    ConfigError names ``[manifold] r_max`` for a non-finite mass flux."""
     spec = cfg.surface.ambient
-    first, last = cfg.weight.support or (0.0, math.inf)
-    if not (first < spec.r_max and last > spec.r_min):
-        raise ConfigError(f"[potential] file: the table's radii [{first:g}, {last:g}] do "
-                          f"not reach into the domain ({spec.r_min:g}, {spec.r_max:g}]")
+    first = cfg.weight.support[0] if cfg.weight.support else 0.0
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
-    hi = min(spec.r_max, last)
-    # a domain or table narrower than that start collapses the grid onto hi
-    grid = np.geomspace(min(max(lo, 1e-6, first), hi), hi, 200)
-    # the flux extrapolates a table ending below r_max and can overflow; it is rejected below
+    # a domain narrower than that start collapses the grid onto r_max
+    grid = np.geomspace(min(max(lo, 1e-6, first), spec.r_max), spec.r_max, 200)
+    # a steep weight's flux f' r^(n-1) can overflow at r_max; it is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         s_rr, s_tt = static_residual(spec, cfg.weight, grid)
         harm = harmonicity_residual(spec, cfg.weight, grid)
@@ -376,28 +376,11 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
-    """Execute one scenario: diagnostics, mass, flow, quantities, verdicts.
-
-    After :func:`static_diagnostics` and its ConfigErrors, a ConfigError
-    names ``[potential] file`` when the initial slice reaches below a
-    table's first radius or the table ends at or before r_max."""
+    """Execute one scenario: diagnostics, mass, flow, quantities, verdicts."""
     marks = [time.perf_counter()]   # phase boundaries
     spec = cfg.surface.ambient
     diag, warning = static_diagnostics(cfg)
     warnings = [warning] if warning else []
-    # Q reads a table's weight at every slice radius and the mass flux reads
-    # it at r_max; require_reach keeps every slice within r_max
-    first, last = cfg.weight.support or (0.0, math.inf)
-    sphere = isinstance(cfg.surface, CoordinateSphere)
-    radii = np.array([cfg.surface.radius]) if sphere else cfg.surface.rho
-    inner, reach = radii.min(), radii.max() * math.exp(cfg.t_end / (spec.n - 1))
-    if inner < first:
-        raise ConfigError(f"[potential] file: the flow's slices span radii [{inner:g}, "
-                          f"{reach:g}], outside the table's radii [{first:g}, {last:g}]")
-    if last <= spec.r_max:
-        raise ConfigError(f"[potential] file: the table's radii [{first:g}, {last:g}] "
-                          f"end at or before r_max = {spec.r_max:g}, where the mass "
-                          f"flux is read")
     marks.append(time.perf_counter())
 
     mass = diag["mass_flux"]
@@ -408,7 +391,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         warnings.append(f"tail mass fit rejected: {exc}")
     marks.append(time.perf_counter())
 
-    if sphere:
+    if isinstance(cfg.surface, CoordinateSphere):
         trace = flow_sphere(cfg.surface, cfg.t_end, cfg.dt_out)
     else:
         trace = flow_graph(cfg.surface, cfg.t_end, cfg.dt_out, cfg.rel_tol)

@@ -435,18 +435,24 @@ class TestStaticDiagnostics:
         assert warning == ("declared potential fails the static equation "
                            "(max residual 6.445e-05)")
 
-    def test_grid_ends_where_the_table_does(self, tmp_path):
+    def test_grid_ends_at_r_max(self, tmp_path):
         # f = r^3 on V = 1 + 1/r: S_rr = 6 r V + 1 and S_tt = 9 r V - 2 grow
-        # with r, so the largest residual is at the table's last radius
+        # with r, so the largest residual is at r_max = 1000, inside the table
         cfg = parse_config(sampled_potential_config(tmp_path), base_dir=tmp_path)
         cube = L.StaticPotential(lambda r: r**3, lambda r: 3 * r**2, lambda r: 6 * r,
-                                 support=(1.0, 500.0))
+                                 support=(1.0, 2000.0))
         diag, _ = static_diagnostics(cfg._replace(weight=cube))
-        assert diag["static_residual_max"] == pytest.approx(9 * 501 - 2, rel=1e-13)
+        assert diag["static_residual_max"] == pytest.approx(9 * 1001 - 2, rel=1e-13)
 
-    @pytest.mark.parametrize("first, last", [(0.01, 0.1), (1000.0, 4000.0)])
-    def test_table_outside_the_domain_exits_two(self, tmp_path, capsys, first, last):
-        # each table meets the domain (0.1, 1000] in one end point at most
+    @pytest.mark.parametrize("first, last, message", [
+        pytest.param(0.01, 0.1, "the table's radii [0.01, 0.1] end at or before "
+                     "r_max = 1000, where the mass flux is read", id="0.01-0.1"),
+        pytest.param(1000.0, 4000.0, "the flow's slices span radii [4, 6.59489], "
+                     "outside the table's radii [1000, 4000]", id="1000.0-4000.0")])
+    def test_table_outside_the_domain_exits_two(self, tmp_path, capsys, first, last,
+                                                message):
+        # each table meets the domain (0.1, 1000] in one end point at most: the
+        # first ends below r_max, the second starts above the sphere r0 = 4
         text = sampled_potential_config(tmp_path)
         r = np.geomspace(first, last, 50)
         np.savetxt(tmp_path / "pot.txt", np.column_stack([r, np.sqrt(1 + 1 / r)]))
@@ -454,18 +460,16 @@ class TestStaticDiagnostics:
         for command in ("flow", "static-check"):
             assert main([command, "--config", str(tmp_path / "p.cfg")]) == 2
             captured = capsys.readouterr()
-            assert captured.err == (
-                f"config error: [potential] file: the table's radii [{first:g}, "
-                f"{last:g}] do not reach into the domain (0.1, 1000]\n")
+            assert captured.err == f"config error: [potential] file: {message}\n"
             assert captured.out == ""
         assert not (tmp_path / "p.csv").exists()
 
 
 class TestSlicesOnTheTable:
     # sqrt(1 + 1/r) tabulated on [1, 4000] over m = -1/2: Q reads the table
-    # at every slice radius and the mass flux reads it at r_max, so a flow
-    # whose slices start below it, or a table that ends at or before r_max,
-    # exits 2 before it runs; static-check, which runs no flow, is not affected
+    # at every slice radius and the mass flux reads it at r_max, so a config
+    # whose slices start below it, or whose table ends at or before r_max,
+    # fails to parse: flow and static-check both exit 2 with one message
 
     @staticmethod
     def _write(tmp_path, text, **keys):
@@ -477,12 +481,12 @@ class TestSlicesOnTheTable:
     @pytest.mark.parametrize("r0", [0.6, 0.3])
     def test_sphere_below_the_first_radius_exits_two(self, tmp_path, capsys, r0):
         path = self._write(tmp_path, sampled_potential_config(tmp_path), r0=r0, t_end=2)
-        assert main(["flow", "--config", path]) == 2
-        assert capsys.readouterr().err == (
-            "config error: [potential] file: the flow's slices span radii "
-            f"[{r0:g}, {r0 * math.e:g}], outside the table's radii [1, 4000]\n")
+        for command in ("flow", "static-check"):
+            assert main([command, "--config", path]) == 2
+            assert capsys.readouterr().err == (
+                "config error: [potential] file: the flow's slices span radii "
+                f"[{r0:g}, {r0 * math.e:g}], outside the table's radii [1, 4000]\n")
         assert not (tmp_path / "p.csv").exists()
-        assert main(["static-check", "--config", path]) == 0
 
     @pytest.mark.parametrize("r0", [1.0, 2.0])  # 1 is the table's first radius
     def test_sphere_on_the_table_runs(self, tmp_path, r0):
@@ -509,11 +513,27 @@ class TestSlicesOnTheTable:
                                                           f"m = -0.5\nr_max = {r_max}")
         r = np.geomspace(1.0, last, 3000)
         np.savetxt(tmp_path / "pot.txt", np.column_stack([r, np.sqrt(1 + 1 / r)]))
-        assert main(["flow", "--config", self._write(tmp_path, text)]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: [potential] file: the table's radii [1, {last}] end at or "
-            f"before r_max = {r_max}, where the mass flux is read\n")
+        path = self._write(tmp_path, text)
+        for command in ("flow", "static-check"):
+            assert main([command, "--config", path]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: [potential] file: the table's radii [1, {last}] end at "
+                f"or before r_max = {r_max}, where the mass flux is read\n")
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("r0", "0.6", "the flow's slices span radii [0.6, 0.989233], "
+                     "outside the table's radii [1, 4000]", id="below-first-radius"),
+        pytest.param("m", "-0.5\nr_max = 5000", "the table's radii [1, 4000] end at or "
+                     "before r_max = 5000, where the mass flux is read",
+                     id="ends-before-r_max")])
+    def test_parser_raises_each_rule(self, tmp_path, key, value, message):
+        # no command runs: parse_config itself rejects the config
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                      sampled_potential_config(tmp_path), flags=re.M)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, base_dir=tmp_path)
+        assert str(exc.value) == f"[potential] file: {message}"
 
     def test_slices_run_up_to_r_max_inside_the_table(self, tmp_path):
         # from r0 = 4, t_end 13.8 reaches 4 e^6.9 = 3971, within r_max = 3999,
@@ -714,11 +734,13 @@ class TestCli:
         agg = json.loads((out / "sweep_summary.json").read_text())
         assert agg["exit_codes"] == {"a": 0, "big": 2}
 
-    def test_flux_guard_rejects_an_extrapolated_weight(self, tmp_path):
-        # the table's cubic extrapolates to r_max = 1e100, where its flux
-        # sqrt(V) f' r^2 overflows while the area scale r^2 does not
-        r = np.linspace(1.0, 10.0, 12)
-        np.savetxt(tmp_path / "f.txt", np.column_stack([r, 1.0 + 0.1 * r**3]))
+    def test_flux_guard_rejects_a_steep_weight(self, tmp_path):
+        # the table runs past r_max = 1e100, where the cubic's flux
+        # sqrt(V) f' r^2 = 3e-92 r^4 overflows while the area scale r^2 does
+        # not.  A steeper cubic would overflow the spline's own end conditions,
+        # which multiply f' by the square of the last knot interval
+        r = np.geomspace(1.0, 1.2e100, 600)
+        np.savetxt(tmp_path / "f.txt", np.column_stack([r, 1.0 + 1e-92 * r**3]))
         (tmp_path / "x.cfg").write_text(
             "[manifold]\nfamily = schwarzschild\nn = 3\nm = -0.5\nr_max = 1e100\n"
             "[potential]\nkind = file\nfile = f.txt\n[surface]\nkind = sphere\nr0 = 4\n")

@@ -3,9 +3,11 @@
 A mutant changes one site of a named function: ``+``/``-`` swapped, ``*``/``/``
 swapped, ``**`` made ``*``, ``<``/``<=`` and ``>``/``>=`` swapped, or a float
 constant c made 1.5 c (0.0 made 1.0).  Its module is rewritten from the AST
-(``ast.unparse``) inside a copy of the repository, and the tier-1 suite runs
-there with ``-x``.  A failing or timed-out run kills the mutant.  Mutants in
-``EQUIVALENT`` compute the same results, so they are listed but not run.
+(``ast.unparse``) inside a copy of the repository.  There the module's own
+``tests/test_<module>.py`` runs with ``-x``, and only if it passes does the
+whole tier-1 suite, which contains it, run with ``-x``.  A failing or
+timed-out run kills the mutant.  Mutants in ``EQUIVALENT`` compute the same
+results, so they are listed but not run.
 
     python tools/mutate.py --list                   # every site, no test run
     python tools/mutate.py metrics.adm_mass_fit     # the mutants of one function
@@ -42,6 +44,7 @@ TARGETS = (
     "metrics.constant_potential", "metrics.profile_weight",
     "metrics.scalar_curvature", "metrics.static_residual",
     "metrics.harmonicity_residual", "metrics.adm_mass_flux", "metrics.adm_mass_fit",
+    "metrics.require_on_table",
     "surfaces.graph_frame", "surfaces.graph_geometry", "surfaces.sphere_geometry",
     "surfaces._first_derivative_o4",
     "quantities.limit_target", "quantities.slice_quantities",
@@ -133,10 +136,11 @@ def _copy_repo(dest: Path) -> Path:
     return dest
 
 
-def _run_tier1(tree: Path, timeout: float) -> bool:
-    """True when the suite passes in ``tree``; a timeout counts as a failure."""
+def _run_tier1(tree: Path, timeout: float, *paths: str) -> bool:
+    """True when the suite, or only the test files ``paths``, passes in
+    ``tree``; a timeout counts as a failure."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.Popen(TIER1, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+    proc = subprocess.Popen(TIER1 + list(paths), cwd=tree, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
         return proc.wait(timeout=timeout) == 0
@@ -203,7 +207,9 @@ def main(argv=None) -> int:
             path = tree / PACKAGE / f"{module}.py"
             try:
                 path.write_text(mutant_source(module, qualname, index))
-                return not _run_tier1(tree, timeout)
+                # the module's own tests kill most mutants in a fraction of the suite
+                return not (_run_tier1(tree, timeout, f"tests/test_{module}.py")
+                            and _run_tier1(tree, timeout))
             finally:
                 path.write_text(_source(module))
                 free.put(tree)
