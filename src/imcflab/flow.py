@@ -50,10 +50,13 @@ recurrence, so a solve runs it in scan form as a prefix sum (Kogge &
 Stone, IEEE Trans. Comput. C-22, 1973; Blelloch, CMU-CS-90-190, 1990),
 with no per-node Python; the forward sweep's prefix product is folded
 into the backward sweep's weights once per factorization, so a solve is
-two prefix sums and five elementwise operations.  Since J_D has zero row
-sums, every solve is split as x = b[0] + z with z solving for b - b[0]: a
-round graph gives the same G at every node, a constant right-hand side
-gives z = 0 exactly, and so round graphs stay exactly round.
+two prefix sums and five elementwise operations.  Where a product would
+underflow (steps far shorter than the flow's time scale), a solve runs
+each recurrence by recursive doubling instead, which never divides.  As
+J_D has zero row sums, every solve is split as x = b[0] + z with z
+solving for b - b[0]: a round graph gives the same G at every node, a
+constant right-hand side gives z = 0 exactly, and so round graphs stay
+exactly round.
 
 The first step is 1% of rho's own time scale |rho| / |W/H| in the error
 norm (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The controller
@@ -249,51 +252,16 @@ _E_ROW = np.array((0.0, *_E_U))
 _FLOOR = 1e-200  # smallest prefix product of a sweep; keeps 1/r and w/r finite
 
 
-def _prefix_runs(m: np.ndarray):
-    """Run starts, r and 1 / r for the recurrence z_i = w_i + m_i z_(i-1).
-
-    On the run from start a to the next one, the prefix product
-    r_i = m_(a+1) ... m_i (r_a = 1) stays at or above _FLOOR, and
-    z = r cumsum(w / r) once the carry m_a z_(a-1) is added to w_a; m_0
-    never enters.  A doubled pole multiplier can exceed 1, so a run ends
-    before its first entry below the floor, not where its last one is.
-    The products are taken in windows, each continuing the last: the first
-    window spans the whole array, the first one after a restart is as long
-    as the run just ended, and each further one doubles.  Each run's length
-    is charged once to the next run's first window, so a factorization
-    scans at most about 5 N entries however many runs it has."""
-    n = m.size
-    r = np.empty_like(m)
-    r[0] = 1.0
-    starts = [0]
-    done, width = 1, n       # r[:done] is final
-    while done < n:
-        end = min(n, done + width)
-        seg = m[done - 1:end].copy()
-        seg[0] = r[done - 1]             # continue the product bit for bit
-        np.cumprod(seg, out=r[done - 1:end])
-        if r[done:end].min() < _FLOOR:
-            a = done + int(np.argmax(r[done:end] < _FLOOR))
-            width = a - starts[-1]
-            starts.append(a)
-            r[a] = 1.0
-            done = a + 1
-        else:
-            done, width = end, 2 * width
-    return starts, r, 1.0 / r
-
-
-def _sweep(u: np.ndarray, m: np.ndarray, starts, r, weights) -> np.ndarray:
-    """z / r for the recurrence z_i = w_i + m_i z_(i-1), z_0 = w_0, as one
-    prefix sum per run of :func:`_prefix_runs`, where w / r = u weights.
-    r enters only the carry m_a z_(a-1) = m_a r_(a-1) (z / r)_(a-1) that
-    starts each run after the first."""
-    y = u * weights
-    for a, e in zip(starts, starts[1:] + [u.size]):
-        if a:
-            y[a] += m[a] * r[a - 1] * y[a - 1]
-        np.add.accumulate(y[a:e], out=y[a:e])
-    return y
+def _doubling(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z_i = w_i + m_i z_(i-1) in place over w = z, in log2 N rounds: after
+    the one of span d, z_i sums the terms of w_(i-2d+1) ... w_i and m_i is
+    m_(i-2d+1) ... m_i.  Nothing divides, so products may underflow."""
+    m, d = m.copy(), 1
+    while d < z.size:
+        z[d:] += m[d:] * z[:-d]
+        m[d:] = m[d:] * m[:-d]
+        d *= 2
+    return z
 
 
 def _w_solver(s: np.ndarray):
@@ -311,10 +279,9 @@ def _w_solver(s: np.ndarray):
     and r_c are taken here, once per factorization, so each solve is a
     prefix sum per direction.  The forward sweep yields z / r_f, which the
     backward one weights by r_f / r_c, both folded into one array here, so
-    z itself is never formed.  Where neither product restarts, the solve
-    runs both prefix sums inline; otherwise each sweep runs per run
-    (:func:`_sweep`).  The rows sum to one, so a constant b gives z = 0
-    exactly.
+    z itself is never formed.  Where either product falls below _FLOOR,
+    each solve runs both recurrences by :func:`_doubling` instead.  The
+    rows sum to one, so a constant b gives z = 0 exactly.
     """
     if 1.0 + 2.0 * s.max() == 1.0:
         return np.copy
@@ -331,21 +298,17 @@ def _w_solver(s: np.ndarray):
     f[-1] *= 2.0
     c = sq[::-1].copy()              # backward order
     c[-1] *= 2.0
-    f_starts, f_r, f_r_inv = _prefix_runs(f)
-    c_starts, c_r, c_r_inv = _prefix_runs(c)
-    w_f = q * f_r_inv                # w = q (b - b[0]), over r_f
-    w_c = f_r[::-1] * c_r_inv        # w = z = r_f (z / r_f), over r_c
+    f[0] = c[0] = 1.0                # m_0 never enters; each product starts at 1
+    f_r, c_r = np.cumprod(f), np.cumprod(c)
+    if f_r.min() < _FLOOR or c_r.min() < _FLOOR:
+        return lambda b: b[0] + _doubling(c, _doubling(f, q * (b - b[0]))[::-1])[::-1]
+    w_f = q * (1.0 / f_r)            # w = q (b - b[0]), over r_f
+    w_c = f_r[::-1] * (1.0 / c_r)    # w = z = r_f (z / r_f), over r_c
     r_c = c_r[::-1].copy()           # forward order
 
-    if len(f_starts) == len(c_starts) == 1:     # the flow's regime
-        def solve(b: np.ndarray) -> np.ndarray:
-            y = np.add.accumulate((b - b[0]) * w_f)
-            return b[0] + r_c * np.add.accumulate(y[::-1] * w_c)[::-1]
-    else:
-        def solve(b: np.ndarray) -> np.ndarray:
-            y = _sweep(b - b[0], f, f_starts, f_r, w_f)
-            return b[0] + r_c * _sweep(y[::-1], c, c_starts, c_r, w_c)[::-1]
-
+    def solve(b: np.ndarray) -> np.ndarray:
+        y = np.add.accumulate((b - b[0]) * w_f)
+        return b[0] + r_c * np.add.accumulate(y[::-1] * w_c)[::-1]
     return solve
 
 

@@ -91,7 +91,8 @@ class _Spline:
 
 def _spline(r, y) -> _Spline:
     """Not-a-knot cubic spline through tabulated (r, y): matching 1-d
-    arrays of at least 4 finite samples with strictly increasing radii.
+    arrays of at least 4 finite samples with strictly increasing radii,
+    none so steep that a coefficient overflows (else ValueError).
 
     It is built as the reference CubicSpline builds it.  The knot slopes
     solve a tridiagonal system with diagonally dominant interior rows,
@@ -108,25 +109,29 @@ def _spline(r, y) -> _Spline:
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("sample radii must be strictly increasing")
-    slope = np.diff(y) / dx
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
-    upper = np.concatenate(([d0], dx[:-1])).tolist()
-    lower = np.concatenate((dx[1:], [d1])).tolist()
-    b = np.concatenate((
-        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
-        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])).tolist()
-    for i in range(len(b) - 1):
-        fact = lower[i] / diag[i]
-        diag[i + 1] -= fact * upper[i]
-        b[i + 1] -= fact * b[i]
-    b[-1] /= diag[-1]
-    for i in range(len(b) - 2, -1, -1):
-        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
-    s = np.array(b)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return _Spline(x, (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = np.diff(y) / dx
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+        upper = np.concatenate(([d0], dx[:-1])).tolist()
+        lower = np.concatenate((dx[1:], [d1])).tolist()
+        b = np.concatenate((
+            [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+            3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+            [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])).tolist()
+        for i in range(len(b) - 1):
+            fact = lower[i] / diag[i]
+            diag[i + 1] -= fact * upper[i]
+            b[i + 1] -= fact * b[i]
+        b[-1] /= diag[-1]
+        for i in range(len(b) - 2, -1, -1):
+            b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+        s = np.array(b)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        coeffs = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+    if not np.isfinite(coeffs).all():
+        raise ValueError("the spline's coefficients overflow; the table is too steep")
+    return _Spline(x, coeffs)
 
 
 def unit_sphere_area(k: int) -> float:

@@ -449,29 +449,17 @@ def oracle_s(kind, n_int, rng, spec):
         s[rng.choice(n_int + 1, 3, replace=False)] = 0.0
         s[[0, -1]] = 1e6, 0.0
         return s
-    if kind == "positive":  # the flow's regime: one run at N <= 200
+    if kind == "positive":  # the flow's regime: prefix sums at N <= 200
         return 10.0 ** rng.uniform(-2.0, 3.0, n_int + 1)
-    if kind == "tiny":      # every prefix product underflows: one run per node
+    if kind == "tiny":      # every prefix product underflows; W is the identity
         return 10.0 ** rng.uniform(-300.0, -290.0, n_int + 1)
-    if kind == "mixed":     # runs of every length, from 1 to hundreds
+    if kind == "mixed":     # products underflow at every scale: doubling
         return 10.0 ** rng.uniform(-40.0, 1.0, n_int + 1)
     # the s of a real frame, built as flow_graph builds it for a step h
     graph = p2_graph(spec, 4.0, 0.3, n_int)
     frame = L.surfaces.graph_frame(graph.rho, spec, graph.grid)
     gh = L.flow._GAMMA * 0.05
     return (gh / graph.grid.dtheta**2) / (frame.h**2 * frame.e)
-
-
-def prefix_runs_reference(m):
-    """Starts and r of :func:`flow._prefix_runs`, one element at a time."""
-    r, starts = np.empty_like(m), [0]
-    r[0] = 1.0
-    for i in range(1, m.size):
-        r[i] = r[i - 1] * m[i]
-        if r[i] < L.flow._FLOOR:
-            starts.append(i)
-            r[i] = 1.0
-    return starts, r
 
 
 def forward_multipliers(s):
@@ -500,36 +488,47 @@ class TestWSolver:
         const = np.full(n_int + 1, 3.7)
         assert np.array_equal(L.flow._w_solver(s)(const), const)
 
-    def test_identity_to_rounding_runs_no_sweep(self, schw3m1, monkeypatch):
-        # every prefix product of a tiny s underflows, which would take one
-        # run per node; W is then the identity to rounding
+    @pytest.mark.parametrize("s_max", [None, 4e-17], ids=["tiny", "edge"])
+    def test_identity_to_rounding_scans_nothing(self, s_max, schw3m1, monkeypatch):
+        # every prefix product of a tiny s underflows, which would send each
+        # solve to doubling; W is then the identity to rounding, up to
+        # 1 + 2 s_max == 1 at s_max = 5.55e-17 (1 - 2 s_max rounds to 1 only
+        # up to half that)
         rng = np.random.default_rng(3200)
         s = oracle_s("tiny", 3200, rng, schw3m1)
+        if s_max:
+            s *= s_max / s.max()
         calls = []
-        for name in ("_prefix_runs", "_sweep"):
-            def spy(*args, _real=getattr(L.flow, name), _name=name):
-                calls.append(_name)
-                return _real(*args)
-            monkeypatch.setattr(L.flow, name, spy)
+        monkeypatch.setattr(np, "cumprod", lambda *a, **kw: calls.append("cumprod"))
+        monkeypatch.setattr(L.flow, "_doubling", lambda *a: calls.append("_doubling"))
         b = rng.standard_normal(s.size)
         x = L.flow._w_solver(s)(b)
         assert calls == [] and np.array_equal(x, b) and x is not b
 
-    @pytest.mark.parametrize("kind", ["tiny", "mixed", "frame"])
-    def test_prefix_runs_match_reference_in_linear_scans(self, kind, schw3m1, monkeypatch):
-        n_int = 3200
+    @pytest.mark.parametrize("kind, n_int", [("frame", 200), ("frame", 800), ("frame", 3200),
+                                             ("wide", 3200), ("mixed", 3200)])
+    def test_takes_prefix_sums_unless_a_product_underflows(self, kind, n_int, schw3m1,
+                                                           monkeypatch):
+        # a factorization takes one prefix product per sweep, of (1, f[1:])
+        # forward; only where one falls below _FLOOR do the solves double
         rng = np.random.default_rng(7)
         s = oracle_s(kind, n_int, rng, schw3m1)
-        m = forward_multipliers(s)
-        scanned = []
-        real = np.cumprod
-        monkeypatch.setattr(np, "cumprod", lambda a, **kw: scanned.append(a.size) or real(a, **kw))
-        starts, r, r_inv = L.flow._prefix_runs(m)
-        ref_starts, ref_r = prefix_runs_reference(m)
-        assert starts == ref_starts
-        assert np.array_equal(r, ref_r) and np.array_equal(r_inv, 1.0 / ref_r)
-        assert (len(starts) == 1) == (kind == "frame")
-        assert scanned and sum(scanned) < 5 * m.size, (len(starts), sum(scanned))
+        scanned, doubled = [], []
+        real_cumprod, real_doubling = np.cumprod, L.flow._doubling
+        monkeypatch.setattr(np, "cumprod", lambda a: scanned.append(a.copy()) or real_cumprod(a))
+        monkeypatch.setattr(L.flow, "_doubling", lambda m, z: doubled.append(z.size)
+                            or real_doubling(m, z))
+        solve = L.flow._w_solver(s)
+        f = forward_multipliers(s)
+        f[0] = 1.0
+        assert len(scanned) == 2 and np.array_equal(scanned[0], f)
+        b = rng.standard_normal(s.size)
+        x = solve(b)
+        assert doubled == ([] if kind == "frame" else [s.size] * 2)
+        underflows = min(real_cumprod(a).min() for a in scanned) < L.flow._FLOOR
+        assert underflows == (kind != "frame")
+        oracle = np.linalg.solve(w_matrix(s), b)
+        assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_transformed_coefficients_match_the_tableau(self):
         F = L.flow
@@ -608,20 +607,20 @@ class TestDenseReferenceFlows:
         assert verdict.monotone, verdict.worst_increase
 
 
-    def test_restarting_products_match_a_dense_w_solve(self, schw3m1, monkeypatch):
-        # steps of 1e-5 make every sweep's prefix product underflow past
-        # _FLOOR once, so each solve of the flow runs per run (_sweep)
+    def test_doubling_flow_matches_a_dense_w_solve(self, schw3m1, monkeypatch):
+        # steps of 1e-5 make a prefix product of every factorization fall
+        # below _FLOOR, so each solve of the flow runs both sweeps by doubling
         graph = p2_graph(schw3m1, 4.0, 0.3, 100)
-        runs = []
+        doubled = []
 
-        def prefix_runs(m, _real=L.flow._prefix_runs):
-            starts, r, r_inv = _real(m)
-            runs.append(len(starts))
-            return starts, r, r_inv
+        def doubling(m, z, _real=L.flow._doubling):
+            doubled.append(z.size)
+            return _real(m, z)
 
-        monkeypatch.setattr(L.flow, "_prefix_runs", prefix_runs)
+        monkeypatch.setattr(L.flow, "_doubling", doubling)
         fast = L.flow_graph(graph, 1e-3, dt_out=1e-5)
-        assert runs == [2] * (2 * fast.stats["factorizations"])
+        attempts = fast.stats["steps"] + fast.stats["rejected"]
+        assert doubled == [graph.rho.size] * (2 * 4 * attempts)
         monkeypatch.setattr(L.flow, "_w_solver", lambda s: functools.partial(
             np.linalg.solve, w_matrix(s)))
         dense = L.flow_graph(graph, 1e-3, dt_out=1e-5)

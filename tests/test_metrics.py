@@ -469,6 +469,16 @@ class TestSpline:
         with pytest.raises(ValueError, match=match):
             L.RadialProfile.from_samples(np.asarray(r), np.asarray(y))
 
+    def test_a_table_too_steep_is_rejected(self):
+        # 1 + 0.1 r^3 on geometric knots to 1.2e100: the not-a-knot end row
+        # overflows, which gave NaN coefficients and RuntimeWarnings (errors
+        # under the suite's filter)
+        r = np.geomspace(1.0, 1.2e100, 600)
+        with pytest.raises(ValueError, match="coefficients overflow"):
+            _spline(r, 1.0 + 0.1 * r**3)
+        with pytest.raises(ValueError, match="coefficients overflow"):
+            L.sampled_potential(r, 1.0 + 0.1 * r**3)
+
 
 class TestSampledProfiles:
     def test_spline_profile_reproduces_schwarzschild(self):

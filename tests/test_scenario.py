@@ -465,6 +465,26 @@ class TestStaticDiagnostics:
         assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("section, config", [
+    ("[potential] invalid: ", "[manifold]\nfamily = schwarzschild\nn = 3\nm = -0.5\n"
+     "r_max = 1e100\n[potential]\nkind = file\nfile = t.txt\n"),
+    ("[manifold] ", "[manifold]\nfamily = custom\nn = 3\nprofile_file = t.txt\n"
+     "r_max = 1e100\n")])
+def test_a_table_too_steep_exits_two_naming_its_section(tmp_path, section, config):
+    # 1 + 0.1 r^3 on 600 geometric knots to 1.2e100 overflows its spline's
+    # end row; static-check once printed two RuntimeWarnings and read a nan
+    # mass flux, and under the warning filter it exited 1
+    r = np.geomspace(1.0, 1.2e100, 600)
+    np.savetxt(tmp_path / "t.txt", np.column_stack([r, 1.0 + 0.1 * r**3]))
+    (tmp_path / "p.cfg").write_text(config + "[surface]\nkind = sphere\nr0 = 4\n")
+    for command in ("flow", "static-check"):
+        res = run_cli(command, "--config", str(tmp_path / "p.cfg"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == (f"config error: {section}the spline's coefficients overflow; "
+                              "the table is too steep\n")
+    assert not (tmp_path / "p.csv").exists()
+
+
 class TestSlicesOnTheTable:
     # sqrt(1 + 1/r) tabulated on [1, 4000] over m = -1/2: Q reads the table
     # at every slice radius and the mass flux reads it at r_max, so a config

@@ -49,7 +49,8 @@ TARGETS = (
     "surfaces._first_derivative_o4",
     "quantities.limit_target", "quantities.slice_quantities",
     "quantities.monotonicity_verdict",
-    "flow.area_residual", "flow._rate", "flow.flow_sphere",
+    "flow.area_residual", "flow._rate", "flow.flow_sphere", "flow._w_solver",
+    "flow._doubling",
     "scenario.run_scenario", "scenario.static_diagnostics", "scenario.exit_code_for",
 )
 
@@ -62,6 +63,14 @@ EQUIVALENT = {
     ("surfaces._first_derivative_o4", "0.0", "1.0"):
         "the pole entries of rho' meet sin(theta) = 0 (1.2e-16 at pi) in "
         "graph_geometry's area element, far below the area's rounding",
+    ("flow._w_solver", "0.0", "1.0"):
+        "p seeds the first pivot only through couple[0] * p, and couple[0] is 0",
+    ("flow._w_solver", "f_r.min() < _FLOOR", "f_r.min() <= _FLOOR"):
+        "a product exactly at _FLOOR keeps 1/r finite, so both paths solve it",
+    ("flow._w_solver", "c_r.min() < _FLOOR", "c_r.min() <= _FLOOR"):
+        "a product exactly at _FLOOR keeps 1/r finite, so both paths solve it",
+    ("flow._doubling", "d < z.size", "d <= z.size"):
+        "at d = z.size the slices z[d:] and m[d:] are empty: the extra round does nothing",
 }
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
