@@ -1,18 +1,19 @@
 """imcflab: a desk-scale laboratory for inverse mean curvature flow in
 rotationally symmetric static asymptotically flat manifolds.
 
-The package evolves hypersurfaces (coordinate spheres in 3 <= n <= 7,
-axisymmetric radial graphs in n = 3) by smooth IMCF, evaluates the
-weighted total mean curvature, its scale-normalized monotone combination
-Q, the Minkowski-type deficit and the Hawking mass on every slice, and
-renders monotonicity/limit verdicts with explicit tolerances.
+The package evolves hypersurfaces (coordinate spheres and axisymmetric
+radial graphs, both in every dimension 3 <= n <= 7) by smooth IMCF,
+evaluates the weighted total mean curvature, its scale-normalized monotone
+combination Q, the Minkowski-type deficit and (n = 3) the Hawking mass on
+every slice, and renders monotonicity/limit verdicts with explicit
+tolerances.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DomainError, FitQualityError,
                      InsideHorizonError, LabError, MeanConvexityError,
-                     SolverFailureError, UnsupportedDimensionError)
+                     SolverFailureError)
 from .metrics import (ManifoldSpec, RadialProfile, StaticPotential,
                       adm_mass_fit, adm_mass_flux, constant_potential,
                       harmonicity_residual, horizon_radius, profile_weight,
@@ -34,7 +35,6 @@ __all__ = [
     # errors
     "LabError", "DomainError", "InsideHorizonError", "FitQualityError",
     "MeanConvexityError", "SolverFailureError", "ConfigError",
-    "UnsupportedDimensionError",
     # metrics
     "ManifoldSpec", "RadialProfile", "StaticPotential", "unit_sphere_area",
     "scalar_curvature", "static_residual", "harmonicity_residual",

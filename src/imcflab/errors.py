@@ -19,11 +19,6 @@ class InsideHorizonError(DomainError):
     is nonpositive."""
 
 
-class UnsupportedDimensionError(LabError):
-    """Operation requires a specific ambient dimension (e.g. axisymmetric
-    graphs need n = 3)."""
-
-
 class FitQualityError(LabError):
     """Asymptotic tail fit rejected; the message gives the numbers why."""
 

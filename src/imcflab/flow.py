@@ -3,19 +3,19 @@
 Surfaces are evolved with outward normal speed 1/H.  For coordinate
 spheres the flow is exact, r(t) = r0 exp(t/(n-1)), independent of the
 profile (the sqrt(V) factors in the speed and in H cancel).  For radial
-graphs (n = 3) the flow reduces to the scalar quasilinear parabolic equation
+graphs the flow reduces to the scalar quasilinear parabolic equation
 
     d rho / dt = F(rho) = W / H,      W = sqrt(V + rho'^2/rho^2),
 
-which is stepped in the comoving variable sigma = e^(-t/2) rho.  This
-divides out the exact sphere growth, so that
+which is stepped in the comoving variable sigma = e^(-c t) rho, c = 1/(n-1).
+This divides out the exact sphere growth, so that
 
-    d sigma / dt = G(sigma, t) = e^(-t/2) F(e^(t/2) sigma) - sigma / 2,
+    d sigma / dt = G(sigma, t) = e^(-c t) F(e^(c t) sigma) - c sigma,
 
 a round graph is a fixed point, and the step size is set by the decaying
 non-round modes alone (star-shaped IMCF becomes round once the growth is
 divided out: Gerhardt, J. Differential Geom. 32, 1990; Urbas, Math. Z.
-205, 1990).  Frames, halt tests and emitted slices use rho = e^(t/2) sigma.
+205, 1990).  Frames, halt tests and emitted slices use rho = e^(c t) sigma.
 
 The method of lines on the uniform theta grid advances sigma with the
 linearly implicit Rosenbrock-W method ROS34PW2 (Rang & Angermann, BIT 45,
@@ -31,9 +31,10 @@ Jacobian,
     J_D = diag(1 / (H^2 E)) D2,
 
 with D2 the reflecting second difference of the curvature stencil and
-H, E taken at rho.  J_D is the same in both variables: dG/dsigma is the
-Jacobian of F at rho = e^(t/2) sigma minus I/2, and J_D leaves out the
-shift as it leaves out the lower-order terms.  The
+H, E taken at rho.  Only k_m holds rho'', so J_D is the same in every n
+and in both variables: dG/dsigma is the Jacobian of F at rho = e^(c t)
+sigma minus c I, and J_D leaves out the shift as it leaves out the
+lower-order terms, the (n-2) k_p ones among them.  The
 stages are taken in transformed form (Hairer & Wanner, Solving ODEs II,
 IV.7), where J_D enters the W-matrix and nothing else, and the new state
 is the last stage's input plus the last stage (the method is stiffly
@@ -147,7 +148,7 @@ def require_reach(spec: ManifoldSpec, r_outer: float, t_end: float) -> None:
     ``r_outer``, r_outer e^(t_end/(n-1)) <= r_max (else DomainError): the
     strict rule that the slices built at each output obey.  A growth
     t_end/(n-1) beyond 709 is rejected before math.exp can overflow, so
-    the graph stepper's factor e^(t/2) stays finite."""
+    the graph stepper's factor e^(t/(n-1)) stays finite."""
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     growth = t_end / (spec.n - 1)
@@ -312,10 +313,10 @@ def _w_solver(s: np.ndarray):
     return solve
 
 
-def _rate(rho, frame, t, gh):
-    """gamma h G(sigma, t) = gamma h e^(-t/2) (W/H - rho/2), from the
-    frame at rho = e^(t/2) sigma."""
-    return (gh * math.exp(-0.5 * t)) * (frame.w / frame.h - 0.5 * rho)
+def _rate(rho, frame, t, gh, c):
+    """gamma h G(sigma, t) = gamma h e^(-c t) (W/H - c rho), from the
+    frame at rho = e^(c t) sigma, with c = 1/(n-1) the sphere's growth rate."""
+    return (gh * math.exp(-c * t)) * (frame.w / frame.h - c * rho)
 
 
 def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
@@ -345,6 +346,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
 
     times = output_times(t_end, dt_out)
     dth = grid.dtheta
+    c = 1.0 / (spec.n - 1)          # sigma = e^(-c t) rho
 
     def scaled_rms(v, y):
         x = v / (_ABS_TOL + rel_tol * np.abs(y))
@@ -352,7 +354,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
 
     t = 0.0
     stages = np.empty((5, rho.size))   # the stage matrix (y, u_1, ..., u_4)
-    stages[0] = rho                 # y = sigma = e^(-t/2) rho
+    stages[0] = rho                 # y = sigma, equal to rho at t = 0
     out_geoms = [geom0]
     emitted = 1
     status, reason = "completed", None
@@ -387,14 +389,14 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
             solve = _w_solver(s)
             h_w, s_w = h, s
             nfact += 1
-        stages[1] = solve(_rate(rho, frame, t, gh))
+        stages[1] = solve(_rate(rho, frame, t, gh, c))
         for i, (rows, alpha) in enumerate(zip(_STAGE_ROWS, _STAGE_TIMES[1:]), 2):
             inputs = rows.dot(stages[:i])     # stage input, then coupling
             y_stage = inputs[0]
             t_stage = t + alpha * h
-            rho_stage = math.exp(0.5 * t_stage) * y_stage
+            rho_stage = math.exp(c * t_stage) * y_stage
             stage = graph_frame(rho_stage, spec, grid)
-            stages[i] = solve(_rate(rho_stage, stage, t_stage, gh) + inputs[1])
+            stages[i] = solve(_rate(rho_stage, stage, t_stage, gh, c) + inputs[1])
         y_new = y_stage + stages[4]
         enorm = scaled_rms(_E_ROW.dot(stages), y_new)
         if not (np.isfinite(y_new).all() and math.isfinite(enorm)):
@@ -406,7 +408,7 @@ def flow_graph(graph: AxisymmetricGraph, t_end: float, dt_out: float = 0.1,
             dt_min, dt_max = min(dt_min, h), max(dt_max, h)
             t = t_next if splits == 1 else t + h
             stages[0] = y_new
-            rho = math.exp(0.5 * t) * y_new
+            rho = math.exp(c * t) * y_new
             frame = graph_frame(rho, spec, grid)
             min_h, min_rho = float(frame.h.min()), float(rho.min())
             min_h_seen, min_rho_seen = min(min_h_seen, min_h), min(min_rho_seen, min_rho)

@@ -13,7 +13,7 @@ names the key, so a config that parses never fails later on one of them:
 * ``ManifoldSpec``: 3 <= n <= 7, r_min < r_max, V > 0, a finite sphere area
   at r_max, radii in (r_min, r_max] with r^(n-1) a normal float, and
   |1 - V| <= 2^26 on the initial slice
-* ``AxisymmetricGraph``: graphs need n = 3 and pole regularity
+* ``AxisymmetricGraph``: pole regularity (a graph runs in every n)
 * ``GraphGrid.make``: ``[solver] N`` even, 8 to 10,000 (every surface kind)
 * ``flow.require_positive``: rel_tol positive and finite
 * ``flow.require_reach``: t_end > 0 and the flow inside the domain

@@ -3,10 +3,10 @@
 Two kinds of hypersurface are supported inside the warped ambient metric
 V^-1 dr^2 + r^2 dOmega^2:
 
-* coordinate spheres r = const in any dimension 3 <= n <= 7, where the
-  geometry is closed form and totally umbilic, and
-* axisymmetric radial graphs r = rho(theta) over [0, pi] in n = 3, the
-  workhorse for genuinely non-umbilic flows.
+* coordinate spheres r = const, where the geometry is closed form and
+  totally umbilic, and
+* radial graphs r = rho(theta) over [0, pi], symmetric about the polar
+  axis, the workhorse for genuinely non-umbilic flows, both in 3 <= n <= 7.
 
 Graphs are discretized on a uniform theta grid with second-order central
 differences for the curvatures, even-reflection ghost nodes at the poles
@@ -25,8 +25,10 @@ The principal-curvature formulas for graphs,
 
 were checked symbolically against a raw Christoffel computation of the
 second fundamental form; the mixed component vanishes, so these are the
-principal curvatures.  A :class:`SurfaceGeometry` also carries the two
-per-slice numbers that need no weight or mass, and the per-node area
+principal curvatures: k_m along the meridian and k_p, n - 2 times, along
+the orbit sphere of radius rho sin(theta), so H = k_m + (n-2) k_p and
+|A|^2 = k_m^2 + (n-2) k_p^2.  A :class:`SurfaceGeometry` also carries the
+two per-slice numbers that need no weight or mass, and the per-node area
 weights w that integrate any g over the slice as w . g.
 """
 
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsideHorizonError, UnsupportedDimensionError
+from .errors import InsideHorizonError
 from .metrics import ManifoldSpec, unit_sphere_area
 
 __all__ = [
@@ -145,7 +147,7 @@ def graph_frame(rho: np.ndarray, spec: ManifoldSpec, grid: GraphGrid) -> GraphFr
     cterm[0] = rho_tt[0]
     cterm[-1] = rho_tt[-1]
     k_par = (v / rho - cterm / rho2) / w
-    return GraphFrame(v, w, e, k_mer, k_par, k_mer + k_par)
+    return GraphFrame(v, w, e, k_mer, k_par, k_mer + (spec.n - 2) * k_par)
 
 
 def _first_derivative_o4(rho: np.ndarray, dth: float) -> np.ndarray:
@@ -172,7 +174,7 @@ class _GraphFields(NamedTuple):
 
 
 class AxisymmetricGraph(_GraphFields):
-    """A radial graph rho(theta) on the uniform grid over [0, pi] (n = 3).
+    """A radial graph rho(theta) on the uniform grid over [0, pi], in any n.
 
     Pole regularity (vanishing one-sided derivative at both poles) is
     required at construction, within a tolerance scaled to the grid, which
@@ -182,9 +184,6 @@ class AxisymmetricGraph(_GraphFields):
     __slots__ = ()
 
     def __new__(cls, theta, rho, ambient):
-        if ambient.n != 3:
-            raise UnsupportedDimensionError(
-                f"axisymmetric graphs need n = 3, got n = {ambient.n}")
         theta = np.asarray(theta, dtype=float)
         rho = np.asarray(rho, dtype=float)
         if rho.shape != theta.shape:
@@ -281,18 +280,20 @@ def graph_geometry(graph: AxisymmetricGraph,
     given.  Mean-convexity loss (H <= 0 somewhere) is not raised; a
     profile that is not positive at some node raises
     :class:`InsideHorizonError` (the graph's radii were checked against the
-    domain when it was built).  The area weights are 2 pi times the Simpson
-    weights times the area element.
+    domain when it was built).  The area weights are omega_{n-2} times the
+    Simpson weights times the area element (rho sin(theta))^(n-2)
+    sqrt(rho^2 + rho'^2/V).  The Hawking mass is None unless n = 3.
     """
     spec, grid, rho = graph.ambient, graph.grid, graph.rho
     if frame is None:
         frame = graph_frame(rho, spec, grid)
     if frame.v.min() <= 0.0:
         raise InsideHorizonError("profile nonpositive somewhere on the graph")
-    asq = frame.k_meridian**2 + frame.k_parallel**2
+    n = spec.n
+    asq = frame.k_meridian**2 + (n - 2) * frame.k_parallel**2
     rp4 = _first_derivative_o4(rho, grid.dtheta)
-    jac = rho * grid.sin_t * np.sqrt(rho * rho + rp4 * rp4 / frame.v)
-    weights = 2.0 * np.pi * grid.simpson_w * jac
+    jac = (rho * grid.sin_t) ** (n - 2) * np.sqrt(rho * rho + rp4 * rp4 / frame.v)
+    weights = unit_sphere_area(n - 2) * grid.simpson_w * jac
     area = float(weights.sum())
     h2 = frame.h**2
     return SurfaceGeometry(
@@ -300,8 +301,8 @@ def graph_geometry(graph: AxisymmetricGraph,
         mean_curvature=frame.h, second_form_norm_sq=asq,
         area_weights=weights, area=area,
         hawking_mass=(math.sqrt(area / (16 * math.pi))
-                      * (1.0 - float(weights.dot(h2)) / (16 * math.pi))),
-        umbilicity_deficit=float((2 * asq - h2).max()))
+                      * (1.0 - float(weights.dot(h2)) / (16 * math.pi)) if n == 3 else None),
+        umbilicity_deficit=float(((n - 1) * asq - h2).max()))
 
 
 def surface_integral(geom: SurfaceGeometry, integrand) -> float:

@@ -10,6 +10,8 @@ deliberately duplicate work so the package code has something genuinely
 independent to be checked against.
 """
 
+import math
+
 import mpmath
 import numpy as np
 from scipy.integrate import quad
@@ -109,26 +111,33 @@ def static_tensor_fd(n, v_of_r, f1, f2, f_of_r, r, h=1e-3):
 
 
 # ---------------------------------------------------------------------------
-# prolate spheroid x^2 + y^2 + (z/c)^2 = 1 (a = 1 equatorial, c polar)
+# prolate spheroid |x|^2 + (z/c)^2 = 1 (a = 1 equatorial, c polar) in R^n
 # ---------------------------------------------------------------------------
+
+def unit_sphere_area(k):
+    """Area of the unit k-sphere, 2 pi^((k+1)/2) / Gamma((k+1)/2)."""
+    return 2.0 * np.pi ** ((k + 1) / 2) / math.gamma((k + 1) / 2)
+
 
 def spheroid_curvatures(u, a=1.0, c=2.0):
     """Classical (meridian, parallel) principal curvatures at ellipse
-    parameter u of the surface of revolution x = a sin u, z = c cos u."""
+    parameter u of the hypersurface of revolution |x| = a sin u, z = c cos u;
+    in R^n the parallel one has multiplicity n - 2."""
     g = np.sqrt(a**2 * np.cos(u) ** 2 + c**2 * np.sin(u) ** 2)
     return a * c / g**3, c / (a * g)
 
 
-def spheroid_integrals(a=1.0, c=2.0):
-    """area, int H dA, int H^2 dA by adaptive quadrature in u."""
+def spheroid_integrals(a=1.0, c=2.0, n=3):
+    """area, int H dA, int H^2 dA by adaptive quadrature in u; the area
+    element is omega_(n-2) (a sin u)^(n-2) times the meridian's arclength."""
 
     def darea(u):
         g = np.sqrt(a**2 * np.cos(u) ** 2 + c**2 * np.sin(u) ** 2)
-        return 2.0 * np.pi * a * np.sin(u) * g
+        return unit_sphere_area(n - 2) * (a * np.sin(u)) ** (n - 2) * g
 
     def h_of(u):
         k1, k2 = spheroid_curvatures(u, a, c)
-        return k1 + k2
+        return k1 + (n - 2) * k2
 
     area = quad(darea, 0.0, np.pi, epsabs=1e-13, epsrel=1e-13)[0]
     int_h = quad(lambda u: h_of(u) * darea(u), 0.0, np.pi,
@@ -164,19 +173,21 @@ def spheroid_polar_radius(theta, a=1.0, c=2.0):
     return a * c / np.sqrt(c**2 * np.sin(theta) ** 2 + a**2 * np.cos(theta) ** 2)
 
 
-def spheroid_h_at_theta(theta, a=1.0, c=2.0):
-    """Mean curvature at the graph node theta, via the u(theta) map."""
+def spheroid_h_at_theta(theta, a=1.0, c=2.0, n=3):
+    """Mean curvature in R^n at the graph node theta, via the u(theta) map."""
     rho = spheroid_polar_radius(theta, a, c)
     u = np.arctan2(rho * np.sin(theta) / a, rho * np.cos(theta) / c)
     k1, k2 = spheroid_curvatures(u, a, c)
-    return k1 + k2
+    return k1 + (n - 2) * k2
 
 
-def offcentre_sphere_rho(theta, t, p, r0):
-    """rho(theta, t) of the flat-space IMCF of the sphere of radius r0
-    centred at p e_z, p < r0: the sphere of radius r0 e^(t/2) about the same
-    centre (area 4 pi r0^2 e^t, as IMCF demands), as a radial graph."""
-    return p * np.cos(theta) + np.sqrt(r0**2 * np.exp(t) - (p * np.sin(theta)) ** 2)
+def offcentre_sphere_rho(theta, t, p, r0, n=3):
+    """rho(theta, t) of the flat-space IMCF in R^n of the sphere of radius
+    r0 centred at p e_z, p < r0: the sphere of radius r0 e^(t/(n-1)) about
+    the same centre (area omega r0^(n-1) e^t, as IMCF demands), as a radial
+    graph."""
+    return p * np.cos(theta) + np.sqrt(r0**2 * np.exp(2 * t / (n - 1))
+                                       - (p * np.sin(theta)) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ GRAPH = {"manifold": {"family": "schwarzschild", "n": "3", "m": "1"},
          "surface": {"kind": "graph", "rho0": "4 + 0.3*P2(cos(theta))"},
          "solver": {"N": "40", "t_end": "0.5", "dt_out": "0.25"}}
 
+# the same graph at n = 5, where the parallel curvature counts three times
+GRAPH5 = {**GRAPH, "manifold": {**GRAPH["manifold"], "n": "5"}}
+
 # radii whose area r^2 is below the normal float64 range, each three
 # coordinated edits away from a base, which the fuzz does not reach: the
 # area underflows to 0 or to a subnormal, or the profile's 1/r overflows
@@ -87,7 +90,7 @@ def run(*argv) -> tuple[int, str]:
 
 
 @settings(hostile, max_examples=300)
-@given(base=st.sampled_from([SPHERE, GRAPH]), changes=edits)
+@given(base=st.sampled_from([SPHERE, GRAPH, GRAPH5]), changes=edits)
 @with_edge_examples
 def test_flow_exits_with_a_documented_code(base, changes):
     text = render(base, changes)
@@ -98,7 +101,7 @@ def test_flow_exits_with_a_documented_code(base, changes):
 
 
 @settings(hostile, max_examples=200)
-@given(base=st.sampled_from([SPHERE, GRAPH]), changes=edits)
+@given(base=st.sampled_from([SPHERE, GRAPH, GRAPH5]), changes=edits)
 def test_static_check_exits_with_a_documented_code(base, changes):
     text = render(base, changes)
     with tempfile.TemporaryDirectory() as tmp:

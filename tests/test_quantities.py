@@ -11,7 +11,7 @@ from imcflab.errors import DomainError
 from conftest import p2_graph, suite_grid
 from oracles import (schwarzschild_sphere_mp, spheroid_area_closed,
                      spheroid_deficit_closed, spheroid_int_h_closed,
-                     spheroid_integrals, spheroid_polar_radius)
+                     spheroid_integrals, spheroid_polar_radius, unit_sphere_area)
 
 FOUR_SQRT_PI = 4 * math.sqrt(math.pi)  # flow limit of Q in three dimensions
 
@@ -205,6 +205,23 @@ class TestMinkowskiDeficit:
                                0.0).minkowski_deficit
         assert d == pytest.approx(SPHEROID_DEFICIT, abs=5e-5)
         assert d > 0.05
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_spheroid_delta_in_every_dimension(self, n):
+        # the quadrature oracle's delta0 = Q/Q_inf - 1 in flat R^n is
+        # positive, the Minkowski inequality: 0.0557, 0.0558, 0.0500, 0.0443,
+        # 0.0394 for n = 3..7.  The lab's error (measured, 2 vCPU x86-64,
+        # numpy 2.4) is 4.8e-6 down to 3.2e-7 at N = 400, 3.9-4.1x below N = 200
+        area, int_h, _ = spheroid_integrals(n=n)
+        omega = unit_sphere_area(n - 1)
+        exact = area ** (-(n - 2) / (n - 1)) * int_h / ((n - 1) * omega ** (1 / (n - 1))) - 1.0
+        assert exact > 0.03
+        spec = L.ManifoldSpec.flat(n)
+        errors = [abs(L.slice_quantities(L.graph_geometry(L.AxisymmetricGraph.from_function(
+            spheroid_polar_radius, spec, n_int)), L.constant_potential(1.0), 0.0).q
+            / L.limit_target(n) - 1.0 - exact) for n_int in (200, 400)]
+        assert errors[1] <= 5e-6
+        assert 3.5 <= errors[0] / errors[1] <= 4.5, errors
 
 
 class TestHawkingMass:

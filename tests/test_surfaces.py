@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import imcflab as L
-from imcflab.errors import DomainError, InsideHorizonError, UnsupportedDimensionError
+from imcflab.errors import DomainError, InsideHorizonError
 
-from oracles import (spheroid_area_closed, spheroid_h_at_theta,
-                     spheroid_polar_radius)
+from oracles import (offcentre_sphere_rho, spheroid_area_closed, spheroid_h_at_theta,
+                     spheroid_integrals, spheroid_polar_radius, unit_sphere_area)
 
 FOUR_PI = 4 * math.pi
 
@@ -85,6 +85,18 @@ class TestGraphGeometry:
         with pytest.raises(InsideHorizonError):
             L.AxisymmetricGraph(theta, 2.5 + 0.6 * np.cos(2 * theta), schw3m1)
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_profile_zero_at_a_node_raises(self, n):
+        # V = 0 at one node of a given frame is not positive: raised before
+        # the area element divides by it
+        graph = L.AxisymmetricGraph.from_function(
+            lambda th: 4 + 0.3 * (1.5 * np.cos(th) ** 2 - 0.5), L.ManifoldSpec.flat(n), 40)
+        frame = L.surfaces.graph_frame(graph.rho, graph.ambient, graph.grid)
+        v = frame.v.copy()
+        v[7] = 0.0
+        with pytest.raises(InsideHorizonError, match="nonpositive"):
+            L.graph_geometry(graph, frame._replace(v=v))
+
     def test_nan_graph_rejected(self, flat3):
         # a NaN radius passes neither side of the domain rule
         theta = np.linspace(0.0, np.pi, 21)
@@ -98,10 +110,17 @@ class TestGraphGeometry:
         assert not g.mean_curvature.min() > 0
         assert np.min(g.mean_curvature) < 0.0
 
-    def test_graphs_need_dimension_three(self):
-        spec = L.ManifoldSpec.schwarzschild(4, 1.0)
-        with pytest.raises(UnsupportedDimensionError):
-            L.AxisymmetricGraph.constant(4.0, spec, 100)
+    def test_graphs_build_and_flow_in_every_dimension(self):
+        # at n = 4..7 a graph builds, has the geometry of its dimension and flows
+        for n in range(4, 8):
+            spec = L.ManifoldSpec.schwarzschild(n, 1.0)
+            graph = L.AxisymmetricGraph.from_function(
+                lambda th: 4 + 0.3 * (1.5 * np.cos(th) ** 2 - 0.5), spec, 40)
+            g = L.graph_geometry(graph)
+            assert g.ambient.n == n and g.hawking_mass is None
+            assert g.area > 0.0 and g.mean_curvature.min() > 0.0
+            tr = L.flow_graph(graph, 0.5)
+            assert tr.status == "completed" and tr.times[-1] == 0.5
 
     def test_pole_regularity_enforced(self, flat3):
         theta = np.linspace(0.0, np.pi, 201)
@@ -250,3 +269,55 @@ class TestSerialization:
         path.write_text("1 2 3\n4 5 6\n")
         with pytest.raises(ValueError, match="two numeric columns"):
             L.load_graph(path, schw3m1)
+
+
+class TestEveryDimension:
+    """Graph geometry in R^n against oracles that owe nothing to the grid.
+
+    The sphere of radius R = 4 about p e_z (p = 2) is a graph in every n,
+    umbilic with H = (n-1)/R, |A|^2 = (n-1)/R^2 and area omega_(n-1)
+    R^(n-1), so Q is exactly its flow limit and delta0 = Q/Q_inf - 1 is 0.
+    The 2:1 prolate spheroid has the parallel curvature k_p with
+    multiplicity n - 2, an umbilicity deficit (n-1)|A|^2 - H^2 =
+    (n-2)(k_m - k_p)^2 whose max is (n-2) 16/27, and an area and int H by
+    adaptive quadrature in the ellipse parameter.
+    """
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_offcentre_sphere_is_round_to_second_order(self, n):
+        # measured (2 vCPU x86-64, numpy 2.4): at N = 100, delta0 is
+        # -6.3e-6, -5.4e-6, -4.2e-6, -3.3e-6, -2.6e-6 for n = 3..7; H,
+        # |A|^2 and delta0 fall 3.97-4.11x per halving of dtheta, the area
+        # and the umbilicity deficit 14.2-16.1x
+        spec, r0 = L.ManifoldSpec.flat(n), 4.0
+        errors = []
+        for n_int in (50, 100, 200):
+            g = L.graph_geometry(L.AxisymmetricGraph.from_function(
+                lambda th: offcentre_sphere_rho(th, 0.0, 2.0, r0), spec, n_int))
+            delta0 = L.slice_quantities(g, L.sqrt_potential(spec), 0.0).q / L.limit_target(n) - 1
+            errors.append([np.max(np.abs(g.mean_curvature - (n - 1) / r0)),
+                           np.max(np.abs(g.second_form_norm_sq - (n - 1) / r0**2)),
+                           abs(delta0),
+                           abs(g.area / (unit_sphere_area(n - 1) * r0 ** (n - 1)) - 1.0),
+                           g.umbilicity_deficit])
+        errors = np.array(errors)
+        assert np.all(errors[1] <= [5e-5 * (n - 1), 2.5e-5 * (n - 1), 7e-6, 3e-7,
+                                    1.5e-9 * (n - 1)]), errors[1]
+        ratios = errors[:-1] / errors[1:]
+        assert np.all((3.5 <= ratios[:, :3]) & (ratios[:, :3] <= 4.5)), ratios
+        assert np.all((12.0 <= ratios[:, 3:]) & (ratios[:, 3:] <= 20.0)), ratios
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_spheroid_matches_the_quadrature_oracle(self, n):
+        # measured (2 vCPU x86-64, numpy 2.4) at N = 400 for n = 3..7: H
+        # within 7.2e-4 to 2.7e-3, area within 4e-11 to 1.6e-9, the
+        # umbilicity deficit within (n-2) 5.0e-5 of its max
+        spec = L.ManifoldSpec.flat(n)
+        graph = L.AxisymmetricGraph.from_function(spheroid_polar_radius, spec, 400)
+        g = L.graph_geometry(graph)
+        area, int_h, _ = spheroid_integrals(n=n)
+        assert np.max(np.abs(g.mean_curvature - spheroid_h_at_theta(graph.theta, n=n))) < 3e-3
+        assert g.area == pytest.approx(area, rel=1e-8)
+        assert L.surface_integral(g, g.mean_curvature) == pytest.approx(int_h, rel=1e-5)
+        assert g.umbilicity_deficit == pytest.approx((n - 2) * 16.0 / 27.0, abs=(n - 2) * 1e-4)
+        assert (g.hawking_mass is None) == (n != 3)
