@@ -11,8 +11,8 @@ import numpy as np
 
 import imcflab as L
 
-flat = L.ManifoldSpec.flat(3)
-one = L.constant_potential(1.0)
+flat = L.ManifoldSpec.schwarzschild(3, 0.0)  # flat space is m = 0
+one = L.sqrt_potential(flat)                   # f = sqrt(V) = 1
 
 
 def spheroid(theta):

@@ -270,22 +270,19 @@ def _w_solver(s: np.ndarray):
     s = gamma dt / (H^2 E dtheta^2), and return its solve x = b[0] + z.
 
     Row i is -s_i, 1 + 2 s_i, -s_i, with the outer entry doubled in the
-    reflecting pole rows.  Where 1 + 2 s_i rounds to 1 at every node, W is
-    the identity to rounding and the solve returns a copy of b.  Otherwise
-    the matrix is diagonally dominant, so the Thomas factorization needs
-    no pivoting and its pivots are at least 1.  With the inverse pivots q,
-    the elimination is two first-order recurrences on z = q (b - b[0]):
-    z_i += f_i z_(i-1) forward and z_i += c_i z_(i+1) backward, where f_i
-    and c_i are s_i q_i, doubled at the poles.  Their prefix products r_f
-    and r_c are taken here, once per factorization, so each solve is a
-    prefix sum per direction.  The forward sweep yields z / r_f, which the
-    backward one weights by r_f / r_c, both folded into one array here, so
-    z itself is never formed.  Where either product falls below _FLOOR,
-    each solve runs both recurrences by :func:`_doubling` instead.  The
-    rows sum to one, so a constant b gives z = 0 exactly.
+    reflecting pole rows.  The matrix is diagonally dominant, so the Thomas
+    factorization needs no pivoting and its pivots are at least 1.  With
+    the inverse pivots q, the elimination is two first-order recurrences on
+    z = q (b - b[0]): z_i += f_i z_(i-1) forward and z_i += c_i z_(i+1)
+    backward, where f_i and c_i are s_i q_i, doubled at the poles.  Their
+    prefix products r_f and r_c are taken here, once per factorization, so
+    each solve is a prefix sum per direction.  The forward sweep yields
+    z / r_f, which the backward one weights by r_f / r_c, both folded into
+    one array here, so z itself is never formed.  Where either product
+    falls below _FLOOR, each solve runs both recurrences by
+    :func:`_doubling` instead.  The rows sum to one, so a constant b gives
+    z = 0 exactly.
     """
-    if 1.0 + 2.0 * s.max() == 1.0:
-        return np.copy
     n = s.size
     couple = np.zeros_like(s)        # sub- times superdiagonal, none in row 0
     np.multiply(s[1:], s[:-1], out=couple[1:])

@@ -7,8 +7,8 @@ The ambient metrics handled by the whole package have the warped form
 on a radial domain (r_min, r_max], with V > 0 there and V -> 1 at the
 asymptotically flat end.  The Schwarzschild family V = 1 - 2m r^(2-n)
 is the closed-form backbone (it is the only static member of this
-symmetry class); arbitrary V profiles are accepted as diagnostics and
-negative controls.
+symmetry class, and flat R^n is its m = 0 member); arbitrary V profiles
+are accepted as diagnostics and negative controls.
 
 This module owns the metric-side quantities that feed every other
 module: scalar curvature, the static-equation and harmonicity residuals
@@ -41,7 +41,6 @@ __all__ = [
     "adm_mass_fit",
     "horizon_radius",
     "sqrt_potential",
-    "constant_potential",
     "profile_weight",
     "sampled_potential",
     "tail_in_domain",
@@ -179,11 +178,6 @@ class RadialProfile(NamedTuple):
         return cls(v, dv, d2v, aspect=u)
 
     @classmethod
-    def flat(cls) -> "RadialProfile":
-        return cls(lambda r: r * 0.0 + 1.0, lambda r: r * 0.0,
-                   lambda r: r * 0.0, aspect=lambda r: r * 0.0)
-
-    @classmethod
     def from_callable(cls, v: Callable, dv: Callable | None = None,
                       d2v: Callable | None = None) -> "RadialProfile":
         """Wrap a plain V(r); missing derivatives fall back to central
@@ -245,14 +239,12 @@ class ManifoldSpec(_ManifoldFields):
     @classmethod
     def schwarzschild(cls, n: int, m: float, r_max: float = 1000.0,
                       r_min_floor: float = 0.1) -> "ManifoldSpec":
+        """Schwarzschild of mass m, with r_min its horizon when m > 0 and
+        the floor otherwise; m = 0 is flat R^n."""
         profile = RadialProfile.schwarzschild(n, m)
         # n <= 2 has no horizon; __new__ rejects it by name
         r_min = (2.0 * m) ** (1.0 / (n - 2)) if m > 0 and n > 2 else r_min_floor
-        return cls(n=n, profile=profile, r_min=r_min, r_max=float(r_max))
-
-    @classmethod
-    def flat(cls, n: int = 3, r_max: float = 1000.0, r_min: float = 0.1) -> "ManifoldSpec":
-        return cls(n=n, profile=RadialProfile.flat(), r_min=float(r_min), r_max=float(r_max))
+        return cls(n=n, profile=profile, r_min=float(r_min), r_max=float(r_max))
 
     @classmethod
     def custom(cls, profile: RadialProfile, n: int, r_min: float = 0.1,
@@ -300,10 +292,9 @@ class StaticPotential(NamedTuple):
     the diagnostics and negative controls run through identical code.
 
     The closed-form constructors below write the weight in terms of the
-    profile V of the manifold the slice lives in (sqrt(V), V or a
-    constant) and set ``aspect_excess``, the weight excess as a function
-    of the mass aspect, which lets :meth:`excess` form f sqrt(V) - 1
-    without cancellation.
+    profile V of the manifold the slice lives in (sqrt(V) or V) and set
+    ``aspect_excess``, the weight excess as a function of the mass aspect,
+    which lets :meth:`excess` form f sqrt(V) - 1 without cancellation.
     """
 
     value: Callable
@@ -341,13 +332,6 @@ def sqrt_potential(spec: ManifoldSpec) -> StaticPotential:
         return p.deriv2(r) / (2.0 * s) - p.deriv(r) ** 2 / (4.0 * v * s)
 
     return StaticPotential(value=f, deriv=df, deriv2=d2f, aspect_excess=lambda u: -u)
-
-
-def constant_potential(c: float) -> StaticPotential:
-    """f identically c; the flat-space potential when c = 1."""
-    return StaticPotential(
-        value=lambda r: r * 0.0 + c, deriv=lambda r: r * 0.0, deriv2=lambda r: r * 0.0,
-        aspect_excess=lambda u: c * math.expm1(0.5 * math.log1p(-u)) + (c - 1.0))
 
 
 def profile_weight(spec: ManifoldSpec) -> StaticPotential:

@@ -22,6 +22,7 @@ names the key, so a config that parses never fails later on one of them:
 * ``expressions.evaluate_radius_expression``: a finite ``[surface] rho0``
 * ``metrics.tail_in_domain``: the mass-fit tail inside the domain
 * ``metrics.require_on_table``: a table from the initial slice to past r_max
+* ``metrics.adm_mass_flux``: a finite mass flux at r_max
 
 Example
 -------
@@ -214,12 +215,11 @@ def parse_config(text: str, *, base_dir: Path | None = None,
     r_max = _get(parser, "manifold", "r_max", _finite, default=1000.0)
     r_min = _get(parser, "manifold", "r_min", _finite, default=0.1)
     with _invalid("[manifold] "):
-        if family == "schwarzschild":
-            m_param = _get(parser, "manifold", "m", _finite, required=True)
+        if family in ("schwarzschild", "flat"):  # flat space is m = 0
+            m_param = 0.0 if family == "flat" else _get(
+                parser, "manifold", "m", _finite, required=True)
             spec = ManifoldSpec.schwarzschild(n, m_param, r_max=r_max,
                                               r_min_floor=r_min)
-        elif family == "flat":
-            spec = ManifoldSpec.flat(n, r_max=r_max, r_min=r_min)
         elif family == "custom":
             pf = _get(parser, "manifold", "profile_file", required=True)
             profile = RadialProfile.from_samples(*read_columns(
@@ -284,6 +284,10 @@ def parse_config(text: str, *, base_dir: Path | None = None,
         with _invalid("[potential] file: "):
             require_on_table(weight, spec, r_inner,
                              r_outer * math.exp(t_end / (spec.n - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a steep weight's flux overflows
+        flux = float(adm_mass_flux(spec, reference, spec.r_max))
+    if not math.isfinite(flux):
+        raise ConfigError(f"[manifold] r_max = {spec.r_max:g}: the mass flux there is {flux}")
 
     eps_default = 1e-6 * (200.0 / n_grid) ** 2  # matches the O(dtheta^2) scheme
     eps_mono = _get(parser, "analysis", "eps_mono", _nonnegative, default=eps_default)
@@ -350,18 +354,17 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     weight's largest static-equation and harmonicity residuals on a 200-point
     log grid, ``weight_is_static`` (both below static_tol), the mass flux at
     r_max, and the non-static warning (None if static or profile-weight).
-    A tabulated weight is sampled from its table's first radius up.  A
-    ConfigError names ``[manifold] r_max`` for a non-finite mass flux."""
+    A tabulated weight is sampled from its table's first radius up."""
     spec = cfg.surface.ambient
     first = cfg.weight.support[0] if cfg.weight.support else 0.0
     lo = 1.1 * spec.r_min if spec.r_min > 0 else spec.r_max * 1e-4
     # a domain narrower than that start collapses the grid onto r_max
     grid = np.geomspace(min(max(lo, 1e-6, first), spec.r_max), spec.r_max, 200)
-    # a steep weight's flux f' r^(n-1) can overflow at r_max; it is rejected below
+    # a steep weight's or profile's residuals may overflow: inf fails static_tol
     with np.errstate(over="ignore", invalid="ignore"):
         s_rr, s_tt = static_residual(spec, cfg.weight, grid)
         harm = harmonicity_residual(spec, cfg.weight, grid)
-        mass = float(adm_mass_flux(spec, cfg.reference_potential, spec.r_max))
+    mass = float(adm_mass_flux(spec, cfg.reference_potential, spec.r_max))
     static_max = float(np.max(np.abs(np.stack([s_rr, s_tt]))))
     harmonic_max = float(np.max(np.abs(harm)))
     is_static = static_max < cfg.static_tol and harmonic_max < cfg.static_tol
@@ -369,8 +372,6 @@ def static_diagnostics(cfg: ScenarioConfig) -> tuple[dict, str | None]:
     if cfg.potential_kind != "profile-weight" and not is_static:
         warning = (f"declared potential fails the static equation "
                    f"(max residual {static_max:.3e})")
-    if not math.isfinite(mass):
-        raise ConfigError(f"[manifold] r_max = {spec.r_max:g}: the mass flux there is {mass}")
     return {"static_residual_max": static_max, "harmonic_residual_max": harmonic_max,
             "weight_is_static": is_static, "mass_flux": mass}, warning
 

@@ -63,4 +63,4 @@ def schw3m1():
 
 @pytest.fixture(scope="session")
 def flat3():
-    return L.ManifoldSpec.flat(3)
+    return L.ManifoldSpec.schwarzschild(3, 0.0)

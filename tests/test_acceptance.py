@@ -202,13 +202,13 @@ def test_criterion_08_horizon_vanishing():
 def test_criterion_09_classical_strictness(flat3):
     geom = L.graph_geometry(
         L.AxisymmetricGraph.from_function(spheroid_polar_radius, flat3, 400))
-    d = L.slice_quantities(geom, L.constant_potential(1.0), 0.0).minkowski_deficit
+    d = L.slice_quantities(geom, L.sqrt_potential(flat3), 0.0).minkowski_deficit
     assert d == pytest.approx(SPHEROID_DEFICIT_ORACLE, abs=5e-5)
     assert d > 0.01  # strictly positive, far above discretization noise
     for r in (0.5, 1.0, 2.0, 10.0):
         s = L.sphere_geometry(L.CoordinateSphere(r, flat3))
         assert abs(L.slice_quantities(
-            s, L.constant_potential(1.0), 0.0).minkowski_deficit) < 1e-10
+            s, L.sqrt_potential(flat3), 0.0).minkowski_deficit) < 1e-10
     print(f"ACCEPTANCE criterion 9: PASS on strictness (spheroid deficit "
           f"{d:.7f} matches the pinned oracle {SPHEROID_DEFICIT_ORACLE:.7f}; "
           f"flat spheres at zero)")
@@ -226,7 +226,7 @@ def test_criterion_09_literal_threshold_contradicts_oracle(flat3):
     by_quadrature = int_h / (8 * math.pi) - math.sqrt(area / (4 * math.pi))
     geom = L.graph_geometry(
         L.AxisymmetricGraph.from_function(spheroid_polar_radius, flat3, 400))
-    d = L.slice_quantities(geom, L.constant_potential(1.0), 0.0).minkowski_deficit
+    d = L.slice_quantities(geom, L.sqrt_potential(flat3), 0.0).minkowski_deficit
     numbers = (f"closed form {exact:.10f}, frozen oracle "
                f"{SPHEROID_DEFICIT_ORACLE:.10f}, package N=400 {d:.10f}, "
                f"literal threshold 0.1")

@@ -111,22 +111,31 @@ class TestManifoldSpec:
         # only a positive mass has a horizon to move r_min to
         assert L.ManifoldSpec.schwarzschild(3, 0.0).r_min == 0.1
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_zero_mass_is_flat_space(self, n):
+        # flat R^n is the m = 0 edge of the family: V = 1 with both
+        # derivatives and the mass aspect exactly 0 from just outside the
+        # floor to r_max, and no horizon; the floor is stored as a float
+        spec = L.ManifoldSpec.schwarzschild(n, 0.0)
+        r = np.geomspace(spec.r_min * (1 + 1e-12), spec.r_max, 200)
+        p = spec.profile
+        assert np.all(p.value(r) == 1.0) and np.all(p.deriv(r) == 0.0)
+        assert np.all(p.deriv2(r) == 0.0) and np.all(p.mass_aspect(r) == 0.0)
+        assert spec.r_min == 0.1 and L.horizon_radius(spec) is None
+        floor = L.ManifoldSpec.schwarzschild(n, 0.0, r_max=5, r_min_floor=1).r_min
+        assert type(floor) is float and floor == 1.0
+
+    def test_flat_space_has_no_second_path(self):
+        # flat space is schwarzschild(n, 0.0) and its potential sqrt_potential
+        for owner, name in ((L, "constant_potential"), (L.metrics, "constant_potential"),
+                            (L.RadialProfile, "flat"), (L.ManifoldSpec, "flat")):
+            assert not hasattr(owner, name), name
+        assert "constant_potential" not in L.__all__ + L.metrics.__all__
+
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_dimension_outside_three_to_seven(self, n):
         with pytest.raises(ValueError, match="3 <= n <= 7"):
             L.ManifoldSpec.schwarzschild(n, 1.0)
-
-
-def test_constant_potential_names_its_constant():
-    # no default c: flat space's c = 1 is written out like any other
-    with pytest.raises(TypeError, match="'c'"):
-        L.constant_potential()
-
-
-def test_constant_potential_excess_from_the_mass_aspect(schw3m1):
-    # f = 2 at r = 4 with m = 1: f sqrt(V) - 1 = 2 sqrt(1/2) - 1
-    assert L.constant_potential(2.0).excess(4.0, schw3m1.profile) == pytest.approx(
-        2.0 * math.sqrt(0.5) - 1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0])
@@ -134,18 +143,19 @@ def test_constant_potential_excess_from_the_mass_aspect(schw3m1):
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("m", [-0.5, 0.5])
 def test_constant_potential_excess_off_flat_space(m, n, r, c):
-    # c sqrt(V) - 1 in 30 digits, V = 1 - 2m r^(2-n); in flat space u = 0
-    # and the excess is c - 1 whatever the exponent of (1 - u)
+    # a hand-built weight f = c has no aspect_excess, so its excess is the
+    # plain c sqrt(V) - 1, which a table weight on a sphere also takes;
+    # against 30 digits, V = 1 - 2m r^(2-n)
     with mpmath.workdps(30):
         exact = c * mpmath.sqrt(1 - 2 * mpmath.mpf(m) * mpmath.mpf(r) ** (2 - n)) - 1
     spec = L.ManifoldSpec.schwarzschild(n, m)
-    assert L.constant_potential(c).excess(r, spec.profile) == pytest.approx(
-        float(exact), rel=1e-14)
+    weight = L.StaticPotential(value=lambda r: c, deriv=None, deriv2=None)
+    assert weight.excess(r, spec.profile) == pytest.approx(float(exact), rel=1e-14)
 
 
 class TestStaticResidual:
     def test_flat_constant_potential(self, flat3):
-        rr, tt = L.static_residual(flat3, L.constant_potential(1.0), 1.0)
+        rr, tt = L.static_residual(flat3, L.sqrt_potential(flat3), 1.0)
         assert rr == 0.0 and tt == 0.0
 
     @pytest.mark.parametrize("n,m", SUITE_NM)
@@ -190,7 +200,7 @@ class TestStaticResidual:
 
 class TestHarmonicity:
     def test_flat(self, flat3):
-        assert L.harmonicity_residual(flat3, L.constant_potential(1.0), 2.0) == 0.0
+        assert L.harmonicity_residual(flat3, L.sqrt_potential(flat3), 2.0) == 0.0
 
     @pytest.mark.parametrize("n,m,r", [(3, 1.0, 5.0), (4, 1.0, 3.0), (6, 0.5, 2.0)])
     def test_sqrt_v_harmonic(self, n, m, r):
@@ -216,8 +226,8 @@ class TestAdmMassFlux:
         spec5 = L.ManifoldSpec.schwarzschild(5, 2.0)
         assert L.adm_mass_flux(spec5, L.sqrt_potential(spec5), 3.0) == pytest.approx(
             2.0, abs=1e-13)
-        flat = L.ManifoldSpec.flat(3)
-        assert L.adm_mass_flux(flat, L.constant_potential(1.0), 7.0) == 0.0
+        flat = L.ManifoldSpec.schwarzschild(3, 0.0)
+        assert L.adm_mass_flux(flat, L.sqrt_potential(flat), 7.0) == 0.0
 
     def test_potential_accepts_mpmath_scalars(self, schw3m1):
         f = L.sqrt_potential(schw3m1)
@@ -239,7 +249,7 @@ class TestAdmMassFit:
         assert abs(m_hat - (-0.5)) < 1e-2
 
     def test_flat_gives_zero_exactly(self, flat3):
-        assert L.adm_mass_fit(flat3, L.constant_potential(1.0), self.TAIL) == 0.0
+        assert L.adm_mass_fit(flat3, L.sqrt_potential(flat3), self.TAIL) == 0.0
 
     @pytest.mark.parametrize("n,m", [(3, 1.0), (3, -0.5), (5, 2.0)])
     def test_fit_agrees_with_flux_within_one_percent(self, n, m):
@@ -255,10 +265,11 @@ class TestAdmMassFit:
 
     def test_rejects_unnormalized_potential(self, schw3m1):
         with pytest.raises(FitQualityError) as exc:
-            L.adm_mass_fit(schw3m1, L.constant_potential(3.0), self.TAIL)
+            # a hand-built weight tending to 3: |f - 1| is largest at r = 1000
+            L.adm_mass_fit(schw3m1, self._weight(lambda r: 3.0 - 100.0 / r), self.TAIL)
         assert "near 1" in str(exc.value)
         dev = re.search(r"max \|f - 1\| = (\S+)\)", str(exc.value))
-        assert float(dev.group(1)) == pytest.approx(2.0)
+        assert float(dev.group(1)) == pytest.approx(1.9)
 
     # Each rejection threshold t of the tail fits is pinned by a closed-form
     # weight on either side of it, inside (t / 1.5, 1.5 t): the flat n = 3

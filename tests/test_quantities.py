@@ -25,7 +25,7 @@ SPHEROID_HAWKING = -0.1500852024673573
 
 @pytest.fixture(scope="module")
 def spheroid_geom():
-    flat = L.ManifoldSpec.flat(3)
+    flat = L.ManifoldSpec.schwarzschild(3, 0.0)
     return L.graph_geometry(
         L.AxisymmetricGraph.from_function(spheroid_polar_radius, flat, 400))
 
@@ -61,7 +61,7 @@ def test_retired_quantity_functions_are_gone():
 class TestWeightedTotalMeanCurvature:
     def test_flat_unit_sphere(self, flat3):
         s = L.sphere_geometry(L.CoordinateSphere(1.0, flat3))
-        val = L.slice_quantities(s, L.constant_potential(1.0), 0.0).weighted_total_h
+        val = L.slice_quantities(s, L.sqrt_potential(flat3), 0.0).weighted_total_h
         assert val == pytest.approx(8 * math.pi, rel=1e-14)
 
     def test_schwarzschild_closed_form(self, schw3m1):
@@ -132,7 +132,7 @@ class TestMonotoneQuantity:
 
     def test_flat_unit_sphere_classical_value(self, flat3):
         s = L.sphere_geometry(L.CoordinateSphere(1.0, flat3))
-        assert L.slice_quantities(s, L.constant_potential(1.0), 0.0).q \
+        assert L.slice_quantities(s, L.sqrt_potential(flat3), 0.0).q \
             == pytest.approx(FOUR_SQRT_PI, abs=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -147,7 +147,7 @@ class TestMonotoneQuantity:
         assert q == pytest.approx(L.limit_target(n), abs=1e-10)
 
     def test_spheroid_exceeds_limit(self, spheroid_geom):
-        q = L.slice_quantities(spheroid_geom, L.constant_potential(1.0), 0.0).q
+        q = L.slice_quantities(spheroid_geom, L.sqrt_potential(spheroid_geom.ambient), 0.0).q
         assert q == pytest.approx(SPHEROID_INT_H / math.sqrt(SPHEROID_AREA),
                                   rel=1e-4)
         assert q > FOUR_SQRT_PI + 0.3
@@ -201,7 +201,7 @@ class TestMinkowskiDeficit:
                         <= 8 * eps * (scale + abs(d)), f"n={n} m={m} r={r!r}"
 
     def test_spheroid_strictly_positive(self, spheroid_geom):
-        d = L.slice_quantities(spheroid_geom, L.constant_potential(1.0),
+        d = L.slice_quantities(spheroid_geom, L.sqrt_potential(spheroid_geom.ambient),
                                0.0).minkowski_deficit
         assert d == pytest.approx(SPHEROID_DEFICIT, abs=5e-5)
         assert d > 0.05
@@ -216,9 +216,9 @@ class TestMinkowskiDeficit:
         omega = unit_sphere_area(n - 1)
         exact = area ** (-(n - 2) / (n - 1)) * int_h / ((n - 1) * omega ** (1 / (n - 1))) - 1.0
         assert exact > 0.03
-        spec = L.ManifoldSpec.flat(n)
+        spec = L.ManifoldSpec.schwarzschild(n, 0.0)
         errors = [abs(L.slice_quantities(L.graph_geometry(L.AxisymmetricGraph.from_function(
-            spheroid_polar_radius, spec, n_int)), L.constant_potential(1.0), 0.0).q
+            spheroid_polar_radius, spec, n_int)), L.sqrt_potential(spec), 0.0).q
             / L.limit_target(n) - 1.0 - exact) for n_int in (200, 400)]
         assert errors[1] <= 5e-6
         assert 3.5 <= errors[0] / errors[1] <= 4.5, errors

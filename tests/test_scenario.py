@@ -258,6 +258,19 @@ class TestParseConfig:
             assert report.trace.status == "completed"
             assert report.verdicts["overall_pass"] and exit_code_for(report) == 0
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_flat_family_is_schwarzschild_at_zero_mass(self, n):
+        # family = flat still parses, to the m = 0 member of the family
+        rest = f"n = {n}\nr_min = 0.2\nr_max = 50\n[surface]\nkind = sphere\nr0 = 4\n"
+        flat, zero = (parse_config(f"[manifold]\nfamily = {family}\n{rest}").surface.ambient
+                      for family in ("flat", "schwarzschild\nm = 0"))
+        assert (flat.n, flat.r_min, flat.r_max) == (zero.n, zero.r_min, zero.r_max) \
+            == (n, 0.2, 50.0)
+        r = np.geomspace(0.21, 50.0, 40)
+        for name in ("value", "deriv", "deriv2", "mass_aspect"):
+            assert np.array_equal(getattr(flat.profile, name)(r),
+                                  getattr(zero.profile, name)(r)), name
+
     def test_flow_must_stay_in_domain(self):
         with pytest.raises(ConfigError, match="r_max"):
             parse_config(MINIMAL + "\n[solver]\nt_end = 20\n")
@@ -558,6 +571,17 @@ class TestSlicesOnTheTable:
         with pytest.raises(ConfigError) as exc:
             parse_config(text, base_dir=tmp_path)
         assert str(exc.value) == f"[potential] file: {message}"
+
+    def test_parser_rejects_a_non_finite_mass_flux(self, tmp_path):
+        # the steep table of TestCli's flux guard: its flux at r_max = 1e100
+        # overflows, and parse_config itself says so, before any command
+        r = np.geomspace(1.0, 1.2e100, 600)
+        np.savetxt(tmp_path / "f.txt", np.column_stack([r, 1.0 + 1e-92 * r**3]))
+        text = ("[manifold]\nfamily = schwarzschild\nn = 3\nm = -0.5\nr_max = 1e100\n"
+                "[potential]\nkind = file\nfile = f.txt\n[surface]\nkind = sphere\nr0 = 4\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, base_dir=tmp_path)
+        assert str(exc.value) == "[manifold] r_max = 1e+100: the mass flux there is inf"
 
     def test_slices_run_up_to_r_max_inside_the_table(self, tmp_path):
         # from r0 = 4, t_end 13.8 reaches 4 e^6.9 = 3971, within r_max = 3999,

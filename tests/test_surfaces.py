@@ -90,7 +90,7 @@ class TestGraphGeometry:
         # V = 0 at one node of a given frame is not positive: raised before
         # the area element divides by it
         graph = L.AxisymmetricGraph.from_function(
-            lambda th: 4 + 0.3 * (1.5 * np.cos(th) ** 2 - 0.5), L.ManifoldSpec.flat(n), 40)
+            lambda th: 4 + 0.3 * (1.5 * np.cos(th) ** 2 - 0.5), L.ManifoldSpec.schwarzschild(n, 0.0), 40)
         frame = L.surfaces.graph_frame(graph.rho, graph.ambient, graph.grid)
         v = frame.v.copy()
         v[7] = 0.0
@@ -243,7 +243,7 @@ class TestCauchySchwarz:
     @given(c0=st.floats(1.0, 3.0),
            amps=st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=4))
     def test_pointwise_gap_nonnegative(self, c0, amps):
-        flat = L.ManifoldSpec.flat(3)
+        flat = L.ManifoldSpec.schwarzschild(3, 0.0)
         theta = np.linspace(0.0, np.pi, 128 + 1)
         rho = np.full_like(theta, c0)
         for k, a in enumerate(amps, start=1):
@@ -289,7 +289,7 @@ class TestEveryDimension:
         # -6.3e-6, -5.4e-6, -4.2e-6, -3.3e-6, -2.6e-6 for n = 3..7; H,
         # |A|^2 and delta0 fall 3.97-4.11x per halving of dtheta, the area
         # and the umbilicity deficit 14.2-16.1x
-        spec, r0 = L.ManifoldSpec.flat(n), 4.0
+        spec, r0 = L.ManifoldSpec.schwarzschild(n, 0.0), 4.0
         errors = []
         for n_int in (50, 100, 200):
             g = L.graph_geometry(L.AxisymmetricGraph.from_function(
@@ -312,7 +312,7 @@ class TestEveryDimension:
         # measured (2 vCPU x86-64, numpy 2.4) at N = 400 for n = 3..7: H
         # within 7.2e-4 to 2.7e-3, area within 4e-11 to 1.6e-9, the
         # umbilicity deficit within (n-2) 5.0e-5 of its max
-        spec = L.ManifoldSpec.flat(n)
+        spec = L.ManifoldSpec.schwarzschild(n, 0.0)
         graph = L.AxisymmetricGraph.from_function(spheroid_polar_radius, spec, 400)
         g = L.graph_geometry(graph)
         area, int_h, _ = spheroid_integrals(n=n)

@@ -41,7 +41,7 @@ TARGETS = (
     "metrics.unit_sphere_area", "metrics.RadialProfile.schwarzschild",
     "metrics.ManifoldSpec.schwarzschild",
     "metrics.StaticPotential.excess", "metrics.sqrt_potential",
-    "metrics.constant_potential", "metrics.profile_weight",
+    "metrics.profile_weight",
     "metrics.scalar_curvature", "metrics.static_residual",
     "metrics.harmonicity_residual", "metrics.adm_mass_flux", "metrics.adm_mass_fit",
     "metrics.require_on_table",
