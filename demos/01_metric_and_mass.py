@@ -36,7 +36,7 @@ print(f"horizon: {L.horizon_radius(neg)}  (none expected)")
 print(f"flux mass: {L.adm_mass_flux(neg, L.sqrt_potential(neg), 500.0):.12f}")
 
 print("\n== a non-static profile for contrast ==")
-profile = L.RadialProfile.from_callable(
+profile = L.RadialProfile(
     lambda r: 1.0 - 2.0 / r + 0.25 / r**2,
     lambda r: 2.0 / r**2 - 0.5 / r**3,
     lambda r: -4.0 / r**3 + 1.5 / r**4)

@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
-Each failure mode the scenario runner maps to a distinct exit code gets its
-own class; everything derives from :class:`LabError` so callers can catch
-package errors wholesale.
+Everything derives from :class:`LabError`, so callers can catch package
+errors wholesale.  The CLI gives only two classes an exit code of their
+own: :class:`ConfigError` exits 2 and :class:`SolverFailureError` exits 3;
+every other ``LabError`` that reaches it exits 1.  The rest name a failure
+for the code that handles it: the config parser re-raises a model's
+``DomainError`` or ``MeanConvexityError`` as a ``ConfigError`` naming the
+key, ``run_scenario`` turns a ``FitQualityError`` into a warning and a
+null ``mass_fit``, and ``imcflab oracle`` gives an ``InsideHorizonError``
+its horizon message.
 """
 
 

@@ -143,19 +143,22 @@ class FlowTrace(NamedTuple):
         return self.geometries[0].ambient
 
 
-def require_reach(spec: ManifoldSpec, r_outer: float, t_end: float) -> None:
-    """Require t_end > 0 (else ValueError) and, for a slice reaching out to
-    ``r_outer``, r_outer e^(t_end/(n-1)) <= r_max (else DomainError): the
-    strict rule that the slices built at each output obey.  A growth
-    t_end/(n-1) beyond 709 is rejected before math.exp can overflow, so
-    the graph stepper's factor e^(t/(n-1)) stays finite."""
+def require_reach(spec: ManifoldSpec, r_outer: float, t_end: float) -> float:
+    """The flow's reach r_outer e^(t_end/(n-1)), the radius a slice reaching
+    out to ``r_outer`` grows to by t_end.  Requires t_end > 0 (else
+    ValueError) and reach <= r_max (else DomainError): the strict rule that
+    the slices built at each output obey.  A growth t_end/(n-1) beyond 709
+    is rejected before math.exp can overflow, so the graph stepper's factor
+    e^(t/(n-1)) stays finite."""
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     growth = t_end / (spec.n - 1)
-    if not (growth <= 709.0 and r_outer * math.exp(growth) <= spec.r_max):
+    reach = r_outer * math.exp(growth) if growth <= 709.0 else math.inf
+    if not reach <= spec.r_max:
         raise DomainError(
             f"t_end = {t_end:g} flows the slice from r = {r_outer:g} beyond "
             f"r_max = {spec.r_max:g}; enlarge r_max or shorten the flow")
+    return reach
 
 
 def output_times(t_end: float, dt_out: float) -> np.ndarray:

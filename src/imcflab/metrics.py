@@ -141,7 +141,8 @@ def unit_sphere_area(k: int) -> float:
 
 
 class RadialProfile(NamedTuple):
-    """A metric profile V(r) with first and second derivatives.
+    """A metric profile V(r) with first and second derivatives.  A
+    hand-built profile is RadialProfile(v, dv, d2v), derivatives written out.
 
     The closed-form constructors also set ``aspect``, the mass aspect
     u = 1 - V in exact form (see :meth:`mass_aspect`), so sphere
@@ -160,7 +161,8 @@ class RadialProfile(NamedTuple):
 
     @classmethod
     def schwarzschild(cls, n: int, m: float) -> "RadialProfile":
-        """V = 1 - 2m r^(2-n), exact for every real m."""
+        """V = 1 - 2m r^(2-n), exact for every real m.  Flat space (m = 0)
+        gets V'' = 0 outright: r^(-n) overflows at radii its domain admits."""
         a, b = 2.0 - n, 1.0 - n
 
         def u(r):
@@ -175,22 +177,7 @@ class RadialProfile(NamedTuple):
         def d2v(r):
             return -2.0 * m * (n - 2.0) * (n - 1.0) * r ** (-float(n))
 
-        return cls(v, dv, d2v, aspect=u)
-
-    @classmethod
-    def from_callable(cls, v: Callable, dv: Callable | None = None,
-                      d2v: Callable | None = None) -> "RadialProfile":
-        """Wrap a plain V(r); missing derivatives fall back to central
-        finite differences (steps balanced for O(h^2) truncation)."""
-        if dv is None:
-            def dv(r, _v=v):
-                h = 6.0e-6 * (1.0 + np.abs(r))
-                return (_v(r + h) - _v(r - h)) / (2.0 * h)
-        if d2v is None:
-            def d2v(r, _v=v):
-                h = 1.2e-4 * (1.0 + np.abs(r))
-                return (_v(r + h) - 2.0 * _v(r) + _v(r - h)) / h**2
-        return cls(v, dv, d2v)
+        return cls(v, dv, d2v if m else (lambda r: 0.0 * r), aspect=u)
 
     @classmethod
     def from_samples(cls, r: np.ndarray, v: np.ndarray) -> "RadialProfile":

@@ -278,12 +278,11 @@ def parse_config(text: str, *, base_dir: Path | None = None,
             raise ConfigError(
                 f"[surface] kind must be sphere or graph, got {surf_kind!r}")
     with _invalid("[solver] "):
-        require_reach(spec, r_outer, t_end)
+        reach = require_reach(spec, r_outer, t_end)
         output_times(t_end, dt_out)
     if pot_kind == "file":
         with _invalid("[potential] file: "):
-            require_on_table(weight, spec, r_inner,
-                             r_outer * math.exp(t_end / (spec.n - 1)))
+            require_on_table(weight, spec, r_inner, reach)
     with np.errstate(over="ignore", invalid="ignore"):  # a steep weight's flux overflows
         flux = float(adm_mass_flux(spec, reference, spec.r_max))
     if not math.isfinite(flux):

@@ -242,3 +242,24 @@ def schwarzschild_sphere_mp(n, m, r, weight="static", dps=40):
                             * (1 - h * h * area / (16 * mpmath.pi)))
         return {"area": float(area), "int_fH": float(int_fh), "Q": float(q),
                 "deficit": float(deficit), "hawking": hawking}
+
+
+# ---------------------------------------------------------------------------
+# Schwarzschild profile and static potential with derivatives, 30 digits
+# ---------------------------------------------------------------------------
+
+def schwarzschild_derivatives_mp(n, m, r, dps=30):
+    """(V, V', V'') and (f, f', f'') for f = sqrt(V), V = 1 - 2m r^(2-n), by
+    mpmath's numerical differentiation in ``dps``-digit arithmetic, rounded
+    to float; a derivative of flat space (m = 0) comes out exactly 0."""
+    with mpmath.workdps(dps):
+        r, m = mpmath.mpf(r), mpmath.mpf(m)
+
+        def v(x):
+            return 1 - 2 * m * x ** (2 - n)
+
+        def f(x):
+            return mpmath.sqrt(v(x))
+
+        return tuple(tuple(float(mpmath.diff(g, r, k)) for k in range(3))
+                     for g in (v, f))

@@ -2,6 +2,7 @@ import functools
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -885,3 +886,24 @@ class TestValidation:
             L.flow_graph(L.AxisymmetricGraph.constant(4.0, spec, 100), 3.0)
         with pytest.raises(ValueError, match="t_end"):
             L.flow_sphere(L.CoordinateSphere(4.0, schw3m1), 0.0)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_reach_is_returned_and_its_edge_is_inside(self, n):
+        # the reach 4 e^(t/(n-1)) against 30 digits (t = 0.75: any positive
+        # t_end is allowed); a domain ending exactly at the reach admits it
+        spec = L.ManifoldSpec.schwarzschild(n, 1.0)
+        with mpmath.workdps(30):
+            exact = float(4 * mpmath.exp(mpmath.mpf("0.75") / (n - 1)))
+        reach = L.require_reach(spec, 4.0, 0.75)
+        assert reach == pytest.approx(exact, rel=1e-15)
+        edge = L.ManifoldSpec.schwarzschild(n, 1.0, r_max=reach)
+        assert L.require_reach(edge, 4.0, 0.75) == reach
+        with pytest.raises(ValueError, match="t_end"):
+            L.require_reach(spec, 4.0, 0.0)
+        # a growth of 709 is still formed, one past math.exp's range is
+        # refused as beyond r_max
+        wide = L.ManifoldSpec.schwarzschild(n, 0.0, r_max=1e8, r_min_floor=0.0)
+        assert L.require_reach(wide, 1e-300, 709.0 * (n - 1)) == pytest.approx(
+            1e-300 * float(mpmath.exp(709)), rel=1e-14)
+        with pytest.raises(DomainError, match="r_max"):
+            L.require_reach(spec, 4.0, 800.0 * (n - 1))

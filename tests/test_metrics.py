@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -13,7 +14,8 @@ from imcflab.errors import DomainError, FitQualityError
 from imcflab.metrics import _spline
 
 from conftest import SUITE_NM, suite_grid
-from oracles import scalar_curvature_fd, static_tensor_fd
+from oracles import (scalar_curvature_fd, schwarzschild_derivatives_mp,
+                     static_tensor_fd)
 
 
 def schw_v(n, m):
@@ -48,7 +50,7 @@ class TestScalarCurvature:
     def test_reissner_nordstrom_closed_form(self):
         # V = 1 - 2m/r + q^2/r^2 has R = 2 q^2 / r^4; at q=1/2, r=2 that is 1/32
         m, q = 1.0, 0.5
-        profile = L.RadialProfile.from_callable(
+        profile = L.RadialProfile(
             lambda r: 1.0 - 2.0 * m / r + q**2 / r**2,
             lambda r: 2.0 * m / r**2 - 2.0 * q**2 / r**3,
             lambda r: -4.0 * m / r**3 + 6.0 * q**2 / r**4)
@@ -56,28 +58,11 @@ class TestScalarCurvature:
         assert L.scalar_curvature(spec, 2.0 + 1e-12) == pytest.approx(0.03125, rel=1e-9)
         assert L.scalar_curvature(spec, 4.0) == pytest.approx(2 * q**2 / 4.0**4, rel=1e-12)
 
-    def test_fd_fallback_derivatives(self):
-        # profile given without derivatives; finite differences kick in
-        m, q = 1.0, 0.5
-        profile = L.RadialProfile.from_callable(
-            lambda r: 1.0 - 2.0 * m / r + q**2 / r**2)
-        spec = L.ManifoldSpec.custom(profile, 3, r_min=2.0)
-        assert L.scalar_curvature(spec, 2.0 + 1e-12) == pytest.approx(0.03125, abs=1e-8)
-
-    def test_fd_fallback_second_derivative(self):
-        # V'' = -4m/r^3 + 6q^2/r^4 against the central second difference
-        m, q = 1.0, 0.5
-        profile = L.RadialProfile.from_callable(
-            lambda r: 1.0 - 2.0 * m / r + q**2 / r**2)
-        r = np.array([2.0, 4.0, 10.0, 100.0])
-        np.testing.assert_allclose(profile.deriv2(r), -4.0 * m / r**3 + 6.0 * q**2 / r**4,
-                                   rtol=4e-8, atol=0.0)
-
     def test_matches_fd_ricci_oracle(self):
         # independent Christoffel/Ricci computation of the same metric
         m, q = 1.0, 0.5
         v = lambda r: 1.0 - 2.0 * m / r + q**2 / r**2
-        profile = L.RadialProfile.from_callable(
+        profile = L.RadialProfile(
             v,
             lambda r: 2.0 * m / r**2 - 2.0 * q**2 / r**3,
             lambda r: -4.0 * m / r**3 + 6.0 * q**2 / r**4)
@@ -124,6 +109,14 @@ class TestManifoldSpec:
         assert spec.r_min == 0.1 and L.horizon_radius(spec) is None
         floor = L.ManifoldSpec.schwarzschild(n, 0.0, r_max=5, r_min_floor=1).r_min
         assert type(floor) is float and floor == 1.0
+        # an r_min = 0 domain admits radii just above where r^(n-1) leaves
+        # the normal floats, and r^(-n) overflows there: V'' is still 0, so
+        # the static residual of f = 1 is exactly 0, with no warning
+        spec = L.ManifoldSpec.schwarzschild(n, 0.0, r_max=1.0, r_min_floor=0.0)
+        tiny = 1.001 * sys.float_info.min ** (1.0 / (n - 1))
+        for r in (np.array([tiny, 1e-3]), tiny):
+            for component in L.static_residual(spec, L.sqrt_potential(spec), r):
+                assert np.all(component == 0.0)
 
     def test_flat_space_has_no_second_path(self):
         # flat space is schwarzschild(n, 0.0) and its potential sqrt_potential
@@ -408,15 +401,15 @@ class TestHorizonRadius:
 
     def test_zero_at_the_first_node_is_the_root(self):
         # V(r) = r - 1e-8 vanishes on grid[0] = 1e-8 exactly
-        spec = L.ManifoldSpec.custom(L.RadialProfile.from_callable(lambda r: r - 1e-8),
-                                     3, r_min=1e-8)
+        spec = L.ManifoldSpec.custom(L.RadialProfile(lambda r: r - 1e-8, lambda r: 1.0,
+                                                     lambda r: 0.0), 3, r_min=1e-8)
         assert L.horizon_radius(spec) == 1e-8
 
     def test_zero_at_a_later_node_is_the_root(self):
         # V(r) = r - g vanishes on a node g of the scan, with no bisection
         g = np.geomspace(1e-8, 1000.0, 512)[200]
-        spec = L.ManifoldSpec.custom(L.RadialProfile.from_callable(lambda r: r - g),
-                                     3, r_min=g)
+        spec = L.ManifoldSpec.custom(L.RadialProfile(lambda r: r - g, lambda r: 1.0,
+                                                     lambda r: 0.0), 3, r_min=g)
         assert L.horizon_radius(spec) == g
 
     def test_sampled_profile_horizon(self):
@@ -427,6 +420,30 @@ class TestHorizonRadius:
 
 
 class TestDerivativeConsistency:
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("m", [-1.0, 0.0, 0.5])
+    def test_closed_forms_match_mpmath_derivatives(self, n, m):
+        # V, V', V'' of the profile and f, f', f'' of both closed-form
+        # weights against 30-digit numerical differentiation; flat space's
+        # derivatives must be exactly 0
+        spec = L.ManifoldSpec.schwarzschild(n, m)
+        p, f = spec.profile, L.sqrt_potential(spec)
+        w = L.profile_weight(spec)
+        for r in np.geomspace(1.05 * spec.r_min + 0.05, 1000.0, 60):
+            v_ref, f_ref = schwarzschild_derivatives_mp(n, m, r)
+            for fns, ref in (((p.value, p.deriv, p.deriv2), v_ref),
+                             ((f.value, f.deriv, f.deriv2), f_ref),
+                             ((w.value, w.deriv, w.deriv2), v_ref)):
+                for k, (fn, want) in enumerate(zip(fns, ref)):
+                    got = fn(r)
+                    assert abs(got - want) <= 1e-13 * abs(want), (r, k, got, want)
+
+    def test_hand_built_profile_is_the_record(self):
+        # no finite-difference fallback: a profile names its derivatives
+        assert not hasattr(L.RadialProfile, "from_callable")
+        with pytest.raises(TypeError):
+            L.RadialProfile(lambda r: 1.0 - 2.0 / r)
+
     def test_profile_and_potential_match_central_differences(self, schw3m1):
         # observed convergence order of the FD check itself must be ~2
         f = L.sqrt_potential(schw3m1)

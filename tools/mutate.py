@@ -49,13 +49,15 @@ TARGETS = (
     "surfaces._first_derivative_o4",
     "quantities.limit_target", "quantities.slice_quantities",
     "quantities.monotonicity_verdict",
-    "flow.area_residual", "flow._rate", "flow.flow_sphere", "flow._w_solver",
-    "flow._doubling",
+    "flow.require_reach", "flow.area_residual", "flow._rate", "flow.flow_sphere",
+    "flow._w_solver", "flow._doubling",
     "scenario.run_scenario", "scenario.static_diagnostics", "scenario.exit_code_for",
 )
 
 # (function, site before, site after): why the mutant cannot change a result
 EQUIVALENT = {
+    ("metrics.RadialProfile.schwarzschild", "0.0 * r", "0.0 / r"):
+        "every radius of a domain is positive and finite, where 0/r is 0 as 0*r is",
     ("surfaces.sphere_geometry", "h * one", "h / one"):
         "one is np.ones(1), and h / 1 is h",
     ("surfaces.sphere_geometry", "h * h / (n - 1) * one", "h * h / (n - 1) / one"):
